@@ -45,6 +45,7 @@ from .textproc import (
     normalize_spoken,
     passes_cer_gate,
     strip_pc,
+    strip_pc_map,
 )
 
 __version__ = "0.1.0"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,10 +45,15 @@ class TrimResult:
     empty_after_trim: bool = False
 
 
-def load_pcm(path: str | Path) -> AudioBuffer:
-    """Load a PCM WAV file with amplitudes normalized to [-1, 1]."""
+def load_pcm(path: str | Path, wav_bytes: bytes | None = None) -> AudioBuffer:
+    """Load a PCM WAV file with amplitudes normalized to [-1, 1].
+
+    `wav_bytes`, when given, is the WAV stream an external decoder produced
+    from `path`; it is read in place of the file.
+    """
+    source = str(path) if wav_bytes is None else io.BytesIO(wav_bytes)
     try:
-        rate, data = wavfile.read(str(path))
+        rate, data = wavfile.read(source)
     except ValueError as exc:
         raise AudioError(f"{path}: {exc}") from exc
     if data.dtype == np.int16:

@@ -8,7 +8,6 @@ utterance_id before writing, so the worker count never affects output bytes.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import shlex
@@ -81,7 +80,6 @@ class _Context:
         self.out_dir = Path(config.out_dir)
         self._chapters: dict[str, ChapterRecord] | None = None
         self._chapter_audio: dict[str, audiolib.AudioBuffer] = {}
-        self._chapter_text: dict[str, str] = {}
         self.rules = (
             textproc.load_rules(config.rules_path)
             if config.rules_path
@@ -109,32 +107,13 @@ class _Context:
             self._chapter_audio[chapter_id] = _decode(path, self.config.decoder_cmd)
         return self._chapter_audio[chapter_id]
 
-    def chapter_text(self, chapter_id: str) -> str:
-        if chapter_id not in self._chapter_text:
-            chapter = self.chapters.get(chapter_id)
-            if chapter is None or chapter.book_text_path is None:
-                raise KeyError(chapter_id)
-            raw = Path(chapter.book_text_path).read_text(encoding="utf-8")
-            self._chapter_text[chapter_id] = textproc.clean_formatting(raw, self.rules)
-        return self._chapter_text[chapter_id]
-
 
 def _decode(path: Path, decoder_cmd: str | None) -> audiolib.AudioBuffer:
     if path.suffix.lower() == ".wav" or decoder_cmd is None:
         return audiolib.load_pcm(path)
     cmd = [part.format(input=str(path)) for part in shlex.split(decoder_cmd)]
     proc = subprocess.run(cmd, capture_output=True, check=True)
-    from scipy.io import wavfile
-
-    rate, data = wavfile.read(io.BytesIO(proc.stdout))
-    buf = audiolib.AudioBuffer(samples=data, sample_rate_hz=int(rate))
-    import numpy as np
-
-    if data.dtype == np.int16:
-        buf = audiolib.AudioBuffer(data.astype(np.float64) / 32768.0, int(rate))
-    elif data.dtype == np.float32:
-        buf = audiolib.AudioBuffer(data.astype(np.float64), int(rate))
-    return buf
+    return audiolib.load_pcm(path, wav_bytes=proc.stdout)
 
 
 def _pmap(fn, items, workers: int):
@@ -166,14 +145,28 @@ def _stage_text(records, ctx: _Context):
         else {}
     )
 
-    def work(rec: UtteranceRecord):
+    # Clean and normalize each chapter once, serially, before any worker
+    # starts; the workers then only read these two dicts.
+    books: dict[str, tuple[str, tuple[str, list[int]]]] = {}
+    unusable: dict[str, str] = {}  # chapter_id -> reject reason
+    for chapter_id in sorted({r.chapter_id for r in records}):
+        chapter = ctx.chapters.get(chapter_id)
+        if chapter is None or chapter.book_text_path is None:
+            unusable[chapter_id] = "missing_book_text"
+            continue
         try:
-            chapter_text = ctx.chapter_text(rec.chapter_id)
-        except KeyError:
-            return ("reject", rec, "missing_book_text")
+            raw = Path(chapter.book_text_path).read_text(encoding="utf-8")
         except OSError as exc:
-            return ("reject", rec, f"book_text_unreadable:{exc.__class__.__name__}")
-        match = textproc.match_transcript(textproc.strip_pc(rec.raw_text), chapter_text)
+            unusable[chapter_id] = f"book_text_unreadable:{exc.__class__.__name__}"
+            continue
+        text = textproc.clean_formatting(raw, ctx.rules)
+        books[chapter_id] = (text, textproc.strip_pc_map(text))
+
+    def work(rec: UtteranceRecord):
+        if rec.chapter_id in unusable:
+            return ("reject", rec, unusable[rec.chapter_id])
+        chapter_text, chapter_norm = books[rec.chapter_id]
+        match = textproc.match_transcript(rec.raw_text, chapter_text, chapter_norm)
         if match.matched:
             text = textproc.normalize_spoken(match.restored_text, ctx.rules)
             return ("ok", rec.with_fields(text=text, text_source="book_match"))
@@ -242,9 +235,11 @@ def _stage_bandwidth(records, ctx: _Context):
         chapter = ctx.chapters.get(chapter_id)
         if chapter is None:
             return chapter_id, None
-        buf = audiolib.mixdown(ctx.chapter_audio(chapter_id))
+        buf = ctx.chapter_audio(chapter_id)
         head = buf.samples[: int(round(cfg.bandwidth_analysis_s * buf.sample_rate_hz))]
-        head_buf = audiolib.AudioBuffer(head, buf.sample_rate_hz)
+        # Slice before mixing down: the mean is per frame, so only the
+        # analysed head needs mixing.
+        head_buf = audiolib.mixdown(audiolib.AudioBuffer(head, buf.sample_rate_hz))
         head_buf = audiolib.resample(head_buf, cfg.target_sample_rate_hz)
         spec = bwlib.mean_power_spectrum(head_buf)
         est = bwlib.estimate_bandwidth(spec, threshold_db=cfg.bandwidth_threshold_db)

@@ -26,8 +26,12 @@ def _is_punct(ch: str) -> bool:
     return ch in _EXTRA_PUNCT or unicodedata.category(ch).startswith("P")
 
 
-def _strip_pc_map(text: str) -> tuple[str, list[int]]:
-    """Normalize text and keep a per-character map back to original offsets."""
+def strip_pc_map(text: str) -> tuple[str, list[int]]:
+    """Normalize text and keep a per-character map back to original offsets.
+
+    Returns ``(strip_pc(text), omap)`` where ``omap[k]`` is the index in
+    ``text`` of the character that produced normalized character ``k``.
+    """
     out: list[str] = []
     omap: list[int] = []
     pending_space = -1  # original index of the whitespace run head, -1 = none
@@ -50,7 +54,7 @@ def _strip_pc_map(text: str) -> tuple[str, list[int]]:
 
 def strip_pc(text: str) -> str:
     """Lowercase, drop punctuation, collapse whitespace runs, trim edges."""
-    return _strip_pc_map(text)[0]
+    return strip_pc_map(text)[0]
 
 
 @dataclass(frozen=True)
@@ -61,17 +65,24 @@ class TranscriptMatch:
     multiple_occurrences: bool = False
 
 
-def match_transcript(transcript: str, chapter_text: str) -> TranscriptMatch:
+def match_transcript(
+    transcript: str,
+    chapter_text: str,
+    chapter_norm: tuple[str, list[int]] | None = None,
+) -> TranscriptMatch:
     """Find the transcript as a word-boundary substring of the chapter text.
 
     On success returns the original punctuated slice of the chapter, expanded
     over punctuation attached to the edge words. On failure the caller tags
-    the utterance text_source = predicted_pc.
+    the utterance text_source = predicted_pc. Callers matching many
+    transcripts against one chapter pass ``chapter_norm =
+    strip_pc_map(chapter_text)``, computed once, so that each call costs one
+    substring search instead of a pass over the whole chapter.
     """
     query = strip_pc(transcript)
     if not query:
         return TranscriptMatch(matched=False)
-    norm, omap = _strip_pc_map(chapter_text)
+    norm, omap = strip_pc_map(chapter_text) if chapter_norm is None else chapter_norm
     hay = f" {norm} "
     needle = f" {query} "
     pos = hay.find(needle)
@@ -203,20 +214,42 @@ class EditStats:
 
 
 def levenshtein(ref, hyp) -> int:
-    """Unit-cost edit distance over two sequences, two-row DP."""
+    """Unit-cost edit distance between two sequences of hashable tokens.
+
+    Bit-parallel algorithm of Myers (JACM 46(3), 1999) in the formulation of
+    Hyyrö (2003): the shorter sequence is the pattern, one bit per token in
+    a Python int, and each token of the longer sequence updates the whole
+    column of vertical deltas with a few word operations, O(ceil(m/w) * n)
+    for pattern length m, text length n and machine word size w. Works for
+    characters (CER) and word lists (WER) alike.
+    """
     if len(ref) < len(hyp):
         ref, hyp = hyp, ref
-    prev = list(range(len(hyp) + 1))
-    for i, r in enumerate(ref, start=1):
-        cur = [i] + [0] * len(hyp)
-        for j, h in enumerate(hyp, start=1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (r != h),
-            )
-        prev = cur
-    return prev[-1]
+    m = len(hyp)
+    if m == 0:
+        return len(ref)
+    peq: dict = {}  # token -> bitmask of its positions in the pattern
+    for i, token in enumerate(hyp):
+        peq[token] = peq.get(token, 0) | (1 << i)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, score = mask, 0, m  # column 0: every vertical delta is +1
+    for token in ref:
+        eq = peq.get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # row 0 grows by one per text token: shift in a +1 horizontal delta
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
 
 
 def edit_stats(ref: str, hyp: str) -> EditStats:

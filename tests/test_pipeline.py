@@ -1,12 +1,27 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.io import wavfile
 
+from speechcurate.audio import load_pcm
 from speechcurate.cli import main
 from speechcurate.config import PipelineConfig, validate_config
-from speechcurate.manifest import read_manifest
-from speechcurate.pipeline import EXIT_PARTIAL, ConfigError, StageError, run_pipeline
+from speechcurate.manifest import (
+    ChapterRecord,
+    read_chapters,
+    read_manifest,
+    write_chapters,
+    write_manifest,
+)
+from speechcurate.pipeline import (
+    EXIT_PARTIAL,
+    ConfigError,
+    StageError,
+    _decode,
+    run_pipeline,
+)
 
 from corpus_harness import build_corpus, make_config
 
@@ -127,6 +142,51 @@ class TestDeterminism:
             assert sorted(p.name for p in other.glob("manifest.*.jsonl")) == reference
             for name in reference:
                 assert (outs[0] / name).read_bytes() == (other / name).read_bytes(), name
+
+    def test_text_stage_identical_across_worker_counts(self, tmp_path):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=6)
+        # Extra inputs for the reject paths: a chapter without book text and
+        # an utterance whose chapter is not in the chapters manifest.
+        chapters = read_chapters(root / "chapters.jsonl")
+        chapters.append(ChapterRecord(chapter_id="ch9", book_id="book0",
+                                      speaker_id="spk9", audio_path="raw/ch9.wav",
+                                      sample_rate_hz=48000))
+        write_chapters(chapters, root / "chapters.jsonl")
+        records = read_manifest(root / "utterances.jsonl")
+        template = records[0]
+        records += [template.with_fields(utterance_id=f"ch9_{i:04d}", chapter_id="ch9")
+                    for i in range(2)]
+        records.append(template.with_fields(utterance_id="chx_0000", chapter_id="chx"))
+        write_manifest(records, root / "utterances.jsonl")
+
+        outs = []
+        for workers in (1, 4):
+            config = make_config(root, tmp_path / f"w{workers}", workers=workers)
+            config.stages = ["text"]
+            result = run_pipeline(config)
+            outs.append(tmp_path / f"w{workers}")
+        (report,) = result.reports
+        assert report.drop_reasons == {"missing_book_text": 3}
+        kept = read_manifest(outs[0] / "manifest.00_text.jsonl")
+        matched = {r.chapter_id for r in kept if r.text_source == "book_match"}
+        assert matched == {"ch0", "ch1", "ch2", "ch3"}
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+class TestDecode:
+    @pytest.mark.parametrize("dtype,full_scale", [(np.int32, 2**31 - 1), (np.uint8, 255)])
+    def test_decoder_output_normalized(self, tmp_path, dtype, full_scale):
+        ramp = np.linspace(0, full_scale, 1000).astype(dtype)
+        path = tmp_path / "chapter.raw"  # not .wav: goes through decoder_cmd
+        wavfile.write(str(path), 16000, ramp)
+        buf = _decode(path, "cat {input}")
+        assert buf.sample_rate_hz == 16000
+        assert buf.samples.dtype == np.float64
+        assert np.all(np.abs(buf.samples) <= 1.0)
+        np.testing.assert_array_equal(buf.samples, load_pcm(path).samples)
 
 
 class TestConfig:

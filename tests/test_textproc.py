@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechcurate.textproc import (
@@ -16,6 +16,7 @@ from speechcurate.textproc import (
     normalize_spoken,
     passes_cer_gate,
     strip_pc,
+    strip_pc_map,
 )
 
 
@@ -83,6 +84,62 @@ class TestMatchTranscript:
         match = match_transcript("hello world", chapter)
         assert match.matched
         assert strip_pc(match.restored_text) == "hello world"
+
+
+_CHAPTER_WORDS = ("time", "river", "stone", "garden", "don't", "it's", "Mr.",
+                  "voice", "window", "summer", "quiet", "morning")
+
+
+@st.composite
+def _chapter_and_queries(draw):
+    """A punctuated, formatted chapter plus hits, near misses and random word runs."""
+    words = []
+    for _ in range(draw(st.integers(1, 8))):
+        sentence = draw(st.lists(st.sampled_from(_CHAPTER_WORDS), min_size=1, max_size=9))
+        if len(sentence) > 1 and draw(st.booleans()):
+            k = draw(st.integers(0, len(sentence) - 2))
+            sentence[k] += ","
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(sentence) - 1))
+            sentence[k] = f'"{sentence[k]}"'
+        sentence[0] = sentence[0].capitalize()
+        sentence[-1] += draw(st.sampled_from(".!?"))
+        words.extend(sentence)
+    separators = draw(st.lists(st.sampled_from([" ", " ", "\n", "  "]),
+                               min_size=len(words), max_size=len(words)))
+    body = "".join(w + sep for w, sep in zip(words, separators))
+    chapter = clean_formatting(f"<h1>Chapter</h1>\n<p>nbsp {body} p p</p>")
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(words) - 1))
+        j = draw(st.integers(i + 1, len(words)))
+        hit = " ".join(words[i:j])
+        queries += [hit, strip_pc(hit), strip_pc(hit) + " zzzz"]
+    queries.append(" ".join(draw(st.lists(st.sampled_from(_CHAPTER_WORDS), max_size=4))))
+    return chapter, queries
+
+
+class TestPrenormalizedChapter:
+    @settings(max_examples=200, deadline=None)
+    @given(_chapter_and_queries())
+    def test_same_result_as_plain_call(self, case):
+        chapter, queries = case
+        chapter_norm = strip_pc_map(chapter)
+        outcomes = set()
+        for query in queries:
+            expected = match_transcript(query, chapter)
+            assert match_transcript(query, chapter, chapter_norm) == expected, query
+            outcomes.add(expected.matched)
+        assert True in outcomes  # every case contains at least one hit
+
+    def test_map_points_at_source_characters(self):
+        chapter = 'A "Quoted,"\n  word. End!'
+        norm, omap = strip_pc_map(chapter)
+        assert norm == strip_pc(chapter) == "a quoted word end"
+        assert len(omap) == len(norm)
+        for k, ch in enumerate(norm):
+            source = chapter[omap[k]]
+            assert source.isspace() if ch == " " else source.lower() == ch
 
 
 class TestCleanFormatting:
@@ -202,6 +259,31 @@ class TestEditStats:
     )
     def test_matches_oracle_property(self, a, b):
         assert levenshtein(a, b) == naive_levenshtein(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.text(alphabet="abcd", max_size=200),
+        st.text(alphabet="abcd", max_size=200),
+    )
+    # lengths at and around multiples of a 64-bit machine word
+    @example("ab" * 32, "ba" * 32)
+    @example("abc" * 21, "abd" * 21 + "aa")
+    @example("abcd" * 16 + "a", "abcd" * 16)
+    @example("a" * 128, "a" * 64 + "b" + "a" * 63)
+    @example("", "abcd" * 50)
+    @example("abcd" * 50, "dcba" * 50)
+    def test_matches_oracle_long_property(self, a, b):
+        assert levenshtein(a, b) == naive_levenshtein(a, b)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["the", "a", "river", "stone", "it's"]), max_size=200),
+        st.lists(st.sampled_from(["the", "a", "river", "stone", "it's"]), max_size=200),
+    )
+    @example(["the"] * 64, ["a"] + ["the"] * 64)
+    @example(("the", "a") * 32, ("a", "the") * 32)
+    def test_matches_oracle_word_tokens(self, ref, hyp):
+        assert levenshtein(ref, hyp) == naive_levenshtein(ref, hyp)
 
     @settings(max_examples=100, deadline=None)
     @given(
