@@ -7,7 +7,6 @@ from .bandwidth import (
     chapter_bandwidth,
     estimate_bandwidth,
     mean_power_spectrum,
-    passes_bandwidth_gate,
 )
 from .curation import (
     SpeakerCountRecord,

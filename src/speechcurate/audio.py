@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import shlex
+import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,13 +47,18 @@ class TrimResult:
     empty_after_trim: bool = False
 
 
-def load_pcm(path: str | Path, wav_bytes: bytes | None = None) -> AudioBuffer:
+def load_pcm(path: str | Path, decoder_cmd: str | None = None) -> AudioBuffer:
     """Load a PCM WAV file with amplitudes normalized to [-1, 1].
 
-    `wav_bytes`, when given, is the WAV stream an external decoder produced
-    from `path`; it is read in place of the file.
+    A path that is not `.wav` is decoded by `decoder_cmd` when one is given:
+    an argv template whose `{input}` is replaced by the path and whose stdout
+    is a WAV stream, e.g. `"ffmpeg -loglevel error -i {input} -f wav -"`.
     """
-    source = str(path) if wav_bytes is None else io.BytesIO(wav_bytes)
+    source = str(path)
+    if decoder_cmd is not None and Path(path).suffix.lower() != ".wav":
+        cmd = [part.format(input=source) for part in shlex.split(decoder_cmd)]
+        proc = subprocess.run(cmd, capture_output=True, check=True)
+        source = io.BytesIO(proc.stdout)
     try:
         rate, data = wavfile.read(source)
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Spectral bandwidth estimation and subset bandwidth gates.
+"""Spectral bandwidth estimation.
 
 The effective bandwidth of a recording is the highest frequency whose mean
 spectral power is within a threshold (default -50 dB) of the spectral peak.
@@ -8,13 +8,12 @@ the original Nyquist falls far below that threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio import AudioBuffer, load_pcm, mixdown
-from .manifest import ChapterRecord, SubsetSpec, UtteranceRecord
+from . import audio as audiolib
+from .audio import AudioBuffer
 
 DEFAULT_THRESHOLD_DB = -50.0
 DEFAULT_ANALYSIS_S = 30.0
@@ -84,35 +83,28 @@ def estimate_bandwidth(
 
 
 def chapter_bandwidth(
-    chapter: ChapterRecord,
-    audio_root: str | Path = ".",
+    buf: AudioBuffer,
+    target_hz: int,
     analyze_s: float = DEFAULT_ANALYSIS_S,
     threshold_db: float = DEFAULT_THRESHOLD_DB,
 ) -> BandwidthEstimate:
-    """Estimate bandwidth on the head of a chapter file, pre-trim, post-mixdown.
+    """Estimate a decoded chapter's bandwidth, pre-trim, post-mixdown, at target_hz.
 
-    Uses the first analyze_s seconds (the whole file when shorter). The result
-    is inherited by every utterance of the chapter.
+    Uses the first analyze_s seconds (the whole chapter when shorter). The
+    result is inherited by every utterance of the chapter. A head shorter
+    than one analysis window gives a degenerate estimate.
     """
-    path = Path(audio_root) / chapter.audio_path
-    buf = mixdown(load_pcm(path))
     head = buf.samples[: int(round(analyze_s * buf.sample_rate_hz))]
-    spec = mean_power_spectrum(AudioBuffer(samples=head, sample_rate_hz=buf.sample_rate_hz))
+    analyzed_s = len(head) / buf.sample_rate_hz
+    # Slice before mixing down: the mean is per frame, so only the analysed
+    # head needs mixing. Called through the audio module so that wrappers
+    # installed there (the benchmark's tracer) see these calls.
+    head_buf = audiolib.mixdown(AudioBuffer(head, buf.sample_rate_hz))
+    head_buf = audiolib.resample(head_buf, target_hz)
+    try:
+        spec = mean_power_spectrum(head_buf)
+    except BandwidthError:
+        return BandwidthEstimate(f_max_hz=0.0, peak_power=0.0, threshold_db=threshold_db,
+                                 analyzed_s=analyzed_s, degenerate=True)
     est = estimate_bandwidth(spec, threshold_db=threshold_db)
-    analyzed = len(head) / buf.sample_rate_hz
-    return BandwidthEstimate(
-        f_max_hz=est.f_max_hz,
-        peak_power=est.peak_power,
-        threshold_db=threshold_db,
-        analyzed_s=analyzed,
-        degenerate=est.degenerate,
-    )
-
-
-def passes_bandwidth_gate(rec: UtteranceRecord, spec: SubsetSpec) -> bool:
-    """True iff the record's bandwidth meets the subset minimum (inclusive)."""
-    if rec.bandwidth_hz is None:
-        raise BandwidthError(
-            f"{rec.utterance_id}: bandwidth_hz missing; run bandwidth estimation first"
-        )
-    return rec.bandwidth_hz >= spec.min_bandwidth_hz
+    return replace(est, analyzed_s=analyzed_s)

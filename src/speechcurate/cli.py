@@ -14,7 +14,7 @@ import click
 
 from . import curation
 from .config import STAGE_ORDER, PipelineConfig
-from .manifest import SubsetSpec, read_manifest, write_manifest
+from .manifest import ManifestError, SubsetSpec, read_manifest, write_manifest
 from .pipeline import (
     EXIT_CONFIG_ERROR,
     EXIT_STAGE_FAILURE,
@@ -85,8 +85,12 @@ def stats(manifest_path, as_json, csv_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def subset(manifest_path, spec_path, out_path):
     """Filter a manifest through a SubsetSpec gate file."""
+    try:
+        spec = SubsetSpec.from_json_dict(json.loads(Path(spec_path).read_text()))
+    except (ValueError, TypeError, ManifestError) as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG_ERROR)
     records = read_manifest(manifest_path)
-    spec = SubsetSpec.from_json_dict(json.loads(Path(spec_path).read_text()))
     try:
         kept = curation.build_subset(records, spec)
     except curation.CurationError as exc:

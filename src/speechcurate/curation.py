@@ -400,7 +400,7 @@ def _bump(hist: dict[str, int], label: str) -> None:
 
 
 def _rate_bin(value: float) -> str:
-    # 1% bins, overflow values capped at 200 into the ">=100" bucket.
+    # 1% bins; every value of 100% or more falls in the ">=100" bucket.
     if value >= 100.0:
         return ">=100"
     return str(int(value))

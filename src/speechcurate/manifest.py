@@ -41,7 +41,6 @@ _CHAPTER_FIELDS = (
     "speaker_id",
     "audio_path",
     "sample_rate_hz",
-    "bandwidth_hz",
     "book_text_path",
 )
 
@@ -141,35 +140,25 @@ class UtteranceRecord:
 
 @dataclass(frozen=True)
 class ChapterRecord:
-    """One source audiobook chapter: the unit of audio download and bandwidth estimation."""
+    """One source audiobook chapter: the unit of audio decoding and bandwidth estimation."""
 
     chapter_id: str
     book_id: str
     speaker_id: str
     audio_path: str
     sample_rate_hz: int
-    bandwidth_hz: int | None = None
     book_text_path: str | None = None
 
     def validate(self) -> None:
         if self.sample_rate_hz <= 0:
             raise InvariantError("sample_rate_hz", f"must be > 0, got {self.sample_rate_hz}")
-        if self.bandwidth_hz is not None:
-            if not 0 < self.bandwidth_hz <= self.sample_rate_hz / 2:
-                raise InvariantError(
-                    "bandwidth_hz",
-                    f"must be in (0, {self.sample_rate_hz / 2}], got {self.bandwidth_hz}",
-                )
 
     def to_json_dict(self) -> dict:
         out = {}
         for name in _CHAPTER_FIELDS:
             value = getattr(self, name)
-            if value is None:
-                continue
-            if name == "bandwidth_hz":
-                value = int(round(value))
-            out[name] = value
+            if value is not None:
+                out[name] = value
         return out
 
     @classmethod
@@ -187,20 +176,20 @@ class SubsetSpec:
     min_bandwidth_hz: float = 0.0
     max_cer_pct: float = math.inf
     max_num_speakers: int | float = math.inf
-    target_sample_rate_hz: int = 44100
 
     def validate(self) -> None:
-        for name in ("min_bandwidth_hz", "max_cer_pct", "max_num_speakers",
-                     "target_sample_rate_hz"):
+        for name in ("min_bandwidth_hz", "max_cer_pct", "max_num_speakers"):
             value = getattr(self, name)
             if value < 0 or (isinstance(value, float) and math.isnan(value)):
                 raise InvariantError(name, f"must be >= 0, got {value}")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SubsetSpec":
-        spec = cls(**{k: obj[k] for k in (
-            "min_bandwidth_hz", "max_cer_pct", "max_num_speakers",
-            "target_sample_rate_hz") if k in obj})
+        # A misspelled key would otherwise leave its gate at the default (off).
+        unknown = set(obj) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ManifestError(f"unknown subset spec keys: {sorted(unknown)}")
+        spec = cls(**obj)
         spec.validate()
         return spec
 

@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import audio as audiolib
 from . import bandwidth as bwlib
@@ -104,16 +105,9 @@ class _Context:
         if chapter_id not in self._chapter_audio:
             chapter = self.chapters[chapter_id]
             path = Path(self.config.audio_root) / chapter.audio_path
-            self._chapter_audio[chapter_id] = _decode(path, self.config.decoder_cmd)
+            self._chapter_audio[chapter_id] = audiolib.load_pcm(
+                path, self.config.decoder_cmd)
         return self._chapter_audio[chapter_id]
-
-
-def _decode(path: Path, decoder_cmd: str | None) -> audiolib.AudioBuffer:
-    if path.suffix.lower() == ".wav" or decoder_cmd is None:
-        return audiolib.load_pcm(path)
-    cmd = [part.format(input=str(path)) for part in shlex.split(decoder_cmd)]
-    proc = subprocess.run(cmd, capture_output=True, check=True)
-    return audiolib.load_pcm(path, wav_bytes=proc.stdout)
 
 
 def _pmap(fn, items, workers: int):
@@ -134,8 +128,14 @@ def _load_jsonl_map(path: str, key: str, value: str) -> dict[str, str]:
     return out
 
 
+class _Reject(NamedTuple):
+    record: UtteranceRecord
+    reason: str
+
+
 # Every stage function maps (records, ctx) -> (kept, rejects, extras) where
-# rejects is a list of (record, reason).
+# rejects is a list of _Reject. A per-record worker returns the records it
+# keeps (two after a split) or a _Reject.
 
 
 def _stage_text(records, ctx: _Context):
@@ -164,14 +164,14 @@ def _stage_text(records, ctx: _Context):
 
     def work(rec: UtteranceRecord):
         if rec.chapter_id in unusable:
-            return ("reject", rec, unusable[rec.chapter_id])
+            return _Reject(rec, unusable[rec.chapter_id])
         chapter_text, chapter_norm = books[rec.chapter_id]
         match = textproc.match_transcript(rec.raw_text, chapter_text, chapter_norm)
         if match.matched:
             text = textproc.normalize_spoken(match.restored_text, ctx.rules)
-            return ("ok", rec.with_fields(text=text, text_source="book_match"))
+            return [rec.with_fields(text=text, text_source="book_match")]
         text = predicted.get(rec.utterance_id, rec.raw_text)
-        return ("ok", rec.with_fields(text=text, text_source="predicted_pc"))
+        return [rec.with_fields(text=text, text_source="predicted_pc")]
 
     return _collect(_pmap(work, records, ctx.config.workers))
 
@@ -192,7 +192,7 @@ def _stage_audio(records, ctx: _Context):
         start = int(round(rec.offset_s * sr))
         stop = int(round((rec.offset_s + rec.duration_s) * sr))
         if start >= buf.num_frames:
-            return ("reject", rec, "offset_past_end")
+            return _Reject(rec, "offset_past_end")
         piece = audiolib.AudioBuffer(buf.samples[start:stop], sr)
         piece = audiolib.mixdown(piece)
         piece = audiolib.resample(piece, cfg.target_sample_rate_hz)
@@ -202,7 +202,7 @@ def _stage_audio(records, ctx: _Context):
             max_edge_silence_s=cfg.max_edge_silence_s,
         )
         if trim.empty_after_trim:
-            return ("reject", rec, "empty_after_trim")
+            return _Reject(rec, "empty_after_trim")
         wav_path = audio_out / f"{rec.utterance_id}.wav"
         audiolib.save_pcm(trim.trimmed, wav_path)
         rel_path = str(wav_path.relative_to(ctx.out_dir))
@@ -215,14 +215,13 @@ def _stage_audio(records, ctx: _Context):
             subprocess.run(cmd, capture_output=True, check=True)
             wav_path.unlink()
             rel_path = str(flac_path.relative_to(ctx.out_dir))
-        return (
-            "ok",
+        return [
             rec.with_fields(
                 audio_path=rel_path,
                 offset_s=0.0,
                 duration_s=round(trim.trimmed.duration_s, 4),
-            ),
-        )
+            )
+        ]
 
     return _collect(_pmap(work, records, ctx.config.workers))
 
@@ -232,28 +231,24 @@ def _stage_bandwidth(records, ctx: _Context):
     chapter_ids = sorted({r.chapter_id for r in records})
 
     def estimate(chapter_id: str):
-        chapter = ctx.chapters.get(chapter_id)
-        if chapter is None:
+        if chapter_id not in ctx.chapters:
             return chapter_id, None
-        buf = ctx.chapter_audio(chapter_id)
-        head = buf.samples[: int(round(cfg.bandwidth_analysis_s * buf.sample_rate_hz))]
-        # Slice before mixing down: the mean is per frame, so only the
-        # analysed head needs mixing.
-        head_buf = audiolib.mixdown(audiolib.AudioBuffer(head, buf.sample_rate_hz))
-        head_buf = audiolib.resample(head_buf, cfg.target_sample_rate_hz)
-        spec = bwlib.mean_power_spectrum(head_buf)
-        est = bwlib.estimate_bandwidth(spec, threshold_db=cfg.bandwidth_threshold_db)
-        return chapter_id, est
+        return chapter_id, bwlib.chapter_bandwidth(
+            ctx.chapter_audio(chapter_id),
+            cfg.target_sample_rate_hz,
+            cfg.bandwidth_analysis_s,
+            cfg.bandwidth_threshold_db,
+        )
 
     estimates = dict(_pmap(estimate, chapter_ids, cfg.workers))
 
     def work(rec: UtteranceRecord):
         est = estimates.get(rec.chapter_id)
         if est is None:
-            return ("reject", rec, "missing_chapter")
+            return _Reject(rec, "missing_chapter")
         if est.degenerate:
-            return ("reject", rec, "degenerate_spectrum")
-        return ("ok", rec.with_fields(bandwidth_hz=int(round(est.f_max_hz))))
+            return _Reject(rec, "degenerate_spectrum")
+        return [rec.with_fields(bandwidth_hz=int(round(est.f_max_hz)))]
 
     return _collect([work(rec) for rec in records])
 
@@ -273,7 +268,7 @@ def _stage_segment(records, ctx: _Context):
     def work(rec: UtteranceRecord):
         track = tracks.get(rec.utterance_id)
         if track is None:
-            return ("reject", rec, "missing_alignment")
+            return _Reject(rec, "missing_alignment")
         transcript = rec.text if rec.text else rec.raw_text
         try:
             pauses = segmentation.find_candidate_pauses(
@@ -284,8 +279,8 @@ def _stage_segment(records, ctx: _Context):
             )
             children = segmentation.apply_split(rec, decision, track)
         except segmentation.AlignmentError as exc:
-            return ("reject", rec, f"alignment_mismatch:{exc}")
-        return ("ok-many", children)
+            return _Reject(rec, f"alignment_mismatch:{exc}")
+        return children
 
     return _collect(_pmap(work, records, cfg.workers))
 
@@ -302,18 +297,18 @@ def _stage_validate(records, ctx: _Context):
     def work(rec: UtteranceRecord):
         hyp = hyps.get(rec.utterance_id)
         if hyp is None:
-            return ("reject", rec, "missing_hypothesis")
+            return _Reject(rec, "missing_hypothesis")
         ref = rec.text if rec.text else rec.raw_text
         try:
             stats = textproc.edit_stats(ref, hyp)
         except textproc.TextError:
-            return ("reject", rec, "empty_reference")
+            return _Reject(rec, "empty_reference")
         rec = rec.with_fields(
             wer_pct=round(stats.wer_pct, 4), cer_pct=round(stats.cer_pct, 4)
         )
         if not textproc.passes_cer_gate(stats, cfg.max_cer_pct):
-            return ("reject", rec, "cer_gate")
-        return ("ok", rec)
+            return _Reject(rec, "cer_gate")
+        return [rec]
 
     return _collect(_pmap(work, records, cfg.workers))
 
@@ -332,17 +327,14 @@ def _stage_speakers(records, ctx: _Context):
 
 def _collect(results):
     kept: list[UtteranceRecord] = []
-    rejects: list[tuple[UtteranceRecord, str]] = []
+    rejects: list[_Reject] = []
     split_parents = 0
     for item in results:
-        if item[0] == "ok":
-            kept.append(item[1])
-        elif item[0] == "ok-many":
-            if len(item[1]) > 1:
-                split_parents += 1
-            kept.extend(item[1])
+        if isinstance(item, _Reject):
+            rejects.append(item)
         else:
-            rejects.append((item[1], item[2]))
+            split_parents += len(item) > 1
+            kept.extend(item)
     # records_out = records_in - records_dropped + split_parents
     extras = {"split_parents": split_parents} if split_parents else {}
     return kept, rejects, extras

@@ -191,12 +191,6 @@ def apply_split(
     return [child_a, child_b]
 
 
-def load_alignment_json(path: str | Path) -> list[AlignmentToken]:
-    """One utterance per file: a JSON array of {word, start, end}."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [_token_from_obj(obj) for obj in data]
-
-
 def load_alignments_jsonl(path: str | Path) -> dict[str, list[AlignmentToken]]:
     """Consolidated alignments: JSONL of {utterance_id, tokens: [...]}."""
     tracks: dict[str, list[AlignmentToken]] = {}

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from speechcurate.audio import AudioBuffer, resample, save_pcm
+from speechcurate.audio import AudioBuffer, resample
 from speechcurate.bandwidth import (
     BandwidthError,
     PowerSpectrum,
     chapter_bandwidth,
     estimate_bandwidth,
     mean_power_spectrum,
-    passes_bandwidth_gate,
 )
-from speechcurate.manifest import ChapterRecord, SubsetSpec, UtteranceRecord
+from speechcurate.curation import CurationError, build_subset
+from speechcurate.manifest import SubsetSpec, UtteranceRecord
 
 from conftest import lowpassed_noise, sine
 
-SPEC_22K = SubsetSpec(min_bandwidth_hz=11000, target_sample_rate_hz=22050)
-SPEC_44K = SubsetSpec(min_bandwidth_hz=13000, target_sample_rate_hz=44100)
+SPEC_22K = SubsetSpec(min_bandwidth_hz=11000)
+SPEC_44K = SubsetSpec(min_bandwidth_hz=13000)
 
 
 def make_record(bandwidth_hz):
@@ -95,31 +95,28 @@ class TestEstimateBandwidth:
 
 
 class TestChapterBandwidth:
-    def _chapter(self, tmp_path, samples, sr):
-        path = tmp_path / "chapter.wav"
-        save_pcm(AudioBuffer(samples, sr), path, bit_depth=32)
-        return ChapterRecord("c1", "b1", "s1", "chapter.wav", sr)
-
-    def test_analyzes_first_30s_only(self, tmp_path):
+    def test_analyzes_first_30s_only(self):
         sr = 22050
         # 30 s of wideband noise then 30 s of silence; head-only analysis
         head = lowpassed_noise(10000, 30.0, sr, seed=2)
         tail = np.zeros(sr * 30)
-        chapter = self._chapter(tmp_path, np.concatenate([head, tail]), sr)
-        est = chapter_bandwidth(chapter, audio_root=tmp_path)
+        est = chapter_bandwidth(AudioBuffer(np.concatenate([head, tail]), sr), sr)
         assert est.analyzed_s == pytest.approx(30.0)
         assert est.f_max_hz > 9000
 
-    def test_short_file_uses_all(self, tmp_path):
+    def test_short_file_uses_all(self):
         sr = 22050
-        chapter = self._chapter(tmp_path, lowpassed_noise(8000, 10.0, sr, seed=3), sr)
-        est = chapter_bandwidth(chapter, audio_root=tmp_path)
+        est = chapter_bandwidth(AudioBuffer(lowpassed_noise(8000, 10.0, sr, seed=3), sr), sr)
         assert est.analyzed_s == pytest.approx(10.0)
 
-    def test_utterances_inherit_estimate(self, tmp_path):
+    def test_shorter_than_one_window_degenerate(self):
+        est = chapter_bandwidth(AudioBuffer(sine(1000, 1000 / 44100, 44100), 44100), 44100)
+        assert est.degenerate
+        assert est.analyzed_s == pytest.approx(1000 / 44100)
+
+    def test_utterances_inherit_estimate(self):
         sr = 44100
-        chapter = self._chapter(tmp_path, lowpassed_noise(8000, 12.0, sr, seed=4), sr)
-        est = chapter_bandwidth(chapter, audio_root=tmp_path)
+        est = chapter_bandwidth(AudioBuffer(lowpassed_noise(8000, 12.0, sr, seed=4), sr), sr)
         bw = int(round(est.f_max_hz))
         recs = [make_record(None).with_fields(utterance_id=f"u{i}", bandwidth_hz=bw)
                 for i in range(3)]
@@ -127,24 +124,27 @@ class TestChapterBandwidth:
 
 
 class TestBandwidthGate:
+    """The subset bandwidth gate, which `build_subset` applies."""
+
     def test_12k_passes_22k_subset(self):
-        assert passes_bandwidth_gate(make_record(12000), SPEC_22K)
+        assert build_subset([make_record(12000)], SPEC_22K)
 
     def test_12k_fails_44k_subset(self):
-        assert not passes_bandwidth_gate(make_record(12000), SPEC_44K)
+        assert not build_subset([make_record(12000)], SPEC_44K)
 
     def test_boundary_inclusive(self):
-        assert passes_bandwidth_gate(make_record(11000), SPEC_22K)
-        assert passes_bandwidth_gate(make_record(13000), SPEC_44K)
+        assert build_subset([make_record(11000)], SPEC_22K)
+        assert build_subset([make_record(13000)], SPEC_44K)
 
     def test_missing_bandwidth_errors(self):
-        with pytest.raises(BandwidthError, match="bandwidth"):
-            passes_bandwidth_gate(make_record(None), SPEC_22K)
+        with pytest.raises(CurationError, match="bandwidth"):
+            build_subset([make_record(None)], SPEC_22K)
 
     def test_gate_monotonicity(self):
-        records = [make_record(bw) for bw in range(4000, 22001, 500)]
-        loose = [r for r in records if passes_bandwidth_gate(r, SPEC_22K)]
-        tight = [r for r in records if passes_bandwidth_gate(r, SPEC_44K)]
+        records = [make_record(bw).with_fields(utterance_id=f"u{bw}")
+                   for bw in range(4000, 22001, 500)]
+        loose = build_subset(records, SPEC_22K)
+        tight = build_subset(records, SPEC_44K)
         assert set(r.bandwidth_hz for r in tight) <= set(r.bandwidth_hz for r in loose)
 
 

@@ -151,7 +151,7 @@ def test_round_trip_property(tmp_path_factory, offset, duration, wer):
 
 def test_chapter_round_trip(tmp_path):
     chapters = [
-        ChapterRecord("ch1", "b1", "spk1", "raw/ch1.wav", 48000, 20000, "text/ch1.txt"),
+        ChapterRecord("ch1", "b1", "spk1", "raw/ch1.wav", 48000, "text/ch1.txt"),
         ChapterRecord("ch2", "b1", "spk1", "raw/ch2.wav", 48000),
     ]
     path = tmp_path / "chapters.jsonl"
@@ -159,12 +159,12 @@ def test_chapter_round_trip(tmp_path):
     assert read_chapters(path) == chapters
 
 
-def test_chapter_bandwidth_above_nyquist_rejected():
-    bad = ChapterRecord("ch1", "b1", "s", "a.wav", 16000, bandwidth_hz=9000)
-    with pytest.raises(InvariantError, match="bandwidth_hz"):
-        bad.validate()
-
-
 def test_subset_spec_negative_threshold_rejected():
     with pytest.raises(InvariantError, match="min_bandwidth_hz"):
         SubsetSpec(min_bandwidth_hz=-1).validate()
+
+
+def test_subset_spec_unknown_key_rejected():
+    # a misspelled gate must not silently fall back to its default (off)
+    with pytest.raises(ManifestError, match="min_bandwith_hz"):
+        SubsetSpec.from_json_dict({"min_bandwith_hz": 13000})

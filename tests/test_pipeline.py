@@ -5,11 +5,13 @@ import pytest
 from click.testing import CliRunner
 from scipy.io import wavfile
 
-from speechcurate.audio import load_pcm
+from speechcurate.audio import AudioBuffer, load_pcm, save_pcm
+from speechcurate.bandwidth import chapter_bandwidth
 from speechcurate.cli import main
 from speechcurate.config import PipelineConfig, validate_config
 from speechcurate.manifest import (
     ChapterRecord,
+    UtteranceRecord,
     read_chapters,
     read_manifest,
     write_chapters,
@@ -19,7 +21,6 @@ from speechcurate.pipeline import (
     EXIT_PARTIAL,
     ConfigError,
     StageError,
-    _decode,
     run_pipeline,
 )
 
@@ -176,13 +177,47 @@ class TestDeterminism:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def _bandwidth_only_config(root, samples, sr):
+    """One chapter WAV with one utterance spanning it; runs the bandwidth stage only."""
+    (root / "raw").mkdir(parents=True)
+    save_pcm(AudioBuffer(samples, sr), root / "raw" / "c0.wav", bit_depth=32)
+    write_chapters([ChapterRecord("c0", "b0", "s0", "raw/c0.wav", sr)],
+                   root / "chapters.jsonl")
+    write_manifest([UtteranceRecord("c0_0000", "b0", "c0", "s0", "raw/c0.wav",
+                                    0.0, len(samples) / sr, raw_text="x")],
+                   root / "utterances.jsonl")
+    config = make_config(root, root / "out")
+    config.stages = ["bandwidth"]
+    return config
+
+
+class TestBandwidthStage:
+    def test_stereo_48k_estimated_after_resampling(self, tmp_path):
+        # Full-band noise at 48 kHz reaches ~24 kHz; the stamped estimate is
+        # the one taken after mixdown and resampling to the 44.1 kHz target.
+        samples = np.random.default_rng(7).standard_normal((48000 * 2, 2)) * 0.1
+        config = _bandwidth_only_config(tmp_path, samples, 48000)
+        result = run_pipeline(config)
+        (rec,) = read_manifest(result.final_manifest)
+        est = chapter_bandwidth(load_pcm(tmp_path / "raw" / "c0.wav"), 44100)
+        assert rec.bandwidth_hz == round(est.f_max_hz)
+        assert rec.bandwidth_hz <= 22050
+
+    def test_chapter_shorter_than_one_window_rejected(self, tmp_path):
+        samples = np.random.default_rng(8).standard_normal(1000) * 0.1
+        result = run_pipeline(_bandwidth_only_config(tmp_path, samples, 44100))
+        assert result.exit_code == EXIT_PARTIAL
+        assert result.reports[0].drop_reasons == {"degenerate_spectrum": 1}
+        assert read_manifest(result.final_manifest) == []
+
+
 class TestDecode:
     @pytest.mark.parametrize("dtype,full_scale", [(np.int32, 2**31 - 1), (np.uint8, 255)])
     def test_decoder_output_normalized(self, tmp_path, dtype, full_scale):
         ramp = np.linspace(0, full_scale, 1000).astype(dtype)
         path = tmp_path / "chapter.raw"  # not .wav: goes through decoder_cmd
         wavfile.write(str(path), 16000, ramp)
-        buf = _decode(path, "cat {input}")
+        buf = load_pcm(path, "cat {input}")
         assert buf.sample_rate_hz == 16000
         assert buf.samples.dtype == np.float64
         assert np.all(np.abs(buf.samples) <= 1.0)
@@ -265,6 +300,23 @@ class TestCli:
         kept = read_manifest(out_path)
         assert kept
         assert all(r.bandwidth_hz >= 13000 for r in kept)
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"min_bandwith_hz": 13000}, "min_bandwith_hz"),
+        ({"min_bandwidth_hz": -1}, "must be >= 0"),
+    ])
+    def test_subset_spec_error_exit_code(self, tmp_path, spec, message):
+        manifest_path = tmp_path / "in.jsonl"
+        write_manifest([UtteranceRecord("u1", "b", "c", "s", "a.wav", 0.0, 1.0,
+                                        bandwidth_hz=14000)], manifest_path)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        result = CliRunner().invoke(main, [
+            "subset", "--manifest", str(manifest_path),
+            "--spec", str(spec_path), "--out", str(tmp_path / "out.jsonl")])
+        assert result.exit_code == 1
+        assert "config error" in result.output and message in result.output
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_splits_command_shortfall_exit_code(self, tmp_path, pipeline_out, corpus):
         _, presult = pipeline_out

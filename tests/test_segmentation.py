@@ -8,7 +8,6 @@ from speechcurate.segmentation import (
     apply_split,
     choose_split,
     find_candidate_pauses,
-    load_alignment_json,
     load_alignments_jsonl,
     load_ctm,
     load_default_abbreviations,
@@ -172,12 +171,6 @@ class TestApplySplit:
 
 
 class TestReaders:
-    def test_alignment_json(self, tmp_path):
-        path = tmp_path / "utt.json"
-        path.write_text('[{"word": "hi", "start": 0.0, "end": 0.5}]')
-        (tok,) = load_alignment_json(path)
-        assert tok == AlignmentToken("hi", 0.0, 0.5)
-
     def test_alignments_jsonl(self, tmp_path):
         path = tmp_path / "all.jsonl"
         path.write_text(
@@ -196,10 +189,11 @@ class TestReaders:
         assert tracks["u1"][1].end_s == pytest.approx(1.0)
 
     def test_bad_token_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('[{"word": "x", "start": 2.0, "end": 1.0}]')
-        with pytest.raises(AlignmentError):
-            load_alignment_json(path)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"utterance_id": "u1", "tokens": [{"word": "x", "start": 2.0, "end": 1.0}]}\n')
+        with pytest.raises(AlignmentError, match="start > end"):
+            load_alignments_jsonl(path)
 
 
 def test_utterance_seed_stable():
