@@ -47,12 +47,16 @@ class TrimResult:
     empty_after_trim: bool = False
 
 
-def load_pcm(path: str | Path, decoder_cmd: str | None = None) -> AudioBuffer:
+def load_pcm(
+    path: str | Path, decoder_cmd: str | None = None, head_s: float | None = None
+) -> AudioBuffer:
     """Load a PCM WAV file with amplitudes normalized to [-1, 1].
 
     A path that is not `.wav` is decoded by `decoder_cmd` when one is given:
     an argv template whose `{input}` is replaced by the path and whose stdout
     is a WAV stream, e.g. `"ffmpeg -loglevel error -i {input} -f wav -"`.
+    With `head_s`, only the first round(head_s * rate) frames are converted
+    and returned; the values equal those of the full load sliced afterwards.
     """
     source = str(path)
     if decoder_cmd is not None and Path(path).suffix.lower() != ".wav":
@@ -63,6 +67,8 @@ def load_pcm(path: str | Path, decoder_cmd: str | None = None) -> AudioBuffer:
         rate, data = wavfile.read(source)
     except ValueError as exc:
         raise AudioError(f"{path}: {exc}") from exc
+    if head_s is not None:
+        data = data[: int(round(head_s * rate))]
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:

@@ -22,6 +22,9 @@ DEFAULT_ANALYSIS_S = 30.0
 # band edge under 3 bins at the -50 dB criterion.
 DEFAULT_WINDOW_S = 2048 / 44100
 DEFAULT_HOP_S = 1024 / 44100
+# Frames per FFT batch in mean_power_spectrum: bounds its working set to
+# about 128 windows, whatever the length of the analysed audio.
+SPECTRUM_BLOCK_FRAMES = 128
 
 
 class BandwidthError(Exception):
@@ -49,7 +52,11 @@ def mean_power_spectrum(
     window_s: float = DEFAULT_WINDOW_S,
     hop_s: float = DEFAULT_HOP_S,
 ) -> PowerSpectrum:
-    """Magnitude-squared FFT per frame, averaged over frames. DC bin included."""
+    """Magnitude-squared FFT per frame, averaged over frames. DC bin included.
+
+    Frames are transformed SPECTRUM_BLOCK_FRAMES at a time and summed in frame
+    order, which gives the same bits as one transform of all frames.
+    """
     if buf.channels != 1:
         raise BandwidthError("mean_power_spectrum expects a mono buffer")
     sr = buf.sample_rate_hz
@@ -63,7 +70,15 @@ def mean_power_spectrum(
     n_frames = (len(x) - n_fft) // hop + 1
     frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop][:n_frames]
     window = np.blackman(n_fft)
-    psd = (np.abs(np.fft.rfft(frames * window, axis=1)) ** 2).mean(axis=0)
+    # Row 0 carries the running total; reducing it together with the block's
+    # rows adds frame after frame, as mean(axis=0) over all frames would.
+    acc = np.zeros((1 + SPECTRUM_BLOCK_FRAMES, n_fft // 2 + 1))
+    for start in range(0, n_frames, SPECTRUM_BLOCK_FRAMES):
+        block = frames[start:start + SPECTRUM_BLOCK_FRAMES]
+        rows = acc[: 1 + len(block)]
+        rows[1:] = np.abs(np.fft.rfft(block * window, axis=1)) ** 2
+        acc[0] = np.add.reduce(rows, axis=0)
+    psd = acc[0] / n_frames
     return PowerSpectrum(psd=psd, bin_hz=sr / n_fft, nyquist_hz=sr / 2.0)
 
 

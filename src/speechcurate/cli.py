@@ -24,6 +24,15 @@ from .pipeline import (
 )
 
 
+def _read_manifest(path):
+    """read_manifest, with a malformed file reported as a config error (exit 1)."""
+    try:
+        return read_manifest(path)
+    except ManifestError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG_ERROR)
+
+
 @click.group()
 def main():
     """Deterministic speech-corpus curation pipeline."""
@@ -68,7 +77,7 @@ def run(config_path, stages_csv, seed, workers):
               help="Also write histogram bins as CSV.")
 def stats(manifest_path, as_json, csv_path):
     """Corpus statistics and histograms for a manifest."""
-    records = read_manifest(manifest_path)
+    records = _read_manifest(manifest_path)
     report = curation.corpus_stats(records)
     if csv_path:
         report.write_csv(csv_path)
@@ -90,7 +99,7 @@ def subset(manifest_path, spec_path, out_path):
     except (ValueError, TypeError, ManifestError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
-    records = read_manifest(manifest_path)
+    records = _read_manifest(manifest_path)
     try:
         kept = curation.build_subset(records, spec)
     except curation.CurationError as exc:
@@ -107,7 +116,7 @@ def subset(manifest_path, spec_path, out_path):
               help="JSON file receiving the split plans.")
 def splits(manifest_path, seed, out_path):
     """Sample seen-speaker dev/test split plans from a manifest."""
-    records = read_manifest(manifest_path)
+    records = _read_manifest(manifest_path)
     try:
         plans = curation.sample_eval_splits(records, rng_seed=seed)
     except curation.CurationError as exc:

@@ -211,6 +211,8 @@ def read_manifest(path: str | Path) -> list[UtteranceRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ManifestError(f"{path}:{lineno}: not a JSON object")
             try:
                 rec = UtteranceRecord.from_json_dict(obj)
             except (InvariantError, ManifestError, TypeError) as exc:

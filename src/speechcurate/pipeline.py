@@ -4,6 +4,9 @@ Each stage reads the previous stage's manifest and writes a new one plus a
 JSON stage report; per-utterance failures are quarantined into a rejects
 manifest instead of aborting the run. Worker results are re-sorted by
 utterance_id before writing, so the worker count never affects output bytes.
+The text and audio stages run one chapter at a time: a chapter's input is
+loaded, its records are processed, and the input is dropped before the next
+chapter loads. Nothing decoded outlives its stage.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from . import curation, segmentation, textproc
 from .config import STAGE_ORDER, PipelineConfig, validate_config
 from .manifest import (
     ChapterRecord,
+    ManifestError,
     UtteranceRecord,
     read_chapters,
     read_manifest,
@@ -80,7 +84,6 @@ class _Context:
         self.config = config
         self.out_dir = Path(config.out_dir)
         self._chapters: dict[str, ChapterRecord] | None = None
-        self._chapter_audio: dict[str, audiolib.AudioBuffer] = {}
         self.rules = (
             textproc.load_rules(config.rules_path)
             if config.rules_path
@@ -101,13 +104,13 @@ class _Context:
             self._chapters = {c.chapter_id: c for c in read_chapters(path)}
         return self._chapters
 
-    def chapter_audio(self, chapter_id: str) -> audiolib.AudioBuffer:
-        if chapter_id not in self._chapter_audio:
-            chapter = self.chapters[chapter_id]
-            path = Path(self.config.audio_root) / chapter.audio_path
-            self._chapter_audio[chapter_id] = audiolib.load_pcm(
-                path, self.config.decoder_cmd)
-        return self._chapter_audio[chapter_id]
+    def load_chapter(
+        self, chapter_id: str, head_s: float | None = None
+    ) -> audiolib.AudioBuffer:
+        """Decode a chapter's audio (only its first head_s seconds if given)."""
+        chapter = self.chapters[chapter_id]
+        path = Path(self.config.audio_root) / chapter.audio_path
+        return audiolib.load_pcm(path, self.config.decoder_cmd, head_s=head_s)
 
 
 def _pmap(fn, items, workers: int):
@@ -133,6 +136,46 @@ class _Reject(NamedTuple):
     reason: str
 
 
+class _ChapterUnusable(Exception):
+    """Raised by a chapter loader; every record of the chapter is rejected
+    with the exception's message as the reason."""
+
+
+# Errors that make a chapter's audio unreadable: a corrupt or unsupported
+# file (AudioError), a missing file or decoder (OSError), a failing decoder.
+_AUDIO_READ_ERRORS = (audiolib.AudioError, OSError, subprocess.CalledProcessError)
+
+
+def _audio_unreadable(exc: Exception) -> str:
+    return f"chapter_audio_unreadable:{exc.__class__.__name__}"
+
+
+def _by_chapter(records, load, work, workers: int):
+    """Map work(rec, chapter_input) over records, one chapter at a time.
+
+    Chapters are visited in sorted order. load(chapter_id) returns the
+    chapter's input or raises _ChapterUnusable; the input is dropped before
+    the next chapter is loaded. Results are returned in input-record order,
+    which is the order rejects are written in.
+    """
+    groups: dict[str, list[int]] = {}
+    for i, rec in enumerate(records):
+        groups.setdefault(rec.chapter_id, []).append(i)
+    results: list = [None] * len(records)
+    for chapter_id in sorted(groups):
+        indices = groups[chapter_id]
+        try:
+            data = load(chapter_id)
+        except _ChapterUnusable as exc:
+            done = [_Reject(records[i], str(exc)) for i in indices]
+        else:
+            done = _pmap(lambda rec: work(rec, data), [records[i] for i in indices], workers)
+            del data
+        for i, result in zip(indices, done):
+            results[i] = result
+    return results
+
+
 # Every stage function maps (records, ctx) -> (kept, rejects, extras) where
 # rejects is a list of _Reject. A per-record worker returns the records it
 # keeps (two after a split) or a _Reject.
@@ -145,27 +188,21 @@ def _stage_text(records, ctx: _Context):
         else {}
     )
 
-    # Clean and normalize each chapter once, serially, before any worker
-    # starts; the workers then only read these two dicts.
-    books: dict[str, tuple[str, tuple[str, list[int]]]] = {}
-    unusable: dict[str, str] = {}  # chapter_id -> reject reason
-    for chapter_id in sorted({r.chapter_id for r in records}):
+    def load(chapter_id: str):
+        # Clean and normalize the chapter once, before its workers start.
         chapter = ctx.chapters.get(chapter_id)
         if chapter is None or chapter.book_text_path is None:
-            unusable[chapter_id] = "missing_book_text"
-            continue
+            raise _ChapterUnusable("missing_book_text")
         try:
             raw = Path(chapter.book_text_path).read_text(encoding="utf-8")
         except OSError as exc:
-            unusable[chapter_id] = f"book_text_unreadable:{exc.__class__.__name__}"
-            continue
+            raise _ChapterUnusable(
+                f"book_text_unreadable:{exc.__class__.__name__}") from None
         text = textproc.clean_formatting(raw, ctx.rules)
-        books[chapter_id] = (text, textproc.strip_pc_map(text))
+        return text, textproc.strip_pc_map(text)
 
-    def work(rec: UtteranceRecord):
-        if rec.chapter_id in unusable:
-            return _Reject(rec, unusable[rec.chapter_id])
-        chapter_text, chapter_norm = books[rec.chapter_id]
+    def work(rec: UtteranceRecord, book):
+        chapter_text, chapter_norm = book
         match = textproc.match_transcript(rec.raw_text, chapter_text, chapter_norm)
         if match.matched:
             text = textproc.normalize_spoken(match.restored_text, ctx.rules)
@@ -173,21 +210,24 @@ def _stage_text(records, ctx: _Context):
         text = predicted.get(rec.utterance_id, rec.raw_text)
         return [rec.with_fields(text=text, text_source="predicted_pc")]
 
-    return _collect(_pmap(work, records, ctx.config.workers))
+    return _collect(_by_chapter(records, load, work, ctx.config.workers))
 
 
 def _stage_audio(records, ctx: _Context):
     cfg = ctx.config
     audio_out = ctx.out_dir / "audio"
     audio_out.mkdir(parents=True, exist_ok=True)
-    # Preload chapter audio serially; worker threads then only read.
     for chapter_id in sorted({r.chapter_id for r in records}):
         if chapter_id not in ctx.chapters:
             raise StageError("audio", f"chapter {chapter_id!r} not in chapters manifest")
-        ctx.chapter_audio(chapter_id)
 
-    def work(rec: UtteranceRecord):
-        buf = ctx.chapter_audio(rec.chapter_id)
+    def load(chapter_id: str):
+        try:
+            return ctx.load_chapter(chapter_id)
+        except _AUDIO_READ_ERRORS as exc:
+            raise _ChapterUnusable(_audio_unreadable(exc)) from None
+
+    def work(rec: UtteranceRecord, buf: audiolib.AudioBuffer):
         sr = buf.sample_rate_hz
         start = int(round(rec.offset_s * sr))
         stop = int(round((rec.offset_s + rec.duration_s) * sr))
@@ -223,32 +263,37 @@ def _stage_audio(records, ctx: _Context):
             )
         ]
 
-    return _collect(_pmap(work, records, ctx.config.workers))
+    return _collect(_by_chapter(records, load, work, ctx.config.workers))
 
 
 def _stage_bandwidth(records, ctx: _Context):
     cfg = ctx.config
     chapter_ids = sorted({r.chapter_id for r in records})
 
-    def estimate(chapter_id: str):
+    def estimate(chapter_id: str) -> int | str:
+        """The chapter's bandwidth in Hz, or the reason its records are rejected."""
         if chapter_id not in ctx.chapters:
-            return chapter_id, None
-        return chapter_id, bwlib.chapter_bandwidth(
-            ctx.chapter_audio(chapter_id),
+            return "missing_chapter"
+        try:
+            # Only the analysed head is decoded.
+            head = ctx.load_chapter(chapter_id, head_s=cfg.bandwidth_analysis_s)
+        except _AUDIO_READ_ERRORS as exc:
+            return _audio_unreadable(exc)
+        est = bwlib.chapter_bandwidth(
+            head,
             cfg.target_sample_rate_hz,
             cfg.bandwidth_analysis_s,
             cfg.bandwidth_threshold_db,
         )
+        return "degenerate_spectrum" if est.degenerate else int(round(est.f_max_hz))
 
-    estimates = dict(_pmap(estimate, chapter_ids, cfg.workers))
+    estimates = dict(zip(chapter_ids, _pmap(estimate, chapter_ids, cfg.workers)))
 
     def work(rec: UtteranceRecord):
-        est = estimates.get(rec.chapter_id)
-        if est is None:
-            return _Reject(rec, "missing_chapter")
-        if est.degenerate:
-            return _Reject(rec, "degenerate_spectrum")
-        return [rec.with_fields(bandwidth_hz=int(round(est.f_max_hz)))]
+        bandwidth_hz = estimates[rec.chapter_id]
+        if isinstance(bandwidth_hz, str):
+            return _Reject(rec, bandwidth_hz)
+        return [rec.with_fields(bandwidth_hz=bandwidth_hz)]
 
     return _collect([work(rec) for rec in records])
 
@@ -355,14 +400,20 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     Each stage writes `manifest.NN_stage.jsonl`, `rejects.stage.jsonl` (when
     non-empty) and `report.stage.json` under config.out_dir. Inputs are never
-    mutated in place.
+    mutated in place. Raises ConfigError for an invalid config or an
+    unreadable or malformed utterances manifest, before any stage runs.
     """
     problems = validate_config(config)
     if problems:
         raise ConfigError("; ".join(problems))
     ctx = _Context(config)
     ctx.out_dir.mkdir(parents=True, exist_ok=True)
-    records = read_manifest(config.utterances_manifest)
+    try:
+        records = read_manifest(config.utterances_manifest)
+    except OSError as exc:
+        raise ConfigError(f"utterances manifest unreadable: {exc}") from exc
+    except ManifestError as exc:
+        raise ConfigError(str(exc)) from exc
     reports: list[StageReport] = []
     final_path: Path | None = None
     any_rejects = False

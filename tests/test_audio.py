@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from speechcurate.audio import (
     AudioBuffer,
@@ -52,6 +55,55 @@ class TestLoadSave:
         path.write_bytes(b"RIFF\x00\x00\x00\x00WAVE")
         with pytest.raises((AudioError, Exception)):
             load_pcm(path)
+
+
+def _write_wav24(path, rate, frames):
+    """A 24-bit PCM WAV (scipy reads it but cannot write it)."""
+    ints = np.asarray(frames, dtype=np.int32)
+    channels = 1 if ints.ndim == 1 else ints.shape[1]
+    raw = ints.astype("<i4").tobytes()
+    data = b"".join(raw[i:i + 3] for i in range(0, len(raw), 4))
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * channels * 3, channels * 3, 24)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+class TestHeadRead:
+    RATE = 16000
+
+    @pytest.fixture(params=["int16", "int32", "int24", "uint8", "float32"])
+    def wav(self, request, tmp_path):
+        rng = np.random.default_rng(5)
+        noise = rng.uniform(-0.9, 0.9, (self.RATE, 2))  # 1 s of stereo
+        path = tmp_path / f"{request.param}.wav"
+        if request.param == "int16":
+            wavfile.write(str(path), self.RATE, (noise * 32767).astype(np.int16))
+        elif request.param == "int32":
+            wavfile.write(str(path), self.RATE, (noise * 2**31).astype(np.int32))
+        elif request.param == "int24":
+            _write_wav24(path, self.RATE, (noise * 2**23).astype(np.int32))
+        elif request.param == "uint8":
+            wavfile.write(str(path), self.RATE, (noise * 127 + 128).astype(np.uint8))
+        else:
+            wavfile.write(str(path), self.RATE, noise.astype(np.float32))
+        return path
+
+    @pytest.mark.parametrize("head_s", [0.0, 0.01234, 0.5, 1.0, 3.0])
+    def test_head_equals_sliced_full_load(self, wav, head_s):
+        full = load_pcm(wav)
+        head = load_pcm(wav, head_s=head_s)
+        assert head.sample_rate_hz == full.sample_rate_hz
+        assert head.samples.dtype == np.float64
+        np.testing.assert_array_equal(
+            head.samples, full.samples[: int(round(head_s * self.RATE))])
+
+    def test_decoder_output_sliced(self, wav, tmp_path):
+        raw = tmp_path / "chapter.raw"  # not .wav: goes through decoder_cmd
+        raw.write_bytes(wav.read_bytes())
+        head = load_pcm(raw, "cat {input}", head_s=0.25)
+        np.testing.assert_array_equal(
+            head.samples, load_pcm(wav).samples[: int(round(0.25 * self.RATE))])
 
 
 class TestMixdown:

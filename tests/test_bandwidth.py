@@ -3,6 +3,7 @@ import pytest
 
 from speechcurate.audio import AudioBuffer, resample
 from speechcurate.bandwidth import (
+    SPECTRUM_BLOCK_FRAMES,
     BandwidthError,
     PowerSpectrum,
     chapter_bandwidth,
@@ -51,6 +52,18 @@ class TestMeanPowerSpectrum:
         buf = AudioBuffer(np.zeros(100), 44100)
         with pytest.raises(BandwidthError, match="shorter"):
             mean_power_spectrum(buf)
+
+    @pytest.mark.parametrize("n_frames", [
+        1, SPECTRUM_BLOCK_FRAMES - 1, SPECTRUM_BLOCK_FRAMES, SPECTRUM_BLOCK_FRAMES + 1,
+        2 * SPECTRUM_BLOCK_FRAMES + 1])
+    def test_blocks_bit_equal_to_one_shot(self, n_frames):
+        n_fft, hop = 2048, 1024  # the defaults at 44.1 kHz
+        x = np.random.default_rng(n_frames).standard_normal(n_fft + (n_frames - 1) * hop)
+        frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
+        assert len(frames) == n_frames
+        one_shot = (np.abs(np.fft.rfft(frames * np.blackman(n_fft), axis=1)) ** 2).mean(0)
+        np.testing.assert_array_equal(mean_power_spectrum(AudioBuffer(x, 44100)).psd,
+                                      one_shot)
 
 
 class TestEstimateBandwidth:

@@ -100,6 +100,14 @@ def test_malformed_line_carries_line_number(tmp_path):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", '"text"', "null"])
+def test_non_object_line_rejected(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ManifestError, match=":1: not a JSON object"):
+        read_manifest(path)
+
+
 def test_duplicate_id_rejected(tmp_path):
     path = tmp_path / "dup.jsonl"
     line = json.dumps(make_record().to_json_dict())

@@ -1,10 +1,12 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy.io import wavfile
 
+from speechcurate import audio as audiolib
 from speechcurate.audio import AudioBuffer, load_pcm, save_pcm
 from speechcurate.bandwidth import chapter_bandwidth
 from speechcurate.cli import main
@@ -177,6 +179,117 @@ class TestDeterminism:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def _ids(path):
+    return [r.utterance_id for r in read_manifest(path)] if path.exists() else []
+
+
+class TestChapterStreaming:
+    def test_interleaved_chapters_reject_in_input_order(self, tmp_path):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
+        chapters = read_chapters(root / "chapters.jsonl")
+        # Two chapters without book text: the text stage rejects their records.
+        chapters += [ChapterRecord(chapter_id=c, book_id="book0", speaker_id="spk9",
+                                   audio_path="raw/ch0.wav", sample_rate_hz=48000)
+                     for c in ("ch8", "ch9")]
+        write_chapters(chapters, root / "chapters.jsonl")
+        by_chapter: dict[str, list] = {}
+        for rec in read_manifest(root / "utterances.jsonl"):
+            by_chapter.setdefault(rec.chapter_id, []).append(rec)
+        template = by_chapter["ch0"][0]
+        # One utterance past the end of each audio chapter: an audio-stage reject.
+        for chapter_id, recs in by_chapter.items():
+            recs.insert(int(chapter_id[-1]) % 2 * len(recs),
+                        recs[0].with_fields(offset_s=1000.0, duration_s=1.0))
+        for chapter_id in ("ch8", "ch9"):
+            by_chapter[chapter_id] = [template.with_fields(chapter_id=chapter_id)
+                                      for _ in range(3)]
+        # Deal the chapters round-robin and number the records in that order,
+        # so sorting by utterance_id (the audio stage's input order) keeps
+        # them interleaved; the text stage reads them in reverse.
+        groups = list(by_chapter.values())
+        dealt = [g[i] for i in range(max(map(len, groups))) for g in groups if i < len(g)]
+        records = [rec.with_fields(utterance_id=f"u{k:03d}") for k, rec in enumerate(dealt)]
+        write_manifest(records[::-1], root / "utterances.jsonl")
+
+        expected = {
+            "text": [r.utterance_id for r in records[::-1]
+                     if r.chapter_id in ("ch8", "ch9")],
+            "audio": [r.utterance_id for r in records if r.offset_s == 1000.0],
+        }
+        chapter_of = {r.utterance_id: r.chapter_id for r in records}
+        for ids in expected.values():
+            # Grouping by chapter would reorder these lists.
+            assert ids != sorted(ids, key=lambda u: chapter_of[u])
+
+        outs = []
+        for workers in (1, 3):
+            config = make_config(root, tmp_path / f"w{workers}", workers=workers)
+            config.stages = ["text", "audio"]
+            result = run_pipeline(config)
+            assert result.exit_code == EXIT_PARTIAL
+            outs.append(tmp_path / f"w{workers}")
+            for stage, ids in expected.items():
+                assert _ids(outs[-1] / f"rejects.{stage}.jsonl") == ids, stage
+        text_report, audio_report = result.reports
+        assert text_report.drop_reasons == {"missing_book_text": 6}
+        assert audio_report.drop_reasons == {"offset_past_end": 4}
+        names = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*") if p.is_file())
+        assert names == sorted(
+            str(p.relative_to(outs[1])) for p in outs[1].rglob("*") if p.is_file())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_one_decoded_chapter_alive(self, corpus, tmp_path, monkeypatch):
+        chapters: list[weakref.ref] = []
+        load_pcm_, save_pcm_ = audiolib.load_pcm, audiolib.save_pcm
+
+        def alive():
+            return sum(ref() is not None for ref in chapters)
+
+        def tracking_load(path, decoder_cmd=None, head_s=None):
+            if head_s is not None:
+                return load_pcm_(path, decoder_cmd, head_s)
+            assert alive() == 0, "previous chapter still alive at the next load"
+            buf = load_pcm_(path, decoder_cmd)
+            chapters.append(weakref.ref(buf.samples))
+            return buf
+
+        def checking_save(buf, path, *args, **kwargs):
+            assert alive() <= 1, f"{alive()} decoded chapters alive"
+            save_pcm_(buf, path, *args, **kwargs)
+
+        monkeypatch.setattr(audiolib, "load_pcm", tracking_load)
+        monkeypatch.setattr(audiolib, "save_pcm", checking_save)
+        config = make_config(corpus, tmp_path / "out", workers=2)
+        config.stages = ["audio", "bandwidth"]
+        result = run_pipeline(config)
+        assert len(chapters) == 4
+        assert result.reports[0].records_out > 0
+
+    @pytest.mark.parametrize("stage", ["audio", "bandwidth"])
+    def test_unreadable_chapter_audio_rejected(self, tmp_path, stage):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        (root / "raw" / "ch1.wav").write_bytes(np.random.default_rng(0).bytes(100))
+        (root / "raw" / "ch2.wav").unlink()
+        # Not .wav, so it goes through decoder_cmd, which fails.
+        (root / "raw" / "ch3.wav").rename(root / "raw" / "ch3.flac")
+        chapters = read_chapters(root / "chapters.jsonl")
+        chapters[3] = ChapterRecord(**{**chapters[3].to_json_dict(),
+                                       "audio_path": "raw/ch3.flac"})
+        write_chapters(chapters, root / "chapters.jsonl")
+        config = make_config(root, tmp_path / "out", workers=2)
+        config.stages = [stage]
+        config.decoder_cmd = "false {input}"
+        result = run_pipeline(config)
+        assert result.exit_code == EXIT_PARTIAL
+        assert result.reports[0].drop_reasons == {
+            "chapter_audio_unreadable:AudioError": 2,
+            "chapter_audio_unreadable:FileNotFoundError": 2,
+            "chapter_audio_unreadable:CalledProcessError": 2,
+        }
+        assert {r.chapter_id for r in read_manifest(result.final_manifest)} == {"ch0"}
+
+
 def _bandwidth_only_config(root, samples, sr):
     """One chapter WAV with one utterance spanning it; runs the bandwidth stage only."""
     (root / "raw").mkdir(parents=True)
@@ -317,6 +430,34 @@ class TestCli:
         assert result.exit_code == 1
         assert "config error" in result.output and message in result.output
         assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["stats", "subset", "splits", "run"])
+    def test_malformed_manifest_is_config_error(self, corpus, tmp_path, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"utterance_id": "u1"\n', encoding="utf-8")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("{}")
+        config_path = tmp_path / "config.yaml"
+        config = make_config(corpus, tmp_path / "out")
+        config.utterances_manifest = str(bad)
+        config.to_yaml(config_path)
+        args = {
+            "stats": ["stats", "--manifest", str(bad)],
+            "subset": ["subset", "--manifest", str(bad), "--spec", str(spec_path),
+                       "--out", str(tmp_path / "subset.jsonl")],
+            "splits": ["splits", "--manifest", str(bad), "--out", str(tmp_path / "p.json")],
+            "run": ["run", "--config", str(config_path)],
+        }[command]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"config error: {bad}:1: malformed JSON" in result.output
+
+    def test_missing_utterances_manifest_is_config_error(self, corpus, tmp_path):
+        config = make_config(corpus, tmp_path / "out")
+        config.utterances_manifest = str(tmp_path / "absent.jsonl")
+        with pytest.raises(ConfigError, match="absent.jsonl"):
+            run_pipeline(config)
 
     def test_splits_command_shortfall_exit_code(self, tmp_path, pipeline_out, corpus):
         _, presult = pipeline_out
