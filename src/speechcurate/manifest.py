@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 TEXT_SOURCES = ("book_match", "predicted_pc")
 GENDERS = ("m", "f", "unknown")
@@ -198,31 +198,39 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank line of a UTF-8 file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_manifest(path: str | Path) -> list[UtteranceRecord]:
     """Read a JSONL utterance manifest, preserving record order."""
     records: list[UtteranceRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ManifestError(f"{path}:{lineno}: not a JSON object")
-            try:
-                rec = UtteranceRecord.from_json_dict(obj)
-            except (InvariantError, ManifestError, TypeError) as exc:
-                raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-            if rec.utterance_id in seen:
-                raise ManifestError(
-                    f"{path}:{lineno}: duplicate utterance_id {rec.utterance_id!r}"
-                )
-            seen.add(rec.utterance_id)
-            records.append(rec)
+    for lineno, line in _lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ManifestError(f"{path}:{lineno}: not a JSON object")
+        try:
+            rec = UtteranceRecord.from_json_dict(obj)
+        except (InvariantError, ManifestError, TypeError) as exc:
+            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+        if rec.utterance_id in seen:
+            raise ManifestError(
+                f"{path}:{lineno}: duplicate utterance_id {rec.utterance_id!r}"
+            )
+        seen.add(rec.utterance_id)
+        records.append(rec)
     return records
 
 
@@ -238,15 +246,11 @@ def write_manifest(records: Sequence[UtteranceRecord], path: str | Path) -> None
 
 def read_chapters(path: str | Path) -> list[ChapterRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(ChapterRecord.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError, InvariantError) as exc:
-                raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in _lines(path):
+        try:
+            records.append(ChapterRecord.from_json_dict(json.loads(line)))
+        except (json.JSONDecodeError, TypeError, InvariantError) as exc:
+            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 

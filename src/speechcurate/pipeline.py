@@ -101,7 +101,10 @@ class _Context:
             path = Path(self.config.chapters_manifest)
             if not path.exists():
                 raise StageError("setup", f"chapters manifest not found: {path}")
-            self._chapters = {c.chapter_id: c for c in read_chapters(path)}
+            try:
+                self._chapters = {c.chapter_id: c for c in read_chapters(path)}
+            except ManifestError as exc:
+                raise ConfigError(str(exc)) from exc
         return self._chapters
 
     def load_chapter(
@@ -252,7 +255,12 @@ def _stage_audio(records, ctx: _Context):
                 part.format(input=str(wav_path), output=str(flac_path))
                 for part in shlex.split(cfg.encoder_cmd)
             ]
-            subprocess.run(cmd, capture_output=True, check=True)
+            try:
+                subprocess.run(cmd, capture_output=True, check=True)
+            except (OSError, subprocess.CalledProcessError) as exc:
+                wav_path.unlink()
+                flac_path.unlink(missing_ok=True)
+                return _Reject(rec, f"encode_failed:{exc.__class__.__name__}")
             wav_path.unlink()
             rel_path = str(flac_path.relative_to(ctx.out_dir))
         return [

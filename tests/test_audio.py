@@ -1,9 +1,16 @@
+import os
 import struct
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import signal
 from scipy.io import wavfile
 
+from speechcurate import audio as audiolib
 from speechcurate.audio import (
     AudioBuffer,
     AudioError,
@@ -220,3 +227,154 @@ class TestTrimSilence:
         end = buf.duration_s - result.trailing_removed_s
         assert start <= 0.7 + 1e-9
         assert end >= 1.8 - 1e-9
+
+
+def _scipy_taps(source_hz, target_hz):
+    """The filter design the resampler implements, built with scipy.signal."""
+    frac = Fraction(target_hz, source_hz)
+    up, down = frac.numerator, frac.denominator
+    f_stop = 0.5 * min(source_hz, target_hz)
+    f_pass = 0.9 * f_stop
+    numtaps, beta = signal.kaiserord(70.0, (f_stop - f_pass) / (source_hz * up / 2))
+    numtaps |= 1
+    taps = signal.firwin(numtaps, (f_pass + f_stop) / (source_hz * up),
+                         window=("kaiser", beta))
+    return up, down, taps
+
+
+RATE_PAIRS = [(48000, 44100), (44100, 22050), (48000, 22050),
+              (22050, 44100), (16000, 44100), (44100, 48000)]
+
+
+def _int16(x):
+    return np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
+
+
+class TestResampleOracle:
+    @pytest.mark.parametrize("source_hz,target_hz", RATE_PAIRS)
+    def test_matches_resample_poly(self, source_hz, target_hz):
+        up, down, taps = _scipy_taps(source_hz, target_hz)
+        rng = np.random.default_rng(source_hz + target_hz)
+        lengths = [0, 1, 2, up, down, len(taps) - 1, len(taps), len(taps) + 1, 10**5 + 1]
+        for n in lengths:
+            x = rng.uniform(-1.0, 1.0, n)
+            got = resample(AudioBuffer(x, source_hz), target_hz)
+            want = signal.resample_poly(x, up, down, window=taps)
+            assert got.sample_rate_hz == target_hz
+            assert got.samples.shape == want.shape, n
+            np.testing.assert_allclose(got.samples, want, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(_int16(got.samples), _int16(want))
+
+    def test_filter_cache_read_only(self):
+        resample(AudioBuffer(np.zeros(10), 48000), 44100)
+        poly = audiolib._design_filter(48000, 44100)
+        with pytest.raises(ValueError):
+            poly.taps[0, 0] = 1.0
+
+
+class TestWavWriter:
+    @pytest.mark.parametrize("bit_depth", [16, 32])
+    @pytest.mark.parametrize("shape", [(0,), (1000,), (1000, 2), (0, 2)])
+    def test_bytes_equal_wavfile_write(self, tmp_path, bit_depth, shape):
+        x = np.random.default_rng(3).uniform(-1.1, 1.1, shape)
+        save_pcm(AudioBuffer(x, 22050), tmp_path / "ours.wav", bit_depth=bit_depth)
+        data = _int16(x) if bit_depth == 16 else x.astype(np.float32)
+        wavfile.write(str(tmp_path / "scipy.wav"), 22050, data)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    def test_non_contiguous_stereo(self, tmp_path):
+        x = np.random.default_rng(4).uniform(-1, 1, (2, 500)).T  # Fortran order
+        save_pcm(AudioBuffer(x, 8000), tmp_path / "f.wav")
+        np.testing.assert_array_equal(wavfile.read(str(tmp_path / "f.wav"))[1], _int16(x))
+
+
+def _chunk(chunk_id, body):
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+
+
+def _riff(*chunks, riff_size=None):
+    body = b"WAVE" + b"".join(chunks)
+    size = len(body) if riff_size is None else riff_size
+    return b"RIFF" + struct.pack("<I", size) + body
+
+
+class TestWavReader:
+    RATE = 16000
+
+    def _pcm16(self, channels=2, frames=800):
+        rng = np.random.default_rng(6)
+        return rng.integers(-32768, 32768, (frames, channels), dtype=np.int16)
+
+    def _fmt16(self, channels):
+        return struct.pack("<HHIIHH", 1, channels, self.RATE, self.RATE * 2 * channels,
+                           2 * channels, 16)
+
+    def test_extensible(self, tmp_path):
+        ints = self._pcm16()
+        guid = struct.pack("<H", 1) + b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 2, self.RATE, self.RATE * 4, 4, 16,
+                          22, 16, 0x3) + guid
+        path = tmp_path / "ext.wav"
+        path.write_bytes(_riff(_chunk(b"fmt ", fmt), _chunk(b"data", ints.tobytes())))
+        buf = load_pcm(path)
+        np.testing.assert_array_equal(buf.samples, ints / 32768.0)
+        np.testing.assert_array_equal(buf.samples, wavfile.read(str(path))[1] / 32768.0)
+
+    def test_odd_sized_chunk_before_data(self, tmp_path):
+        ints = self._pcm16(channels=1)
+        path = tmp_path / "list.wav"
+        path.write_bytes(_riff(_chunk(b"fmt ", self._fmt16(1)),
+                               _chunk(b"LIST", b"INFOx"),  # 5 bytes plus a pad byte
+                               _chunk(b"data", ints.tobytes())))
+        np.testing.assert_array_equal(load_pcm(path).samples, ints[:, 0] / 32768.0)
+
+    def test_pipe_sizes_through_decoder(self, tmp_path):
+        # A WAV written to a pipe declares 0xFFFFFFFF for the RIFF and data sizes.
+        ints = self._pcm16()
+        stream = _riff(_chunk(b"fmt ", self._fmt16(2)),
+                       b"data" + struct.pack("<I", 0xFFFFFFFF) + ints.tobytes()
+                       + b"\x01",  # a trailing partial frame is dropped
+                       riff_size=0xFFFFFFFF)
+        path = tmp_path / "chapter.raw"  # not .wav: goes through decoder_cmd
+        path.write_bytes(stream)
+        np.testing.assert_array_equal(load_pcm(path, "cat {input}").samples, ints / 32768.0)
+        head = load_pcm(path, "cat {input}", head_s=0.01)
+        np.testing.assert_array_equal(head.samples, ints[:160] / 32768.0)
+
+    def test_truncated_after_head_loads_head(self, tmp_path):
+        ints = self._pcm16(frames=self.RATE)
+        full = _riff(_chunk(b"fmt ", self._fmt16(2)), _chunk(b"data", ints.tobytes()))
+        head_frames = 4000
+        path = tmp_path / "cut.wav"
+        # The data chunk still declares 1 s; the file ends one sample into
+        # the frame after the head.
+        path.write_bytes(full[:len(full) - ints.nbytes + head_frames * 4 + 2])
+        head = load_pcm(path, head_s=head_frames / self.RATE)
+        np.testing.assert_array_equal(head.samples, ints[:head_frames] / 32768.0)
+
+    @pytest.mark.parametrize("stream", [
+        b"RIFX" + struct.pack(">I", 36) + b"WAVE" + b"fmt " + struct.pack(
+            ">IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16) + b"data" + struct.pack(">I", 0),
+        b"RF64" + b"\xff" * 4 + b"WAVEds64" + b"\x00" * 40,
+        np.random.default_rng(9).bytes(200),
+        _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16))),
+        _riff(_chunk(b"data", b"\x00" * 8)),
+        _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 2, 1, 16000, 32000, 2, 16)),
+              _chunk(b"data", b"\x00" * 8)),  # ADPCM
+        _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 0, 16000, 0, 0, 16)),
+              _chunk(b"data", b"")),
+    ], ids=["rifx", "rf64", "random", "no-data", "no-fmt", "adpcm", "no-channels"])
+    def test_unreadable_raises_audio_error(self, tmp_path, stream):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(stream)
+        with pytest.raises(AudioError):
+            load_pcm(path)
+
+
+def test_import_loads_no_scipy():
+    src = Path(audiolib.__file__).resolve().parents[1]
+    code = ("import sys, speechcurate, speechcurate.cli, speechcurate.pipeline; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

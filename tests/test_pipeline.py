@@ -467,3 +467,63 @@ class TestCli:
             "--seed", "1", "--out", str(out_path)])
         assert result.exit_code == 2  # only 4 speakers in the fixture
         assert "shortfall" in result.output
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("encoder,reason", [
+        ("false {input} {output}", "encode_failed:CalledProcessError"),
+        # Writes a partial output before failing.
+        ("sh -c 'echo partial > {output}; exit 1'", "encode_failed:CalledProcessError"),
+        ("no-such-encoder-binary {input} {output}", "encode_failed:FileNotFoundError"),
+    ])
+    def test_failing_encoder_rejects_record(self, tmp_path, encoder, reason):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        config = make_config(root, tmp_path / "out")
+        config.stages = ["audio"]
+        config.encoder_cmd = encoder
+        config_path = tmp_path / "config.yaml"
+        config.to_yaml(config_path)
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == EXIT_PARTIAL, result.output
+        report = json.loads((tmp_path / "out" / "report.audio.json").read_text())
+        assert report["drop_reasons"] == {reason: 8}
+        assert read_manifest(tmp_path / "out" / "manifest.00_audio.jsonl") == []
+        assert list((tmp_path / "out" / "audio").iterdir()) == []
+
+    def test_malformed_chapters_manifest_is_config_error(self, corpus, tmp_path):
+        bad = tmp_path / "chapters.jsonl"
+        bad.write_text('{"chapter_id": "c0"\n', encoding="utf-8")
+        config = make_config(corpus, tmp_path / "out")
+        config.chapters_manifest = str(bad)
+        config_path = tmp_path / "config.yaml"
+        config.to_yaml(config_path)
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"config error: {bad}:1:" in result.output
+
+    def test_missing_chapters_manifest_is_stage_failure(self, corpus, tmp_path):
+        config = make_config(corpus, tmp_path / "out")
+        config.chapters_manifest = str(tmp_path / "absent.jsonl")
+        config_path = tmp_path / "config.yaml"
+        config.to_yaml(config_path)
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert "chapters manifest not found" in result.output
+
+    @pytest.mark.parametrize("which", ["utterances", "chapters"])
+    def test_non_utf8_manifest_in_run_is_config_error(self, corpus, tmp_path, which):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        config = make_config(corpus, tmp_path / "out")
+        setattr(config, f"{which}_manifest", str(bad))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            run_pipeline(config)
+
+    def test_non_utf8_manifest_in_stats_is_config_error(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        result = CliRunner().invoke(main, ["stats", "--manifest", str(bad)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"config error: {bad}: not UTF-8" in result.output
