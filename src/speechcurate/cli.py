@@ -14,7 +14,7 @@ import click
 
 from . import curation
 from .config import STAGE_ORDER, PipelineConfig
-from .manifest import ManifestError, SubsetSpec, read_manifest, write_manifest
+from .manifest import ManifestError, SubsetSpec, read_manifest, replacing, write_manifest
 from .pipeline import (
     EXIT_CONFIG_ERROR,
     EXIT_STAGE_FAILURE,
@@ -123,7 +123,8 @@ def splits(manifest_path, seed, out_path):
         click.echo(f"stage failure: {exc}", err=True)
         sys.exit(EXIT_STAGE_FAILURE)
     payload = {name: list(plan.utterance_ids) for name, plan in plans.items()}
-    Path(out_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with replacing(out_path) as tmp:
+        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for name in sorted(payload):
         click.echo(f"{name}: {len(payload[name])} utterances")
 

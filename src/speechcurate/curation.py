@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import SubsetSpec, UtteranceRecord
+from .manifest import SubsetSpec, UtteranceRecord, read_jsonl, replacing
 from .segmentation import _splitmix64
 
 logger = logging.getLogger(__name__)
@@ -40,15 +39,8 @@ class SplitPlan:
 
 
 def load_speaker_counts(path: str | Path) -> list[SpeakerCountRecord]:
-    counts = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            counts.append(SpeakerCountRecord(obj["utterance_id"], int(obj["num_speakers"])))
-    return counts
+    return read_jsonl(path, lambda obj: SpeakerCountRecord(
+        obj["utterance_id"], int(obj["num_speakers"])))
 
 
 def apply_speaker_counts(
@@ -109,15 +101,8 @@ def build_subset(records: list[UtteranceRecord], spec: SubsetSpec) -> list[Utter
 
 
 def load_similarities(path: str | Path) -> dict[tuple[str, str], float]:
-    sims: dict[tuple[str, str], float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            sims[(obj["context_id"], obj["target_id"])] = float(obj["sim"])
-    return sims
+    return dict(read_jsonl(path, lambda obj: (
+        (obj["context_id"], obj["target_id"]), float(obj["sim"]))))
 
 
 def _pick_context(
@@ -375,7 +360,7 @@ class StatsReport:
         return "\n".join(lines)
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with replacing(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["histogram", "bin", "count"])
             for name, hist in (

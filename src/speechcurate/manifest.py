@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 TEXT_SOURCES = ("book_match", "predicted_pc")
 GENDERS = ("m", "f", "unknown")
@@ -163,6 +167,11 @@ class ChapterRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ChapterRecord":
+        # A misspelled key would otherwise leave its field unset. bandwidth_hz
+        # is a legacy key, still accepted and ignored.
+        unknown = set(obj) - set(_CHAPTER_FIELDS) - {"bandwidth_hz"}
+        if unknown:
+            raise ManifestError(f"unknown chapter keys: {sorted(unknown)}")
         known = {k: obj[k] for k in _CHAPTER_FIELDS if k in obj}
         rec = cls(**known)
         rec.validate()
@@ -210,10 +219,13 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
             raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def read_manifest(path: str | Path) -> list[UtteranceRecord]:
-    """Read a JSONL utterance manifest, preserving record order."""
-    records: list[UtteranceRecord] = []
-    seen: set[str] = set()
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """parse(obj) for each JSON object line of a UTF-8 JSONL file, in order.
+
+    Every error is a ManifestError naming the file and line, including a
+    KeyError, TypeError, ValueError or ManifestError raised by parse.
+    """
+    out: list[T] = []
     for lineno, line in _lines(path):
         try:
             obj = json.loads(line)
@@ -222,41 +234,59 @@ def read_manifest(path: str | Path) -> list[UtteranceRecord]:
         if not isinstance(obj, dict):
             raise ManifestError(f"{path}:{lineno}: not a JSON object")
         try:
-            rec = UtteranceRecord.from_json_dict(obj)
-        except (InvariantError, ManifestError, TypeError) as exc:
-            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+            out.append(parse(obj))
+        except (KeyError, TypeError, ValueError, ManifestError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ManifestError(f"{path}:{lineno}: {detail}") from exc
+    return out
+
+
+def read_manifest(path: str | Path) -> list[UtteranceRecord]:
+    """Read a JSONL utterance manifest, preserving record order."""
+    seen: set[str] = set()
+
+    def parse(obj: dict) -> UtteranceRecord:
+        rec = UtteranceRecord.from_json_dict(obj)
         if rec.utterance_id in seen:
-            raise ManifestError(
-                f"{path}:{lineno}: duplicate utterance_id {rec.utterance_id!r}"
-            )
+            raise ManifestError(f"duplicate utterance_id {rec.utterance_id!r}")
         seen.add(rec.utterance_id)
-        records.append(rec)
-    return records
+        return rec
 
-
-def write_manifest(records: Sequence[UtteranceRecord], path: str | Path) -> None:
-    """Write records as JSONL. Deterministic byte-for-byte for equal inputs."""
-    for rec in records:
-        rec.validate()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(_dump_line(rec.to_json_dict()))
-            fh.write("\n")
+    return read_jsonl(path, parse)
 
 
 def read_chapters(path: str | Path) -> list[ChapterRecord]:
-    records = []
-    for lineno, line in _lines(path):
-        try:
-            records.append(ChapterRecord.from_json_dict(json.loads(line)))
-        except (json.JSONDecodeError, TypeError, InvariantError) as exc:
-            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    return read_jsonl(path, ChapterRecord.from_json_dict)
 
 
-def write_chapters(records: Iterable[ChapterRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+@contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """Yield `.{stem}.partial{suffix}` beside `path`; move it onto `path` on a clean exit.
+
+    A failed or interrupted write leaves `path` as it was. The temporary file
+    keeps the suffix, from which encoders such as ffmpeg pick the format.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.stem}.partial{path.suffix}")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_manifest(
+    records: Iterable[UtteranceRecord | ChapterRecord], path: str | Path
+) -> None:
+    """Write records as JSONL. Deterministic byte-for-byte for equal inputs.
+
+    The file is replaced only once every record is valid and written.
+    """
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
             rec.validate()
             fh.write(_dump_line(rec.to_json_dict()))
             fh.write("\n")
+
+
+write_chapters = write_manifest

@@ -30,7 +30,9 @@ from .manifest import (
     ManifestError,
     UtteranceRecord,
     read_chapters,
+    read_jsonl,
     read_manifest,
+    replacing,
     write_manifest,
 )
 
@@ -84,16 +86,11 @@ class _Context:
         self.config = config
         self.out_dir = Path(config.out_dir)
         self._chapters: dict[str, ChapterRecord] | None = None
-        self.rules = (
-            textproc.load_rules(config.rules_path)
-            if config.rules_path
-            else textproc.default_rules()
-        )
-        self.abbreviations = (
-            segmentation.load_abbreviations(config.abbreviations_path)
-            if config.abbreviations_path
-            else segmentation.load_default_abbreviations()
-        )
+        self.rules = _load_text_file(
+            textproc.load_rules, config.rules_path, textproc.default_rules)
+        self.abbreviations = _load_text_file(
+            segmentation.load_abbreviations, config.abbreviations_path,
+            segmentation.load_default_abbreviations)
 
     @property
     def chapters(self) -> dict[str, ChapterRecord]:
@@ -101,19 +98,42 @@ class _Context:
             path = Path(self.config.chapters_manifest)
             if not path.exists():
                 raise StageError("setup", f"chapters manifest not found: {path}")
-            try:
-                self._chapters = {c.chapter_id: c for c in read_chapters(path)}
-            except ManifestError as exc:
-                raise ConfigError(str(exc)) from exc
+            self._chapters = {c.chapter_id: c for c in read_chapters(path)}
         return self._chapters
 
     def load_chapter(
         self, chapter_id: str, head_s: float | None = None
-    ) -> audiolib.AudioBuffer:
-        """Decode a chapter's audio (only its first head_s seconds if given)."""
+    ) -> audiolib.AudioBuffer | str:
+        """The chapter's audio (only its first head_s seconds if given) or a reject reason."""
         chapter = self.chapters[chapter_id]
         path = Path(self.config.audio_root) / chapter.audio_path
-        return audiolib.load_pcm(path, self.config.decoder_cmd, head_s=head_s)
+        # Unreadable: corrupt or unsupported file, missing file or decoder, failing decoder.
+        try:
+            buf = audiolib.load_pcm(path, self.config.decoder_cmd, head_s=head_s)
+        except (audiolib.AudioError, OSError, subprocess.CalledProcessError) as exc:
+            return f"chapter_audio_unreadable:{exc.__class__.__name__}"
+        if buf.sample_rate_hz != chapter.sample_rate_hz:
+            return "sample_rate_mismatch"
+        return buf
+
+
+def _load_text_file(load, path: str | None, default):
+    """load(path), or default() without a path; an unreadable file is a ConfigError."""
+    try:
+        return load(path) if path else default()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: unreadable: {exc}") from exc
+
+
+def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
+    """The stage's required side-input file, named by config key `key`."""
+    value = getattr(ctx.config, key)
+    if not value:
+        raise StageError(stage, f"{key} is required")
+    path = Path(value)
+    if not path.exists():
+        raise StageError(stage, f"{what} file not found: {path}")
+    return path
 
 
 def _pmap(fn, items, workers: int):
@@ -123,15 +143,13 @@ def _pmap(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _load_jsonl_map(path: str, key: str, value: str) -> dict[str, str]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out[obj[key]] = obj[value]
-    return out
+def _load_jsonl_map(path: str | Path, key: str, value: str) -> dict[str, str]:
+    def parse(obj: dict) -> tuple[str, str]:
+        if not isinstance(obj[value], str):
+            raise TypeError(f"{value} must be a string, got {obj[value]!r}")
+        return obj[key], obj[value]
+
+    return dict(read_jsonl(path, parse))
 
 
 class _Reject(NamedTuple):
@@ -139,27 +157,13 @@ class _Reject(NamedTuple):
     reason: str
 
 
-class _ChapterUnusable(Exception):
-    """Raised by a chapter loader; every record of the chapter is rejected
-    with the exception's message as the reason."""
-
-
-# Errors that make a chapter's audio unreadable: a corrupt or unsupported
-# file (AudioError), a missing file or decoder (OSError), a failing decoder.
-_AUDIO_READ_ERRORS = (audiolib.AudioError, OSError, subprocess.CalledProcessError)
-
-
-def _audio_unreadable(exc: Exception) -> str:
-    return f"chapter_audio_unreadable:{exc.__class__.__name__}"
-
-
 def _by_chapter(records, load, work, workers: int):
     """Map work(rec, chapter_input) over records, one chapter at a time.
 
     Chapters are visited in sorted order. load(chapter_id) returns the
-    chapter's input or raises _ChapterUnusable; the input is dropped before
-    the next chapter is loaded. Results are returned in input-record order,
-    which is the order rejects are written in.
+    chapter's input or the reject reason (a str) for all its records; the
+    input is dropped before the next chapter is loaded. Results are returned
+    in input-record order, which is the order rejects are written in.
     """
     groups: dict[str, list[int]] = {}
     for i, rec in enumerate(records):
@@ -167,10 +171,9 @@ def _by_chapter(records, load, work, workers: int):
     results: list = [None] * len(records)
     for chapter_id in sorted(groups):
         indices = groups[chapter_id]
-        try:
-            data = load(chapter_id)
-        except _ChapterUnusable as exc:
-            done = [_Reject(records[i], str(exc)) for i in indices]
+        data = load(chapter_id)
+        if isinstance(data, str):
+            done = [_Reject(records[i], data) for i in indices]
         else:
             done = _pmap(lambda rec: work(rec, data), [records[i] for i in indices], workers)
             del data
@@ -185,22 +188,20 @@ def _by_chapter(records, load, work, workers: int):
 
 
 def _stage_text(records, ctx: _Context):
-    predicted = (
-        _load_jsonl_map(ctx.config.predicted_pc_path, "utterance_id", "text")
-        if ctx.config.predicted_pc_path
-        else {}
-    )
+    predicted = {}
+    if ctx.config.predicted_pc_path:
+        path = _side_input(ctx, "text", "predicted_pc_path", "predicted PC")
+        predicted = _load_jsonl_map(path, "utterance_id", "text")
 
     def load(chapter_id: str):
         # Clean and normalize the chapter once, before its workers start.
         chapter = ctx.chapters.get(chapter_id)
         if chapter is None or chapter.book_text_path is None:
-            raise _ChapterUnusable("missing_book_text")
+            return "missing_book_text"
         try:
             raw = Path(chapter.book_text_path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _ChapterUnusable(
-                f"book_text_unreadable:{exc.__class__.__name__}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            return f"book_text_unreadable:{exc.__class__.__name__}"
         text = textproc.clean_formatting(raw, ctx.rules)
         return text, textproc.strip_pc_map(text)
 
@@ -224,12 +225,6 @@ def _stage_audio(records, ctx: _Context):
         if chapter_id not in ctx.chapters:
             raise StageError("audio", f"chapter {chapter_id!r} not in chapters manifest")
 
-    def load(chapter_id: str):
-        try:
-            return ctx.load_chapter(chapter_id)
-        except _AUDIO_READ_ERRORS as exc:
-            raise _ChapterUnusable(_audio_unreadable(exc)) from None
-
     def work(rec: UtteranceRecord, buf: audiolib.AudioBuffer):
         sr = buf.sample_rate_hz
         start = int(round(rec.offset_s * sr))
@@ -246,32 +241,38 @@ def _stage_audio(records, ctx: _Context):
         )
         if trim.empty_after_trim:
             return _Reject(rec, "empty_after_trim")
-        wav_path = audio_out / f"{rec.utterance_id}.wav"
-        audiolib.save_pcm(trim.trimmed, wav_path)
-        rel_path = str(wav_path.relative_to(ctx.out_dir))
-        if cfg.encoder_cmd:
-            flac_path = wav_path.with_suffix(".flac")
-            cmd = [
-                part.format(input=str(wav_path), output=str(flac_path))
-                for part in shlex.split(cfg.encoder_cmd)
-            ]
+        out_path = audio_out / f"{rec.utterance_id}.wav"
+        if not cfg.encoder_cmd:
+            with replacing(out_path) as tmp:
+                audiolib.save_pcm(trim.trimmed, tmp)
+        else:
+            out_path = out_path.with_suffix(".flac")
             try:
-                subprocess.run(cmd, capture_output=True, check=True)
+                with replacing(out_path) as tmp:
+                    _encode(trim.trimmed, tmp, cfg.encoder_cmd)
             except (OSError, subprocess.CalledProcessError) as exc:
-                wav_path.unlink()
-                flac_path.unlink(missing_ok=True)
                 return _Reject(rec, f"encode_failed:{exc.__class__.__name__}")
-            wav_path.unlink()
-            rel_path = str(flac_path.relative_to(ctx.out_dir))
         return [
             rec.with_fields(
-                audio_path=rel_path,
+                audio_path=str(out_path.relative_to(ctx.out_dir)),
                 offset_s=0.0,
                 duration_s=round(trim.trimmed.duration_s, 4),
             )
         ]
 
-    return _collect(_by_chapter(records, load, work, ctx.config.workers))
+    return _collect(_by_chapter(records, ctx.load_chapter, work, ctx.config.workers))
+
+
+def _encode(buf: audiolib.AudioBuffer, out_path: Path, encoder_cmd: str) -> None:
+    """Write buf as a WAV beside out_path and run encoder_cmd on it into out_path."""
+    wav_path = out_path.with_suffix(".wav")
+    try:
+        audiolib.save_pcm(buf, wav_path)
+        cmd = [part.format(input=str(wav_path), output=str(out_path))
+               for part in shlex.split(encoder_cmd)]
+        subprocess.run(cmd, capture_output=True, check=True)
+    finally:
+        wav_path.unlink(missing_ok=True)
 
 
 def _stage_bandwidth(records, ctx: _Context):
@@ -282,11 +283,10 @@ def _stage_bandwidth(records, ctx: _Context):
         """The chapter's bandwidth in Hz, or the reason its records are rejected."""
         if chapter_id not in ctx.chapters:
             return "missing_chapter"
-        try:
-            # Only the analysed head is decoded.
-            head = ctx.load_chapter(chapter_id, head_s=cfg.bandwidth_analysis_s)
-        except _AUDIO_READ_ERRORS as exc:
-            return _audio_unreadable(exc)
+        # Only the analysed head is decoded.
+        head = ctx.load_chapter(chapter_id, head_s=cfg.bandwidth_analysis_s)
+        if isinstance(head, str):
+            return head
         est = bwlib.chapter_bandwidth(
             head,
             cfg.target_sample_rate_hz,
@@ -308,11 +308,7 @@ def _stage_bandwidth(records, ctx: _Context):
 
 def _stage_segment(records, ctx: _Context):
     cfg = ctx.config
-    if not cfg.alignments_path:
-        raise StageError("segment", "alignments_path is required")
-    path = Path(cfg.alignments_path)
-    if not path.exists():
-        raise StageError("segment", f"alignments file not found: {path}")
+    path = _side_input(ctx, "segment", "alignments_path", "alignments")
     if path.suffix == ".ctm":
         tracks = segmentation.load_ctm(path)
     else:
@@ -340,11 +336,7 @@ def _stage_segment(records, ctx: _Context):
 
 def _stage_validate(records, ctx: _Context):
     cfg = ctx.config
-    if not cfg.asr_hypotheses_path:
-        raise StageError("validate", "asr_hypotheses_path is required")
-    path = Path(cfg.asr_hypotheses_path)
-    if not path.exists():
-        raise StageError("validate", f"ASR hypotheses file not found: {path}")
+    path = _side_input(ctx, "validate", "asr_hypotheses_path", "ASR hypotheses")
     hyps = _load_jsonl_map(path, "utterance_id", "hyp_text")
 
     def work(rec: UtteranceRecord):
@@ -367,14 +359,12 @@ def _stage_validate(records, ctx: _Context):
 
 
 def _stage_speakers(records, ctx: _Context):
-    cfg = ctx.config
-    if not cfg.speaker_counts_path:
-        raise StageError("speakers", "speaker_counts_path is required")
-    path = Path(cfg.speaker_counts_path)
-    if not path.exists():
-        raise StageError("speakers", f"speaker counts file not found: {path}")
+    path = _side_input(ctx, "speakers", "speaker_counts_path", "speaker counts")
     counts = curation.load_speaker_counts(path)
-    tagged = curation.apply_speaker_counts(records, counts)
+    try:
+        tagged = curation.apply_speaker_counts(records, counts)
+    except curation.CurationError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return tagged, [], {}
 
 
@@ -407,9 +397,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute the enabled stages in the fixed order.
 
     Each stage writes `manifest.NN_stage.jsonl`, `rejects.stage.jsonl` (when
-    non-empty) and `report.stage.json` under config.out_dir. Inputs are never
-    mutated in place. Raises ConfigError for an invalid config or an
-    unreadable or malformed utterances manifest, before any stage runs.
+    non-empty, else an old one is removed) and `report.stage.json` under
+    config.out_dir, each replaced only once complete. Inputs are never mutated.
+    Raises ConfigError for an invalid config or a bad utterances manifest
+    before any stage runs, and for a bad side input when its stage starts.
     """
     problems = validate_config(config)
     if problems:
@@ -429,15 +420,19 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     for index, stage in enumerate(enabled):
         fn = _STAGE_FNS[stage]
         n_in = len(records)
-        kept, rejects, extras = fn(records, ctx)
+        try:
+            kept, rejects, extras = fn(records, ctx)
+        except ManifestError as exc:
+            raise ConfigError(str(exc)) from exc
         kept.sort(key=lambda r: r.utterance_id)
         final_path = ctx.out_dir / f"manifest.{index:02d}_{stage}.jsonl"
         write_manifest(kept, final_path)
+        rejects_path = ctx.out_dir / f"rejects.{stage}.jsonl"
         if rejects:
             any_rejects = True
-            write_manifest(
-                [r for r, _ in rejects], ctx.out_dir / f"rejects.{stage}.jsonl"
-            )
+            write_manifest([r for r, _ in rejects], rejects_path)
+        else:
+            rejects_path.unlink(missing_ok=True)
         drop_reasons: dict[str, int] = {}
         for _, reason in rejects:
             drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
@@ -450,10 +445,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             extras=extras,
         )
         reports.append(report)
-        (ctx.out_dir / f"report.{stage}.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        with replacing(ctx.out_dir / f"report.{stage}.json") as tmp:
+            tmp.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+                           + "\n", encoding="utf-8")
         print(
             f"[{stage}] in={n_in} out={len(kept)} dropped={len(rejects)}",
             file=sys.stderr,

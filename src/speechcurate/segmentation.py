@@ -9,18 +9,17 @@ deterministic per-utterance random choice.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .manifest import UtteranceRecord
+from .manifest import ManifestError, UtteranceRecord, _lines, read_jsonl
 
 DEFAULT_MIN_PAUSE_S = 0.08
 
 _TRAILING_QUOTES = "\"'’”`)"
 
 
-class AlignmentError(Exception):
+class AlignmentError(ManifestError):
     pass
 
 
@@ -193,38 +192,27 @@ def apply_split(
 
 def load_alignments_jsonl(path: str | Path) -> dict[str, list[AlignmentToken]]:
     """Consolidated alignments: JSONL of {utterance_id, tokens: [...]}."""
-    tracks: dict[str, list[AlignmentToken]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                tracks[obj["utterance_id"]] = [
-                    _token_from_obj(tok) for tok in obj["tokens"]
-                ]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise AlignmentError(f"{path}:{lineno}: {exc}") from exc
-    return tracks
+    try:
+        return dict(read_jsonl(path, lambda obj: (
+            obj["utterance_id"], [_token_from_obj(tok) for tok in obj["tokens"]])))
+    except ManifestError as exc:
+        raise AlignmentError(str(exc)) from exc
 
 
 def load_ctm(path: str | Path) -> dict[str, list[AlignmentToken]]:
     """CTM reader: `utt channel start dur word` lines, grouped by utterance."""
     tracks: dict[str, list[AlignmentToken]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith(";;"):
-                continue
-            parts = line.split()
-            if len(parts) < 5:
-                raise AlignmentError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            utt, _channel, start, dur, word = parts[:5]
-            start_s = float(start)
-            tracks.setdefault(utt, []).append(
-                AlignmentToken(word=word, start_s=start_s, end_s=start_s + float(dur))
-            )
+    for lineno, line in _lines(path):
+        if line.startswith(";;"):
+            continue
+        try:
+            utt, _channel, start, dur, word = line.split()[:5]
+            start_s, dur_s = float(start), float(dur)
+        except ValueError as exc:
+            raise AlignmentError(f"{path}:{lineno}: {exc}") from exc
+        tracks.setdefault(utt, []).append(
+            AlignmentToken(word=word, start_s=start_s, end_s=start_s + dur_s)
+        )
     for track in tracks.values():
         track.sort(key=lambda t: t.start_s)
     return tracks

@@ -11,7 +11,9 @@ from speechcurate.manifest import (
     SubsetSpec,
     UtteranceRecord,
     read_chapters,
+    read_jsonl,
     read_manifest,
+    replacing,
     write_chapters,
     write_manifest,
 )
@@ -176,3 +178,81 @@ def test_subset_spec_unknown_key_rejected():
     # a misspelled gate must not silently fall back to its default (off)
     with pytest.raises(ManifestError, match="min_bandwith_hz"):
         SubsetSpec.from_json_dict({"min_bandwith_hz": 13000})
+
+
+def test_chapter_unknown_key_rejected(tmp_path):
+    # A misspelled book_text_path must not silently leave the chapter without text.
+    path = tmp_path / "chapters.jsonl"
+    path.write_text(json.dumps({"chapter_id": "ch1", "book_id": "b1", "speaker_id": "s1",
+                                "audio_path": "raw/ch1.wav", "sample_rate_hz": 48000,
+                                "book_txt_path": "text/ch1.txt"}) + "\n")
+    with pytest.raises(ManifestError, match=r":1: unknown chapter keys: \['book_txt_path'\]"):
+        read_chapters(path)
+
+
+def test_chapter_legacy_bandwidth_key_accepted(tmp_path):
+    path = tmp_path / "chapters.jsonl"
+    path.write_text(json.dumps({"chapter_id": "ch1", "book_id": "b1", "speaker_id": "s1",
+                                "audio_path": "raw/ch1.wav", "sample_rate_hz": 48000,
+                                "bandwidth_hz": 20000}) + "\n")
+    assert read_chapters(path) == [ChapterRecord("ch1", "b1", "s1", "raw/ch1.wav", 48000)]
+
+
+@pytest.mark.parametrize("content,message", [
+    pytest.param('{"a": 1}\n\n{"b": 2}\n', ":3: missing key 'a'", id="KeyError"),
+    pytest.param('{"a": "x"}\n', ":1: invalid literal", id="ValueError"),
+    pytest.param('{"a": null}\n', ":1: int\\(\\) argument", id="TypeError"),
+    pytest.param('{"a": 1}\n{"a": 2\n', ":2: malformed JSON", id="malformed"),
+    pytest.param('[1]\n', ":1: not a JSON object", id="not-object"),
+])
+def test_read_jsonl_errors_name_file_and_line(tmp_path, content, message):
+    path = tmp_path / "x.jsonl"
+    path.write_text(content)
+    with pytest.raises(ManifestError, match=f"x.jsonl{message}"):
+        read_jsonl(path, lambda obj: int(obj["a"]))
+
+
+def test_read_jsonl_parses_in_order(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"a": 3}\n\n{"a": 1}\n')
+    assert read_jsonl(path, lambda obj: obj["a"]) == [3, 1]
+
+
+def test_replacing_moves_on_clean_exit_only(tmp_path):
+    path = tmp_path / "out.flac"
+    with replacing(path) as tmp:
+        assert tmp == tmp_path / ".out.partial.flac"
+        tmp.write_bytes(b"new")
+    assert path.read_bytes() == b"new"
+    with pytest.raises(RuntimeError):
+        with replacing(path) as tmp:
+            tmp.write_bytes(b"half")
+            raise RuntimeError
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.flac"]
+
+
+class _Killed(BaseException):
+    """An interruption no `except Exception` handler catches."""
+
+
+def _interrupted():
+    yield make_record(1)
+    raise _Killed
+
+
+@pytest.mark.parametrize("records,error", [
+    pytest.param(_interrupted, _Killed, id="iterator-killed"),
+    # Valid records, the second of which cannot be serialized: the file is
+    # already being written when it fails.
+    pytest.param(lambda: [make_record(1), make_record(2, extra={"x": object()})],
+                 TypeError, id="unserializable"),
+])
+def test_interrupted_write_keeps_previous_file(tmp_path, records, error):
+    path = tmp_path / "m.jsonl"
+    write_manifest([make_record(0)], path)
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write_manifest(records(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]

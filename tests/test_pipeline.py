@@ -1,5 +1,6 @@
 import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 from scipy.io import wavfile
 
 from speechcurate import audio as audiolib
+from speechcurate import pipeline as pipeline_mod
 from speechcurate.audio import AudioBuffer, load_pcm, save_pcm
 from speechcurate.bandwidth import chapter_bandwidth
 from speechcurate.cli import main
@@ -527,3 +529,182 @@ class TestInputErrors:
         assert result.exit_code == 1, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"config error: {bad}: not UTF-8" in result.output
+
+
+def _side_file(key, name, content):
+    """Write content to root/name (no file when None) and point config.key at it."""
+    def plant(root, config):
+        path = root / name
+        if content is not None:
+            path.write_bytes(content)
+        setattr(config, key, str(path))
+        return path
+    return plant
+
+
+def _chapter_ch1(change):
+    """Rewrite ch1's line of the chapters manifest with change(obj)."""
+    def plant(root, config):
+        path = root / "chapters.jsonl"
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        change(objs[1])
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        return path
+    return plant
+
+
+def _book_text_ch1(content):
+    def plant(root, config):
+        (root / "text" / "ch1.txt").write_bytes(content)
+        return root / "text" / "ch1.txt"
+    return plant
+
+
+_DUP_COUNTS = b'{"utterance_id": "ch0_0000", "num_speakers": 1}\n' * 2
+_UNKNOWN_CHAPTER_KEY = _chapter_ch1(
+    lambda obj: obj.update(book_txt_path=obj.pop("book_text_path")))
+_DECLARED_16K = _chapter_ch1(lambda obj: obj.update(sample_rate_hz=16000))
+
+# One row per malformed input: the stages run, how the fault is planted (the
+# path it returns fills {path}), the exit code and either the message
+# expected in the output or the stage report's drop reasons. Every row
+# escaped as a traceback, or passed silently, before side inputs went
+# through one reader.
+FAULTS = [
+    pytest.param(["segment"], _side_file("alignments_path", "al.jsonl", b'{"utterance_id": "u"\n'),
+                 1, "config error: {path}:1: malformed JSON", id="alignments-malformed"),
+    pytest.param(["segment"], _side_file("alignments_path", "al.jsonl",
+                                         b'{"utterance_id": "u", "tokens": '
+                                         b'[{"word": "a", "start": "x", "end": 1}]}\n'),
+                 1, "config error: {path}:1: could not convert", id="alignments-bad-time"),
+    pytest.param(["segment"], _side_file("alignments_path", "al.ctm",
+                                         b"u 1 0.0 0.2 a\nu 1 zero 0.2 b\n"),
+                 1, "config error: {path}:2: could not convert", id="ctm-bad-time"),
+    pytest.param(["segment"], _side_file("alignments_path", "al.ctm", b"u 1 0.0 0.2 \xff\n"),
+                 1, "config error: {path}: not UTF-8 text", id="ctm-not-utf8"),
+    pytest.param(["validate"], _side_file("asr_hypotheses_path", "h.jsonl", b'{"utterance_id"\n'),
+                 1, "config error: {path}:1: malformed JSON", id="hyps-malformed"),
+    pytest.param(["validate"], _side_file("asr_hypotheses_path", "h.jsonl",
+                                          b'{"utterance_id": "u", "hyp_text": "a"}\n'
+                                          b'{"utterance_id": "v"}\n'),
+                 1, "config error: {path}:2: missing key 'hyp_text'", id="hyps-missing-key"),
+    pytest.param(["validate"], _side_file("asr_hypotheses_path", "h.jsonl",
+                                          b'{"utterance_id": "ch0_0001", "hyp_text": 5}\n'),
+                 1, "config error: {path}:1: hyp_text must be a string, got 5",
+                 id="hyps-not-a-string"),
+    pytest.param(["text"], _side_file("predicted_pc_path", "pc.jsonl",
+                                      b'{"utterance_id": "ch0_0001", "text": null}\n'),
+                 1, "config error: {path}:1: text must be a string, got None",
+                 id="predicted-pc-not-a-string"),
+    pytest.param(["text"], _side_file("predicted_pc_path", "pc.jsonl", b'{"utterance_id"\n'),
+                 1, "config error: {path}:1: malformed JSON", id="predicted-pc-malformed"),
+    pytest.param(["text"], _side_file("predicted_pc_path", "pc.jsonl", None),
+                 2, "stage failure: stage 'text': predicted PC file not found: {path}",
+                 id="predicted-pc-missing"),
+    pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl", b"{\n"),
+                 1, "config error: {path}:1: malformed JSON", id="counts-malformed"),
+    pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
+                                          b'{"utterance_id": "u", "num_speakers": "two"}\n'),
+                 1, "config error: {path}:1: invalid literal", id="counts-not-a-number"),
+    pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl", _DUP_COUNTS),
+                 1, "config error: {path}: duplicate speaker count for 'ch0_0000'",
+                 id="counts-duplicate-id"),
+    pytest.param(["text"], _side_file("rules_path", "rules.txt", None),
+                 1, "config error: {path}: unreadable", id="rules-missing"),
+    pytest.param(["text"], _side_file("rules_path", "rules.txt", b"\xff\xfe"),
+                 1, "config error: {path}: unreadable", id="rules-not-utf8"),
+    pytest.param(["text"], _side_file("abbreviations_path", "abbr.txt", None),
+                 1, "config error: {path}: unreadable", id="abbreviations-missing"),
+    pytest.param(["text"], _side_file("abbreviations_path", "abbr.txt", b"Dr.\n\xff\n"),
+                 1, "config error: {path}: unreadable", id="abbreviations-not-utf8"),
+    pytest.param(["text"], _UNKNOWN_CHAPTER_KEY,
+                 1, "config error: {path}:2: unknown chapter keys: ['book_txt_path']",
+                 id="chapter-unknown-key"),
+    pytest.param(["text"], _book_text_ch1(b"\xff\xfe Some text."),
+                 3, {"book_text_unreadable:UnicodeDecodeError": 2}, id="book-text-not-utf8"),
+    pytest.param(["audio"], _DECLARED_16K, 3, {"sample_rate_mismatch": 2},
+                 id="audio-rate-mismatch"),
+    pytest.param(["bandwidth"], _DECLARED_16K, 3, {"sample_rate_mismatch": 2},
+                 id="bandwidth-rate-mismatch"),
+]
+
+
+@pytest.mark.parametrize("stages,plant,exit_code,expected", FAULTS)
+def test_malformed_input_is_named(tmp_path, stages, plant, exit_code, expected):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+    config = make_config(root, tmp_path / "out")
+    config.stages = stages
+    path = plant(root, config)
+    config_path = tmp_path / "config.yaml"
+    config.to_yaml(config_path)
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert result.exit_code == exit_code, result.output
+    if isinstance(expected, dict):
+        report = json.loads((tmp_path / "out" / f"report.{stages[0]}.json").read_text())
+        assert report["drop_reasons"] == expected
+    else:
+        assert expected.format(path=path) in result.output
+
+
+def test_stage_without_rejects_removes_stale_rejects(corpus, tmp_path):
+    records = read_manifest(corpus / "utterances.jsonl")
+    hyps = tmp_path / "hyps.jsonl"
+    config = make_config(corpus, tmp_path / "out")
+    config.stages = ["validate"]
+    config.asr_hypotheses_path = str(hyps)
+    stale = tmp_path / "out" / "rejects.validate.jsonl"
+    for missing in (1, 0):  # the first run lacks one hypothesis, the rerun none
+        hyps.write_text("".join(
+            json.dumps({"utterance_id": r.utterance_id, "hyp_text": r.raw_text}) + "\n"
+            for r in records[missing:]))
+        result = run_pipeline(config)
+        assert stale.exists() == bool(missing)
+        assert result.reports[0].records_dropped == missing
+    assert result.exit_code == 0
+
+
+def test_full_run_leaves_no_partial_files(pipeline_out):
+    out, _ = pipeline_out
+    assert [p for p in out.rglob("*") if ".partial" in p.name] == []
+
+
+class _Killed(BaseException):
+    """An interruption no `except Exception` handler catches."""
+
+
+@pytest.mark.parametrize("encoder", [None, "flac -s -f -o {output} {input}"],
+                         ids=["wav", "encoder"])
+def test_killed_audio_write_leaves_no_file(tmp_path, monkeypatch, encoder):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+    config = make_config(root, tmp_path / "out")
+    config.stages = ["audio"]
+    config.encoder_cmd = encoder
+
+    def killed_save(buf, path, *args, **kwargs):
+        path.write_bytes(b"RIFF")  # a partial header, then the process dies
+        raise _Killed
+
+    def killed_encode(cmd, *args, **kwargs):
+        Path(cmd[cmd.index("-o") + 1]).write_bytes(b"fLaC")
+        raise _Killed
+
+    if encoder:
+        monkeypatch.setattr(pipeline_mod.subprocess, "run", killed_encode)
+    else:
+        monkeypatch.setattr(audiolib, "save_pcm", killed_save)
+    with pytest.raises(_Killed):
+        run_pipeline(config)
+    assert list((tmp_path / "out" / "audio").iterdir()) == []
+
+
+def test_encoder_output_replaces_into_place(tmp_path):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+    config = make_config(root, tmp_path / "out")
+    config.stages = ["audio"]
+    config.encoder_cmd = "cp {input} {output}"
+    result = run_pipeline(config)
+    kept = read_manifest(result.final_manifest)
+    assert len(kept) == 4
+    names = sorted(p.name for p in (tmp_path / "out" / "audio").iterdir())
+    assert names == sorted(f"{r.utterance_id}.flac" for r in kept)
