@@ -93,13 +93,43 @@ def _parse_fmt(body: bytes) -> tuple[int, int, int, tuple[str, float, float]]:
     return rate, channels, width, encoding
 
 
-def _read_wav(fid, head_s: float | None) -> tuple[int, np.ndarray]:
+def _as_float(data: np.ndarray, zero: float = 0.0, scale: float = 1.0) -> np.ndarray:
+    """(data - zero) / scale as a new float64 array."""
+    samples = data.astype(np.float64)
+    if zero:
+        samples -= zero
+    if scale != 1.0:
+        samples /= scale
+    return samples
+
+
+def _mix(data: np.ndarray, zero: float = 0.0, scale: float = 1.0) -> np.ndarray:
+    """The mean over the channels of (frames, channels) data, as float64.
+
+    Bit-equal to `_as_float(data, zero, scale).mean(axis=1)`. Up to 7 channels
+    numpy's mean adds the channels in order to a +0.0 start and divides once,
+    so the columns are converted and added one at a time and no multichannel
+    float array is built. From 8 channels numpy sums in pairwise blocks, so
+    the full array is averaged.
+    """
+    channels = data.shape[1]
+    if channels >= 8:
+        return _as_float(data, zero, scale).mean(axis=1)
+    total = _as_float(data[:, 0], zero, scale)
+    total += 0.0  # the +0.0 start: a frame of -0.0 samples mixes to +0.0
+    for c in range(1, channels):
+        total += _as_float(data[:, c], zero, scale)
+    total /= channels
+    return total
+
+
+def _read_wav(fid, head_s: float | None, mono: bool) -> tuple[int, np.ndarray]:
     """Parse a little-endian RIFF/WAVE stream into (rate, float64 samples).
 
     Chunks before `data` other than `fmt ` are skipped, with their pad byte.
     Only the frames returned are read from `data`. A declared data size
     larger than what is left (a WAV written to a pipe) reads to the end in
-    whole frames.
+    whole frames. With `mono`, channels are mixed one column at a time.
     """
     riff = fid.read(12)
     if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
@@ -131,18 +161,18 @@ def _read_wav(fid, head_s: float | None) -> tuple[int, np.ndarray]:
         data = wide.view(dtype)[:, 0]
     else:
         data = np.frombuffer(raw, dtype)
-    samples = data.astype(np.float64)
-    if zero:
-        samples -= zero
-    if scale != 1.0:
-        samples /= scale
     if channels > 1:
-        samples = samples.reshape(frames, channels)
-    return rate, samples
+        data = data.reshape(frames, channels)
+        if mono:
+            return rate, _mix(data, zero, scale)
+    return rate, _as_float(data, zero, scale)
 
 
 def load_pcm(
-    path: str | Path, decoder_cmd: str | None = None, head_s: float | None = None
+    path: str | Path,
+    decoder_cmd: str | None = None,
+    head_s: float | None = None,
+    mono: bool = False,
 ) -> AudioBuffer:
     """Load a PCM WAV file with amplitudes normalized to [-1, 1].
 
@@ -153,7 +183,9 @@ def load_pcm(
     whose stdout is a WAV stream, e.g.
     `"ffmpeg -loglevel error -i {input} -f wav -"`. With `head_s`, only the
     first round(head_s * rate) frames are read; the values equal those of
-    the full load sliced afterwards.
+    the full load sliced afterwards. With `mono`, the channels are mixed
+    while decoding, bit-equal to `mixdown(load_pcm(...))` but without
+    building the multichannel float64 array.
     """
     if decoder_cmd is not None and Path(path).suffix.lower() != ".wav":
         cmd = [part.format(input=str(path)) for part in shlex.split(decoder_cmd)]
@@ -163,7 +195,7 @@ def load_pcm(
         fid = open(path, "rb")
     with fid:
         try:
-            rate, samples = _read_wav(fid, head_s)
+            rate, samples = _read_wav(fid, head_s, mono)
         except AudioError as exc:
             raise AudioError(f"{path}: {exc}") from None
     return AudioBuffer(samples=samples, sample_rate_hz=rate)
@@ -200,10 +232,13 @@ def save_pcm(buf: AudioBuffer, path: str | Path, bit_depth: int = 16) -> None:
 
 
 def mixdown(buf: AudioBuffer) -> AudioBuffer:
-    """Average all channels into one. Mono input is returned unchanged."""
-    if buf.channels == 1:
+    """Average all channels into one, bit-equal to `samples.mean(axis=1)` in float64.
+
+    Mono (1-D) input is returned unchanged.
+    """
+    if buf.samples.ndim == 1:
         return buf
-    return AudioBuffer(samples=buf.samples.mean(axis=1), sample_rate_hz=buf.sample_rate_hz)
+    return AudioBuffer(samples=_mix(buf.samples), sample_rate_hz=buf.sample_rate_hz)
 
 
 # Each row of the polyphase product yields at least this many outputs: rate

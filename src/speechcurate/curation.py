@@ -39,8 +39,15 @@ class SplitPlan:
 
 
 def load_speaker_counts(path: str | Path) -> list[SpeakerCountRecord]:
-    return read_jsonl(path, lambda obj: SpeakerCountRecord(
-        obj["utterance_id"], int(obj["num_speakers"])))
+    def parse(obj: dict) -> SpeakerCountRecord:
+        n = obj["num_speakers"]
+        # bool is an int subclass: `true` is not a count.
+        if type(n) is not int or n < 0:
+            raise ValueError(
+                f"invalid literal for num_speakers: {n!r} (need a non-negative integer)")
+        return SpeakerCountRecord(obj["utterance_id"], n)
+
+    return read_jsonl(path, parse)
 
 
 def apply_speaker_counts(

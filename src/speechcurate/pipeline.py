@@ -104,12 +104,12 @@ class _Context:
     def load_chapter(
         self, chapter_id: str, head_s: float | None = None
     ) -> audiolib.AudioBuffer | str:
-        """The chapter's audio (only its first head_s seconds if given) or a reject reason."""
+        """The chapter's mono audio (only its first head_s seconds if given) or a reject reason."""
         chapter = self.chapters[chapter_id]
         path = Path(self.config.audio_root) / chapter.audio_path
         # Unreadable: corrupt or unsupported file, missing file or decoder, failing decoder.
         try:
-            buf = audiolib.load_pcm(path, self.config.decoder_cmd, head_s=head_s)
+            buf = audiolib.load_pcm(path, self.config.decoder_cmd, head_s=head_s, mono=True)
         except (audiolib.AudioError, OSError, subprocess.CalledProcessError) as exc:
             return f"chapter_audio_unreadable:{exc.__class__.__name__}"
         if buf.sample_rate_hz != chapter.sample_rate_hz:
@@ -232,7 +232,6 @@ def _stage_audio(records, ctx: _Context):
         if start >= buf.num_frames:
             return _Reject(rec, "offset_past_end")
         piece = audiolib.AudioBuffer(buf.samples[start:stop], sr)
-        piece = audiolib.mixdown(piece)
         piece = audiolib.resample(piece, cfg.target_sample_rate_hz)
         trim = audiolib.trim_silence(
             piece,

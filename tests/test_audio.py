@@ -113,6 +113,12 @@ class TestHeadRead:
             head.samples, load_pcm(wav).samples[: int(round(0.25 * self.RATE))])
 
 
+def _same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 class TestMixdown:
     def test_mono_identity(self):
         buf = AudioBuffer(np.arange(10.0), 8000)
@@ -128,6 +134,64 @@ class TestMixdown:
     def test_constant_average(self):
         buf = AudioBuffer(np.stack([np.full(100, 0.2), np.full(100, 0.6)], axis=1), 8000)
         assert np.allclose(mixdown(buf).samples, 0.4)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("channels", range(1, 10))
+    def test_equals_mean(self, channels, order):
+        rng = np.random.default_rng(channels)
+        x = rng.standard_normal((4099, channels)) * 10.0 ** rng.integers(-9, 9, (4099, channels))
+        x[:4] = -0.0  # frames of negative zeros, which the mean makes +0.0
+        x[4:8, 0] = -0.0
+        x[8:12] = [1e300, -1e300, 1e-300, 5.0, 3.0, -2.5, 7.0, 0.1, -4.0][:channels]
+        x = np.asarray(x, order=order)
+        out = mixdown(AudioBuffer(x, 8000))
+        assert out.sample_rate_hz == 8000
+        _same_bits(out.samples, x.mean(axis=1))
+
+
+# name -> (format tag, bytes per sample)
+_ENCODINGS = {"uint8": (1, 1), "int16": (1, 2), "int24": (1, 3), "int32": (1, 4),
+              "float32": (3, 4), "float64": (3, 8), "extensible": (0xFFFE, 2)}
+
+
+def _wav_stream(encoding, channels, frames=800, rate=16000):
+    """A WAV stream of random samples; float ones include frames of -0.0."""
+    tag, width = _ENCODINGS[encoding]
+    rng = np.random.default_rng(channels * 31 + width)
+    if tag == 3:
+        x = rng.uniform(-1, 1, (frames, channels)).astype(f"<f{width}")
+        x[:3] = -0.0
+        x[3:6, 0] = -0.0
+        data = x.tobytes()
+    else:
+        data = rng.bytes(frames * channels * width)
+    block = channels * width
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, 8 * width)
+    if tag == 0xFFFE:
+        guid = struct.pack("<H", 1) + audiolib._SUBFORMAT_GUID_TAIL
+        fmt += struct.pack("<HHI", 22, 8 * width, 0) + guid
+    return _riff(_chunk(b"fmt ", fmt), _chunk(b"data", data))
+
+
+class TestMonoLoad:
+    @pytest.mark.parametrize("route", ["full", "head", "decoder"])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8])
+    @pytest.mark.parametrize("encoding", list(_ENCODINGS))
+    def test_equals_mixdown_of_load(self, tmp_path, encoding, channels, route):
+        stream = _wav_stream(encoding, channels)
+        path = tmp_path / "chapter.wav"
+        path.write_bytes(stream)
+        kwargs = {"head_s": 0.0123} if route == "head" else {}
+        if route == "decoder":
+            path = tmp_path / "chapter.raw"  # not .wav: goes through decoder_cmd
+            path.write_bytes(stream)
+            kwargs = {"decoder_cmd": "cat {input}"}
+        full = load_pcm(path, **kwargs)
+        assert full.channels == channels
+        mono = load_pcm(path, mono=True, **kwargs)
+        assert mono.sample_rate_hz == full.sample_rate_hz
+        assert mono.num_frames == (197 if route == "head" else 800)
+        _same_bits(mono.samples, mixdown(full).samples)
 
 
 class TestResample:

@@ -248,11 +248,11 @@ class TestChapterStreaming:
         def alive():
             return sum(ref() is not None for ref in chapters)
 
-        def tracking_load(path, decoder_cmd=None, head_s=None):
+        def tracking_load(path, decoder_cmd=None, head_s=None, mono=False):
             if head_s is not None:
-                return load_pcm_(path, decoder_cmd, head_s)
+                return load_pcm_(path, decoder_cmd, head_s, mono)
             assert alive() == 0, "previous chapter still alive at the next load"
-            buf = load_pcm_(path, decoder_cmd)
+            buf = load_pcm_(path, decoder_cmd, mono=mono)
             chapters.append(weakref.ref(buf.samples))
             return buf
 
@@ -267,6 +267,35 @@ class TestChapterStreaming:
         result = run_pipeline(config)
         assert len(chapters) == 4
         assert result.reports[0].records_out > 0
+
+    def test_stereo_chapters_decoded_to_mono(self, tmp_path, monkeypatch):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        for wav in sorted((root / "raw").glob("*.wav")):
+            mono = load_pcm(wav)
+            stereo = np.stack([mono.samples, -0.5 * mono.samples], axis=1)
+            save_pcm(AudioBuffer(stereo, mono.sample_rate_hz), wav)
+        # Channel counts of every buffer the stages decode or hand on.
+        seen: dict[str, list[int]] = {"load_pcm": [], "mixdown": [], "resample": []}
+
+        def tracked(name):
+            fn = getattr(audiolib, name)
+
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                buf = result if name == "load_pcm" else args[0]
+                seen[name].append(buf.samples.ndim)
+                return result
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(audiolib, name, tracked(name))
+        config = make_config(root, tmp_path / "out", workers=2)
+        config.stages = ["audio", "bandwidth"]
+        result = run_pipeline(config)
+        assert result.reports[0].records_out > 0
+        assert len(seen["load_pcm"]) == 8 and len(seen["resample"]) >= 8
+        assert {name: set(dims) for name, dims in seen.items()} == {
+            "load_pcm": {1}, "mixdown": {1}, "resample": {1}}
 
     @pytest.mark.parametrize("stage", ["audio", "bandwidth"])
     def test_unreadable_chapter_audio_rejected(self, tmp_path, stage):
@@ -606,6 +635,18 @@ FAULTS = [
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
                                           b'{"utterance_id": "u", "num_speakers": "two"}\n'),
                  1, "config error: {path}:1: invalid literal", id="counts-not-a-number"),
+    pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
+                                          b'{"utterance_id": "ch0_0000", "num_speakers": -1}\n'),
+                 1, "config error: {path}:1: invalid literal for num_speakers: -1",
+                 id="counts-negative"),
+    pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
+                                          b'{"utterance_id": "ch0_0000", "num_speakers": 2.7}\n'),
+                 1, "config error: {path}:1: invalid literal for num_speakers: 2.7",
+                 id="counts-fractional"),
+    pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
+                                          b'{"utterance_id": "ch0_0000", "num_speakers": true}\n'),
+                 1, "config error: {path}:1: invalid literal for num_speakers: True",
+                 id="counts-bool"),
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl", _DUP_COUNTS),
                  1, "config error: {path}: duplicate speaker count for 'ch0_0000'",
                  id="counts-duplicate-id"),
