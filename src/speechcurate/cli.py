@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 config error, 2 stage failure, 3 partial
 from __future__ import annotations
 
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -34,8 +35,21 @@ def _read_manifest(path):
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Deterministic speech-corpus curation pipeline."""
+    # Stage summaries and warnings go to stderr while a command runs; library
+    # callers configure logging themselves.
+    log = logging.getLogger("speechcurate")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+
+    def restore():
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+    ctx.call_on_close(restore)
 
 
 @main.command()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 from pathlib import Path
 
 import yaml
@@ -44,6 +45,9 @@ class PipelineConfig:
     @classmethod
     def from_yaml(cls, path: str | Path) -> "PipelineConfig":
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"{path}: must be a mapping of config keys, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -55,9 +59,23 @@ class PipelineConfig:
         )
 
 
+_INT_FIELDS = ("target_sample_rate_hz", "workers", "seed")
+_REAL_FIELDS = ("trim_threshold_db", "max_edge_silence_s", "bandwidth_threshold_db",
+                "bandwidth_analysis_s", "min_pause_s", "max_cer_pct")
+
+
 def validate_config(config: PipelineConfig) -> list[str]:
     """Empty list iff every invariant holds; messages name field and constraint."""
     problems = []
+    # A bool is an int to Python, but `workers: true` is a mistake.
+    for names, kind, what in ((_INT_FIELDS, Integral, "an integer"),
+                              (_REAL_FIELDS, Real, "a number")):
+        for name in names:
+            value = getattr(config, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                problems.append(f"{name}: must be {what}, got {value!r}")
+    if problems:
+        return problems
     for name in ("trim_threshold_db", "max_edge_silence_s", "bandwidth_analysis_s",
                  "min_pause_s", "max_cer_pct"):
         value = getattr(config, name)
@@ -71,7 +89,11 @@ def validate_config(config: PipelineConfig) -> list[str]:
             f"bandwidth_threshold_db: must be <= 0, got {config.bandwidth_threshold_db}")
     if config.workers < 1:
         problems.append(f"workers: must be >= 1, got {config.workers}")
-    unknown = [s for s in config.stages if s not in STAGE_ORDER]
-    if unknown:
-        problems.append(f"stages: unknown stage names {unknown}")
+    if not isinstance(config.stages, list) or not all(
+            isinstance(s, str) for s in config.stages):
+        problems.append(f"stages: must be a list of stage names, got {config.stages!r}")
+    else:
+        unknown = [s for s in config.stages if s not in STAGE_ORDER]
+        if unknown:
+            problems.append(f"stages: unknown stage names {unknown}")
     return problems

@@ -7,19 +7,25 @@ utterance_id before writing, so the worker count never affects output bytes.
 The text and audio stages run one chapter at a time: a chapter's input is
 loaded, its records are processed, and the input is dropped before the next
 chapter loads. Nothing decoded outlives its stage.
+While worker threads run, numpy's OpenBLAS is held to one thread, so its own
+threads do not compete with the workers for the same cores.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import logging
 import shlex
 import subprocess
-import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from . import audio as audiolib
 from . import bandwidth as bwlib
@@ -136,10 +142,58 @@ def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
     return path
 
 
+# Thread-count functions of the OpenBLAS that numpy wheels bundle, by build.
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",  # numpy 2.x
+    "openblas_{}_num_threads64_",        # numpy 1.x
+    "openblas_{}_num_threads",
+)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
+
+    Other BLAS builds (MKL, Accelerate, a distro numpy) are not found and
+    are left as they are. Called only from the thread that starts a pool.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # already loaded by numpy: the same handle
+        for name in _OPENBLAS_SYMBOLS:
+            try:
+                get, set_ = (getattr(lib, name.format(op)) for op in ("get", "set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    logger.debug("no OpenBLAS found in %s; BLAS threads left as they are", libs)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread, then restore the count it had."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _pmap(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # Each worker's BLAS calls run in that worker; the pool joins before the
+    # BLAS thread count is restored.
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -447,10 +501,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         with replacing(ctx.out_dir / f"report.{stage}.json") as tmp:
             tmp.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
                            + "\n", encoding="utf-8")
-        print(
-            f"[{stage}] in={n_in} out={len(kept)} dropped={len(rejects)}",
-            file=sys.stderr,
-        )
+        logger.info("[%s] in=%d out=%d dropped=%d", stage, n_in, len(kept), len(rejects))
         records = kept
     exit_code = EXIT_PARTIAL if any_rejects else EXIT_OK
     return PipelineResult(exit_code=exit_code, reports=reports, final_manifest=final_path)

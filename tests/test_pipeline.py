@@ -1,9 +1,12 @@
 import json
+import re
 import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 from scipy.io import wavfile
 
@@ -401,6 +404,36 @@ class TestConfig:
         with pytest.raises(ValueError, match="bogus_key"):
             PipelineConfig.from_yaml(path)
 
+    @pytest.mark.parametrize("override,message", [
+        ({"workers": "2"}, "workers: must be an integer, got '2'"),
+        ({"workers": 2.5}, "workers: must be an integer, got 2.5"),
+        ({"workers": True}, "workers: must be an integer, got True"),
+        ({"seed": "x"}, "seed: must be an integer, got 'x'"),
+        ({"target_sample_rate_hz": 22050.5},
+         "target_sample_rate_hz: must be an integer, got 22050.5"),
+        ({"trim_threshold_db": True}, "trim_threshold_db: must be a number, got True"),
+        ({"max_cer_pct": "50"}, "max_cer_pct: must be a number, got '50'"),
+        ({"stages": "audio"}, "stages: must be a list of stage names, got 'audio'"),
+        ({"stages": ["audio", 3]}, "stages: must be a list of stage names, got ['audio', 3]"),
+    ])
+    def test_wrong_type_is_config_error(self, corpus, tmp_path, override, message):
+        config_path = tmp_path / "config.yaml"
+        data = {**asdict(make_config(corpus, tmp_path / "out")), **override}
+        config_path.write_text(yaml.safe_dump(data))
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"config error: {message}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_document_must_be_a_mapping(self, tmp_path):
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text("- a\n- b\n")
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1, result.output
+        assert (f"config error: {config_path}: must be a mapping of config keys, got list"
+                in result.output)
+
     def test_missing_alignments_fails_fast(self, corpus, tmp_path):
         config = make_config(corpus, tmp_path / "out")
         config.alignments_path = None
@@ -749,3 +782,104 @@ def test_encoder_output_replaces_into_place(tmp_path):
     assert len(kept) == 4
     names = sorted(p.name for p in (tmp_path / "out" / "audio").iterdir())
     assert names == sorted(f"{r.utterance_id}.flac" for r in kept)
+
+
+def _bundles_openblas() -> bool:
+    """numpy names OpenBLAS as its BLAS and ships it in a wheel's numpy.libs."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    return "openblas" in blas.lower() and libs.is_dir()
+
+
+needs_openblas = pytest.mark.skipif(not _bundles_openblas(),
+                                    reason="numpy does not bundle OpenBLAS")
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def blas_threads(self):
+        """The OpenBLAS thread-count getter, with the count set to 2 for the test."""
+        get, set_ = pipeline_mod._openblas()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @needs_openblas
+    def test_pool_workers_run_one_blas_thread(self, blas_threads):
+        assert pipeline_mod._pmap(lambda _: blas_threads(), [0] * 4, 2) == [1] * 4
+        assert blas_threads() == 2
+
+    @needs_openblas
+    def test_count_restored_when_a_worker_raises(self, blas_threads):
+        def work(i):
+            if i == 2:
+                raise RuntimeError("worker failed")
+            return blas_threads()
+
+        with pytest.raises(RuntimeError, match="worker failed"):
+            pipeline_mod._pmap(work, [0, 1, 2, 3], 2)
+        assert blas_threads() == 2
+
+    @needs_openblas
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_run_pipeline_restores_count(self, corpus, tmp_path, monkeypatch,
+                                         blas_threads, fail):
+        resample_, seen = audiolib.resample, []
+
+        def tracking_resample(buf, target_hz):
+            seen.append(blas_threads())
+            if fail:
+                raise RuntimeError("resampler failed")
+            return resample_(buf, target_hz)
+
+        monkeypatch.setattr(audiolib, "resample", tracking_resample)
+        config = make_config(corpus, tmp_path / "out", workers=2)
+        config.stages = ["audio"]
+        if fail:
+            with pytest.raises(RuntimeError, match="resampler failed"):
+                run_pipeline(config)
+        else:
+            run_pipeline(config)
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_serial_path_never_sets_blas_threads(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline_mod, "_openblas", lambda: (lambda: 3, calls.append))
+        assert pipeline_mod._pmap(str, [1, 2], 1) == ["1", "2"]
+        assert pipeline_mod._pmap(str, [1], 4) == ["1"]
+        assert calls == []
+        assert pipeline_mod._pmap(str, [1, 2], 2) == ["1", "2"]
+        assert calls == [1, 3]
+
+    @pytest.mark.parametrize("found", [True, False], ids=["openblas", "none"])
+    def test_same_bytes_at_any_worker_count(self, tmp_path, monkeypatch, found):
+        if not found:
+            monkeypatch.setattr(pipeline_mod, "_openblas", lambda: None)
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
+        outs = []
+        for workers in (1, 2):
+            outs.append(tmp_path / f"w{workers}")
+            config = make_config(root, outs[-1], workers=workers)
+            config.stages = ["audio", "bandwidth"]
+            run_pipeline(config)
+        names = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*") if p.is_file())
+        assert any(name.endswith(".wav") for name in names)
+        assert names == sorted(
+            str(p.relative_to(outs[1])) for p in outs[1].rglob("*") if p.is_file())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_stage_summary_logged_on_cli_stderr_only(corpus, tmp_path, capfd):
+    config = make_config(corpus, tmp_path / "lib")
+    config.stages = ["text"]
+    run_pipeline(config)
+    assert capfd.readouterr().err == ""
+    config.out_dir = str(tmp_path / "cli")
+    config_path = tmp_path / "config.yaml"
+    config.to_yaml(config_path)
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 0, result.output
+    assert re.fullmatch(r"\[text\] in=(\d+) out=\1 dropped=0\n", result.stderr)
