@@ -1,6 +1,16 @@
 """speechcurate: deterministic speech-corpus curation for TTS training."""
 
-from .audio import AudioBuffer, TrimResult, load_pcm, mixdown, resample, save_pcm, trim_silence
+from .audio import (
+    AudioBuffer,
+    PcmFile,
+    TrimResult,
+    load_pcm,
+    mixdown,
+    open_pcm,
+    resample,
+    save_pcm,
+    trim_silence,
+)
 from .bandwidth import (
     BandwidthEstimate,
     PowerSpectrum,

@@ -123,13 +123,32 @@ def _mix(data: np.ndarray, zero: float = 0.0, scale: float = 1.0) -> np.ndarray:
     return total
 
 
-def _read_wav(fid, head_s: float | None, mono: bool) -> tuple[int, np.ndarray]:
-    """Parse a little-endian RIFF/WAVE stream into (rate, float64 samples).
+@dataclass(frozen=True)
+class PcmFile:
+    """An opened PCM WAV stream: its header and where its frames start.
+
+    A WAV file keeps only its path; each read opens the file, seeks and
+    reads its own bytes, so threads can read one PcmFile at once without
+    sharing a file handle. Decoder output keeps the decoder's whole stdout.
+    """
+
+    path: Path
+    stream: bytes | None  # decoder output; None for a WAV file read in place
+    sample_rate_hz: int
+    channels: int
+    width: int  # bytes per sample
+    encoding: tuple[str, float, float]  # stored dtype, zero level, full scale
+    data_offset: int  # byte position of the first frame
+    num_frames: int
+
+
+def _read_header(fid) -> tuple:
+    """(rate, channels, bytes per sample, encoding, data offset, frames) of a
+    little-endian RIFF/WAVE stream.
 
     Chunks before `data` other than `fmt ` are skipped, with their pad byte.
-    Only the frames returned are read from `data`. A declared data size
-    larger than what is left (a WAV written to a pipe) reads to the end in
-    whole frames. With `mono`, channels are mixed one column at a time.
+    A declared data size larger than what is left (a WAV written to a pipe)
+    counts the whole frames up to the end.
     """
     riff = fid.read(12)
     if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
@@ -148,31 +167,72 @@ def _read_wav(fid, head_s: float | None, mono: bool) -> tuple[int, np.ndarray]:
         fid.seek(start + size + (size & 1))
     if fmt is None:
         raise AudioError("data chunk before fmt chunk")
-    rate, channels, width, (dtype, zero, scale) = fmt
+    rate, channels, width, encoding = fmt
     here = fid.tell()
     frames = min(size, fid.seek(0, io.SEEK_END) - here) // (channels * width)
-    fid.seek(here)
-    if head_s is not None:
-        frames = min(frames, max(0, int(round(head_s * rate))))
-    raw = fid.read(frames * channels * width)
-    if width == 3:
-        wide = np.zeros((frames * channels, 4), np.uint8)
+    return rate, channels, width, encoding, here, frames
+
+
+def open_pcm(path: str | Path, decoder_cmd: str | None = None) -> PcmFile:
+    """Parse the header of a PCM WAV file, or of `decoder_cmd`'s output for it.
+
+    No frames are read from a WAV file. A path that is not `.wav` is decoded
+    by `decoder_cmd` when one is given (see load_pcm), once; its output is
+    kept on the PcmFile for every later read.
+    """
+    stream = None
+    if decoder_cmd is not None and Path(path).suffix.lower() != ".wav":
+        cmd = [part.format(input=str(path)) for part in shlex.split(decoder_cmd)]
+        stream = subprocess.run(cmd, capture_output=True, check=True).stdout
+        fid = io.BytesIO(stream)
+    else:
+        fid = open(path, "rb")
+    with fid:
+        try:
+            header = _read_header(fid)
+        except AudioError as exc:
+            raise AudioError(f"{path}: {exc}") from None
+    return PcmFile(Path(path), stream, *header)
+
+
+def _read_frames(pcm: PcmFile, start: int, stop: int, mono: bool) -> np.ndarray:
+    """Frames [start, stop) of pcm, clipped to its frames, as float64.
+
+    Only those frames' bytes are read. With `mono`, channels are mixed one
+    column at a time.
+    """
+    block = pcm.channels * pcm.width
+    start = max(0, start)
+    offset = pcm.data_offset + start * block
+    size = max(0, min(stop, pcm.num_frames) - start) * block
+    if pcm.stream is not None:
+        raw = memoryview(pcm.stream)[offset:offset + size]
+    else:
+        with open(pcm.path, "rb") as fh:
+            fh.seek(offset)
+            raw = fh.read(size)
+    frames = len(raw) // block  # fewer if the file shrank since it was opened
+    raw = raw[:frames * block]
+    dtype, zero, scale = pcm.encoding
+    if pcm.width == 3:
+        wide = np.zeros((frames * pcm.channels, 4), np.uint8)
         wide[:, 1:] = np.frombuffer(raw, np.uint8).reshape(-1, 3)
         data = wide.view(dtype)[:, 0]
     else:
         data = np.frombuffer(raw, dtype)
-    if channels > 1:
-        data = data.reshape(frames, channels)
+    if pcm.channels > 1:
+        data = data.reshape(frames, pcm.channels)
         if mono:
-            return rate, _mix(data, zero, scale)
-    return rate, _as_float(data, zero, scale)
+            return _mix(data, zero, scale)
+    return _as_float(data, zero, scale)
 
 
 def load_pcm(
-    path: str | Path,
+    path: str | Path | PcmFile,
     decoder_cmd: str | None = None,
     head_s: float | None = None,
     mono: bool = False,
+    offset_s: float = 0.0,
 ) -> AudioBuffer:
     """Load a PCM WAV file with amplitudes normalized to [-1, 1].
 
@@ -181,24 +241,19 @@ def load_pcm(
     AudioError. A path that is not `.wav` is decoded by `decoder_cmd` when
     one is given: an argv template whose `{input}` is replaced by the path and
     whose stdout is a WAV stream, e.g.
-    `"ffmpeg -loglevel error -i {input} -f wav -"`. With `head_s`, only the
-    first round(head_s * rate) frames are read; the values equal those of
-    the full load sliced afterwards. With `mono`, the channels are mixed
-    while decoding, bit-equal to `mixdown(load_pcm(...))` but without
-    building the multichannel float64 array.
+    `"ffmpeg -loglevel error -i {input} -f wav -"`. `path` may also be a
+    PcmFile from open_pcm, which is read without decoding or parsing again.
+    Frames round(offset_s * rate) up to round((offset_s + head_s) * rate)
+    are read, clipped to the stream (to its end without `head_s`); the
+    values equal those of the full load sliced afterwards. With `mono`, the
+    channels are mixed while decoding, bit-equal to `mixdown(load_pcm(...))`
+    but without building the multichannel float64 array.
     """
-    if decoder_cmd is not None and Path(path).suffix.lower() != ".wav":
-        cmd = [part.format(input=str(path)) for part in shlex.split(decoder_cmd)]
-        proc = subprocess.run(cmd, capture_output=True, check=True)
-        fid = io.BytesIO(proc.stdout)
-    else:
-        fid = open(path, "rb")
-    with fid:
-        try:
-            rate, samples = _read_wav(fid, head_s, mono)
-        except AudioError as exc:
-            raise AudioError(f"{path}: {exc}") from None
-    return AudioBuffer(samples=samples, sample_rate_hz=rate)
+    pcm = path if isinstance(path, PcmFile) else open_pcm(path, decoder_cmd)
+    rate = pcm.sample_rate_hz
+    start = int(round(offset_s * rate))
+    stop = pcm.num_frames if head_s is None else int(round((offset_s + head_s) * rate))
+    return AudioBuffer(samples=_read_frames(pcm, start, stop, mono), sample_rate_hz=rate)
 
 
 def save_pcm(buf: AudioBuffer, path: str | Path, bit_depth: int = 16) -> None:

@@ -6,7 +6,9 @@ manifest instead of aborting the run. Worker results are re-sorted by
 utterance_id before writing, so the worker count never affects output bytes.
 The text and audio stages run one chapter at a time: a chapter's input is
 loaded, its records are processed, and the input is dropped before the next
-chapter loads. Nothing decoded outlives its stage.
+chapter loads. The audio stage's chapter input is the opened file, from which
+each worker decodes only its own record's frames. Nothing decoded outlives
+its stage.
 While worker threads run, numpy's OpenBLAS is held to one thread, so its own
 threads do not compete with the workers for the same cores.
 """
@@ -107,20 +109,22 @@ class _Context:
             self._chapters = {c.chapter_id: c for c in read_chapters(path)}
         return self._chapters
 
-    def load_chapter(
-        self, chapter_id: str, head_s: float | None = None
-    ) -> audiolib.AudioBuffer | str:
-        """The chapter's mono audio (only its first head_s seconds if given) or a reject reason."""
+    def open_chapter(self, chapter_id: str) -> audiolib.PcmFile | str:
+        """The chapter's opened audio (see audio.open_pcm) or a reject reason."""
         chapter = self.chapters[chapter_id]
         path = Path(self.config.audio_root) / chapter.audio_path
         # Unreadable: corrupt or unsupported file, missing file or decoder, failing decoder.
         try:
-            buf = audiolib.load_pcm(path, self.config.decoder_cmd, head_s=head_s, mono=True)
+            pcm = audiolib.open_pcm(path, self.config.decoder_cmd)
         except (audiolib.AudioError, OSError, subprocess.CalledProcessError) as exc:
-            return f"chapter_audio_unreadable:{exc.__class__.__name__}"
-        if buf.sample_rate_hz != chapter.sample_rate_hz:
+            return _unreadable(exc)
+        if pcm.sample_rate_hz != chapter.sample_rate_hz:
             return "sample_rate_mismatch"
-        return buf
+        return pcm
+
+
+def _unreadable(exc: Exception) -> str:
+    return f"chapter_audio_unreadable:{exc.__class__.__name__}"
 
 
 def _load_text_file(load, path: str | None, default):
@@ -279,13 +283,15 @@ def _stage_audio(records, ctx: _Context):
         if chapter_id not in ctx.chapters:
             raise StageError("audio", f"chapter {chapter_id!r} not in chapters manifest")
 
-    def work(rec: UtteranceRecord, buf: audiolib.AudioBuffer):
-        sr = buf.sample_rate_hz
-        start = int(round(rec.offset_s * sr))
-        stop = int(round((rec.offset_s + rec.duration_s) * sr))
-        if start >= buf.num_frames:
+    def work(rec: UtteranceRecord, pcm: audiolib.PcmFile):
+        if int(round(rec.offset_s * pcm.sample_rate_hz)) >= pcm.num_frames:
             return _Reject(rec, "offset_past_end")
-        piece = audiolib.AudioBuffer(buf.samples[start:stop], sr)
+        # Each worker decodes only its own record's frames.
+        try:
+            piece = audiolib.load_pcm(pcm, head_s=rec.duration_s, mono=True,
+                                      offset_s=rec.offset_s)
+        except OSError as exc:  # the file went away after the chapter was opened
+            return _Reject(rec, _unreadable(exc))
         piece = audiolib.resample(piece, cfg.target_sample_rate_hz)
         trim = audiolib.trim_silence(
             piece,
@@ -313,7 +319,7 @@ def _stage_audio(records, ctx: _Context):
             )
         ]
 
-    return _collect(_by_chapter(records, ctx.load_chapter, work, ctx.config.workers))
+    return _collect(_by_chapter(records, ctx.open_chapter, work, ctx.config.workers))
 
 
 def _encode(buf: audiolib.AudioBuffer, out_path: Path, encoder_cmd: str) -> None:
@@ -336,10 +342,14 @@ def _stage_bandwidth(records, ctx: _Context):
         """The chapter's bandwidth in Hz, or the reason its records are rejected."""
         if chapter_id not in ctx.chapters:
             return "missing_chapter"
+        pcm = ctx.open_chapter(chapter_id)
+        if isinstance(pcm, str):
+            return pcm
         # Only the analysed head is decoded.
-        head = ctx.load_chapter(chapter_id, head_s=cfg.bandwidth_analysis_s)
-        if isinstance(head, str):
-            return head
+        try:
+            head = audiolib.load_pcm(pcm, head_s=cfg.bandwidth_analysis_s, mono=True)
+        except OSError as exc:
+            return _unreadable(exc)
         est = bwlib.chapter_bandwidth(
             head,
             cfg.target_sample_rate_hz,

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from speechcurate.audio import (
     AudioError,
     load_pcm,
     mixdown,
+    open_pcm,
     resample,
     save_pcm,
     trim_silence,
@@ -192,6 +194,65 @@ class TestMonoLoad:
         assert mono.sample_rate_hz == full.sample_rate_hz
         assert mono.num_frames == (197 if route == "head" else 800)
         _same_bits(mono.samples, mixdown(full).samples)
+
+
+class TestRangeRead:
+    RATE = 16000  # _wav_stream's rate; its streams hold 800 frames
+    # (offset_s, head_s): from frame 0; off the frame grid; a stop past the
+    # end; a start exactly at the frame count; stop == start; stop < start.
+    SPANS = [(0.0, 0.01), (0.01234, 0.00777), (0.045, 1.0), (0.05, 0.01),
+             (0.02, 0.00001), (0.03, -0.005)]
+
+    @staticmethod
+    def _frames(offset_s, head_s, rate):
+        """The audio stage's frame range of a record."""
+        return int(round(offset_s * rate)), int(round((offset_s + head_s) * rate))
+
+    @pytest.mark.parametrize("route", ["wav", "decoder"])
+    @pytest.mark.parametrize("mono", [False, True])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8])
+    @pytest.mark.parametrize("encoding", list(_ENCODINGS))
+    def test_equals_slice_of_full_load(self, tmp_path, encoding, channels, mono, route):
+        # Not .wav: the decoder route goes through decoder_cmd.
+        path = tmp_path / ("chapter.wav" if route == "wav" else "chapter.raw")
+        path.write_bytes(_wav_stream(encoding, channels))
+        decoder_cmd = "cat {input}" if route == "decoder" else None
+        full = load_pcm(path, decoder_cmd, mono=mono).samples
+        pcm = open_pcm(path, decoder_cmd)
+        assert pcm.num_frames == 800
+        assert (pcm.stream is None) == (route == "wav")
+        for offset_s, head_s in self.SPANS:
+            start, stop = self._frames(offset_s, head_s, self.RATE)
+            piece = load_pcm(pcm, head_s=head_s, mono=mono, offset_s=offset_s)
+            assert piece.sample_rate_hz == self.RATE
+            _same_bits(piece.samples, full[start:stop])
+
+    def test_declared_size_past_file_end(self, tmp_path):
+        stream = _wav_stream("int16", 2)  # 4-byte frames
+        path = tmp_path / "cut.wav"
+        path.write_bytes(stream[:-1002])  # 549 whole frames and half of one
+        full = load_pcm(path).samples
+        assert len(full) == 549
+        pcm = open_pcm(path)
+        assert pcm.num_frames == 549
+        for offset_s, head_s in [(0.03, 1.0), (549 / self.RATE, 0.01), (0.04, 0.01)]:
+            start, stop = self._frames(offset_s, head_s, self.RATE)
+            piece = load_pcm(pcm, head_s=head_s, offset_s=offset_s)
+            _same_bits(piece.samples, full[start:stop])
+
+    def test_threads_read_one_file_at_once(self, tmp_path):
+        path = tmp_path / "chapter.wav"
+        path.write_bytes(_wav_stream("int24", 3))
+        pcm = open_pcm(path)
+        spans = [(i / 1000, 0.003 * (i % 5)) for i in range(50)]
+
+        def read(span):
+            return load_pcm(pcm, head_s=span[1], mono=True, offset_s=span[0]).samples
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pieces = list(pool.map(read, spans))
+        for span, piece in zip(spans, pieces):
+            _same_bits(piece, read(span))
 
 
 class TestResample:

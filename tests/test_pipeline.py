@@ -188,6 +188,17 @@ def _ids(path):
     return [r.utterance_id for r in read_manifest(path)] if path.exists() else []
 
 
+def _decoded_copies(root, chapter_ids):
+    """Point the chapters at `.raw` copies of their WAVs, which only decoder_cmd reads."""
+    chapters = read_chapters(root / "chapters.jsonl")
+    for i, chapter in enumerate(chapters):
+        if chapter.chapter_id in chapter_ids:
+            raw = str(Path(chapter.audio_path).with_suffix(".raw"))
+            (root / raw).write_bytes((root / chapter.audio_path).read_bytes())
+            chapters[i] = ChapterRecord(**{**chapter.to_json_dict(), "audio_path": raw})
+    write_chapters(chapters, root / "chapters.jsonl")
+
+
 class TestChapterStreaming:
     def test_interleaved_chapters_reject_in_input_order(self, tmp_path):
         root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
@@ -244,32 +255,97 @@ class TestChapterStreaming:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
-    def test_one_decoded_chapter_alive(self, corpus, tmp_path, monkeypatch):
-        chapters: list[weakref.ref] = []
-        load_pcm_, save_pcm_ = audiolib.load_pcm, audiolib.save_pcm
+    def test_one_decoded_chapter_alive(self, tmp_path, monkeypatch):
+        # ch0 and ch2 go through decoder_cmd, so their opened audio holds the
+        # decoded stream; ch1 and ch3 are read in place.
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
+        _decoded_copies(root, ("ch0", "ch2"))
+        records = read_manifest(root / "utterances.jsonl")
+        spans = {(r.offset_s, r.duration_s) for r in records}
+        opened: list[weakref.ref] = []
+        loaded: list[int] = []
+        open_pcm_, load_pcm_ = audiolib.open_pcm, audiolib.load_pcm
 
         def alive():
-            return sum(ref() is not None for ref in chapters)
+            return sum(ref() is not None for ref in opened)
 
-        def tracking_load(path, decoder_cmd=None, head_s=None, mono=False):
-            if head_s is not None:
-                return load_pcm_(path, decoder_cmd, head_s, mono)
-            assert alive() == 0, "previous chapter still alive at the next load"
-            buf = load_pcm_(path, decoder_cmd, mono=mono)
-            chapters.append(weakref.ref(buf.samples))
+        def tracking_open(path, decoder_cmd=None):
+            assert alive() == 0, "previous chapter still open at the next open"
+            pcm = open_pcm_(path, decoder_cmd)
+            opened.append(weakref.ref(pcm))
+            return pcm
+
+        def checking_load(pcm, decoder_cmd=None, head_s=None, mono=False, offset_s=0.0):
+            assert alive() <= 1, f"{alive()} chapters open"
+            assert (offset_s, head_s) in spans, "a read that is not one record's"
+            buf = load_pcm_(pcm, decoder_cmd, head_s, mono, offset_s)
+            sr = buf.sample_rate_hz
+            assert buf.num_frames <= int(round((offset_s + head_s) * sr)) - int(round(offset_s * sr))
+            loaded.append(buf.num_frames)
             return buf
 
-        def checking_save(buf, path, *args, **kwargs):
-            assert alive() <= 1, f"{alive()} decoded chapters alive"
-            save_pcm_(buf, path, *args, **kwargs)
-
-        monkeypatch.setattr(audiolib, "load_pcm", tracking_load)
-        monkeypatch.setattr(audiolib, "save_pcm", checking_save)
-        config = make_config(corpus, tmp_path / "out", workers=2)
-        config.stages = ["audio", "bandwidth"]
+        monkeypatch.setattr(audiolib, "open_pcm", tracking_open)
+        monkeypatch.setattr(audiolib, "load_pcm", checking_load)
+        config = make_config(root, tmp_path / "out", workers=2)
+        config.stages = ["audio"]
+        config.decoder_cmd = "cat {input}"
         result = run_pipeline(config)
-        assert len(chapters) == 4
-        assert result.reports[0].records_out > 0
+        assert len(opened) == 4 and alive() == 0
+        assert len(loaded) == len(records) == result.reports[0].records_out
+
+    def test_decoder_runs_once_per_chapter(self, tmp_path, monkeypatch):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
+        config = make_config(root, tmp_path / "wav")
+        config.stages = ["audio"]
+        run_pipeline(config)
+        chapter_ids = [c.chapter_id for c in read_chapters(root / "chapters.jsonl")]
+        _decoded_copies(root, chapter_ids)
+        decoded: list[str] = []
+        run_ = audiolib.subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            decoded.append(Path(cmd[-1]).stem)
+            return run_(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(audiolib.subprocess, "run", counting_run)
+        reference = {str(p.relative_to(tmp_path / "wav")): p.read_bytes()
+                     for p in (tmp_path / "wav").rglob("*") if p.is_file()}
+        for workers in (1, 2):
+            decoded.clear()
+            out = tmp_path / f"raw{workers}"
+            config = make_config(root, out, workers=workers)
+            config.stages = ["audio"]
+            config.decoder_cmd = "cat {input}"
+            run_pipeline(config)
+            assert sorted(decoded) == chapter_ids
+            assert {str(p.relative_to(out)): p.read_bytes()
+                    for p in out.rglob("*") if p.is_file()} == reference
+
+    def test_record_edges_rejected_as_before(self, tmp_path):
+        # At 4 kHz the 0.1 ms manifest resolution is under one sample.
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        noise = np.random.default_rng(3).uniform(-0.5, 0.5, 4000)  # 1 s
+        save_pcm(AudioBuffer(noise, 4000), root / "raw" / "ch8.wav")
+        chapters = read_chapters(root / "chapters.jsonl")
+        chapters.append(ChapterRecord("ch8", "book0", "spk8", "raw/ch8.wav", 4000))
+        write_chapters(chapters, root / "chapters.jsonl")
+        records = read_manifest(root / "utterances.jsonl")
+        template = records[0].with_fields(chapter_id="ch8", audio_path="raw/ch8.wav")
+        records += [
+            template.with_fields(utterance_id="ch8_0000", offset_s=0.0, duration_s=1.0),
+            # Shorter than one sample: no frame is read.
+            template.with_fields(utterance_id="ch8_0001", offset_s=0.5, duration_s=0.0001),
+            # Starts exactly at the chapter's end.
+            template.with_fields(utterance_id="ch8_0002", offset_s=1.0, duration_s=0.5),
+        ]
+        write_manifest(records, root / "utterances.jsonl")
+        config = make_config(root, tmp_path / "out", workers=2)
+        config.stages = ["audio"]
+        result = run_pipeline(config)
+        assert result.reports[0].drop_reasons == {"empty_after_trim": 1,
+                                                  "offset_past_end": 1}
+        assert _ids(tmp_path / "out" / "rejects.audio.jsonl") == ["ch8_0001", "ch8_0002"]
+        assert "ch8_0000" in _ids(result.final_manifest)
 
     def test_stereo_chapters_decoded_to_mono(self, tmp_path, monkeypatch):
         root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
@@ -296,7 +372,8 @@ class TestChapterStreaming:
         config.stages = ["audio", "bandwidth"]
         result = run_pipeline(config)
         assert result.reports[0].records_out > 0
-        assert len(seen["load_pcm"]) == 8 and len(seen["resample"]) >= 8
+        # One read per record (4 chapters of 2) and one head per chapter.
+        assert len(seen["load_pcm"]) == 8 + 4 and len(seen["resample"]) >= 8
         assert {name: set(dims) for name, dims in seen.items()} == {
             "load_pcm": {1}, "mixdown": {1}, "resample": {1}}
 
@@ -322,6 +399,25 @@ class TestChapterStreaming:
             "chapter_audio_unreadable:CalledProcessError": 2,
         }
         assert {r.chapter_id for r in read_manifest(result.final_manifest)} == {"ch0"}
+
+    @pytest.mark.parametrize("stage", ["audio", "bandwidth"])
+    def test_chapter_removed_after_open_rejected(self, tmp_path, monkeypatch, stage):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        open_pcm_ = audiolib.open_pcm
+
+        def open_then_remove(path, decoder_cmd=None):
+            pcm = open_pcm_(path, decoder_cmd)
+            if Path(path).stem == "ch1":
+                Path(path).unlink()
+            return pcm
+
+        monkeypatch.setattr(audiolib, "open_pcm", open_then_remove)
+        config = make_config(root, tmp_path / "out", workers=2)
+        config.stages = [stage]
+        result = run_pipeline(config)
+        assert result.reports[0].drop_reasons == {
+            "chapter_audio_unreadable:FileNotFoundError": 2}
+        assert "ch1" not in {r.chapter_id for r in read_manifest(result.final_manifest)}
 
 
 def _bandwidth_only_config(root, samples, sr):
@@ -415,6 +511,14 @@ class TestConfig:
         ({"max_cer_pct": "50"}, "max_cer_pct: must be a number, got '50'"),
         ({"stages": "audio"}, "stages: must be a list of stage names, got 'audio'"),
         ({"stages": ["audio", 3]}, "stages: must be a list of stage names, got ['audio', 3]"),
+        # NaN passes every `<` bound; a zero analysis window has no spectrum.
+        ({"trim_threshold_db": float("nan")}, "trim_threshold_db: must be a number, got nan"),
+        ({"max_cer_pct": float("nan")}, "max_cer_pct: must be a number, got nan"),
+        ({"bandwidth_analysis_s": 0}, "bandwidth_analysis_s: must be > 0, got 0"),
+        ({"out_dir": 5}, "out_dir: must be a string, got 5"),
+        ({"audio_root": None}, "audio_root: must be a string, got None"),
+        ({"alignments_path": 3}, "alignments_path: must be a string or null, got 3"),
+        ({"decoder_cmd": 5}, "decoder_cmd: must be a string or null, got 5"),
     ])
     def test_wrong_type_is_config_error(self, corpus, tmp_path, override, message):
         config_path = tmp_path / "config.yaml"
