@@ -94,12 +94,17 @@ def _parse_fmt(body: bytes) -> tuple[int, int, int, tuple[str, float, float]]:
 
 
 def _as_float(data: np.ndarray, zero: float = 0.0, scale: float = 1.0) -> np.ndarray:
-    """(data - zero) / scale as a new float64 array."""
-    samples = data.astype(np.float64)
-    if zero:
-        samples -= zero
-    if scale != 1.0:
-        samples /= scale
+    """(data - zero) / scale as a new float64 array.
+
+    Every integer encoding's scale is a power of two, so multiplying by
+    1 / scale gives the same bits as dividing by it.
+    """
+    if scale == 1.0:
+        return data.astype(np.float64)
+    if not zero:
+        return np.multiply(data, 1.0 / scale, dtype=np.float64)
+    samples = np.subtract(data, zero, dtype=np.float64)
+    samples *= 1.0 / scale
     return samples
 
 
@@ -108,17 +113,28 @@ def _mix(data: np.ndarray, zero: float = 0.0, scale: float = 1.0) -> np.ndarray:
 
     Bit-equal to `_as_float(data, zero, scale).mean(axis=1)`. Up to 7 channels
     numpy's mean adds the channels in order to a +0.0 start and divides once,
-    so the columns are converted and added one at a time and no multichannel
-    float array is built. From 8 channels numpy sums in pairwise blocks, so
+    so no multichannel float array is built. Integer samples are added as
+    float64, where their sum is exact, and shifted and scaled once: every
+    partial sum of the scaled channels is exact too, so the result has the
+    same bits. Float samples (and a single channel) are converted and added
+    one column at a time. From 8 channels numpy sums in pairwise blocks, so
     the full array is averaged.
     """
     channels = data.shape[1]
     if channels >= 8:
         return _as_float(data, zero, scale).mean(axis=1)
-    total = _as_float(data[:, 0], zero, scale)
-    total += 0.0  # the +0.0 start: a frame of -0.0 samples mixes to +0.0
-    for c in range(1, channels):
-        total += _as_float(data[:, c], zero, scale)
+    if channels >= 2 and data.dtype.kind in "iu":
+        total = np.add(data[:, 0], data[:, 1], dtype=np.float64)
+        for c in range(2, channels):
+            total += data[:, c]
+        if zero:
+            total -= zero * channels
+        total *= 1.0 / scale
+    else:
+        total = _as_float(data[:, 0], zero, scale)
+        total += 0.0  # the +0.0 start: a frame of -0.0 samples mixes to +0.0
+        for c in range(1, channels):
+            total += _as_float(data[:, c], zero, scale)
     total /= channels
     return total
 
@@ -262,7 +278,9 @@ def save_pcm(buf: AudioBuffer, path: str | Path, bit_depth: int = 16) -> None:
     The bytes equal those scipy.io.wavfile.write gives for the same array.
     """
     if bit_depth == 16:
-        scaled = np.clip(np.round(buf.samples * 32768.0), -32768, 32767)
+        scaled = buf.samples * 32768.0
+        np.round(scaled, out=scaled)
+        np.clip(scaled, -32768, 32767, out=scaled)
         data, tag = scaled.astype("<i2"), _WAVE_FORMAT_PCM
     elif bit_depth == 32:
         data, tag = buf.samples.astype("<f4"), _WAVE_FORMAT_IEEE_FLOAT
@@ -372,13 +390,12 @@ def resample(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
 
 
 def _frame_rms(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    if len(x) < frame:
-        pad = np.zeros(frame)
-        pad[: len(x)] = x
-        x = pad
-    n_frames = (len(x) - frame) // hop + 1
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop][:n_frames]
-    return np.sqrt((frames**2).mean(axis=1))
+    """RMS of each `frame`-sample window, `hop` apart, zero-padded to one frame."""
+    squares = np.square(x)
+    if len(squares) < frame:
+        squares = np.concatenate([squares, np.zeros(frame - len(squares))])
+    windows = np.lib.stride_tricks.sliding_window_view(squares, frame)[::hop]
+    return np.sqrt(windows.mean(axis=1))
 
 
 def trim_silence(

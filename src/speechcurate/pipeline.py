@@ -4,13 +4,14 @@ Each stage reads the previous stage's manifest and writes a new one plus a
 JSON stage report; per-utterance failures are quarantined into a rejects
 manifest instead of aborting the run. Worker results are re-sorted by
 utterance_id before writing, so the worker count never affects output bytes.
-The text and audio stages run one chapter at a time: a chapter's input is
-loaded, its records are processed, and the input is dropped before the next
-chapter loads. The audio stage's chapter input is the opened file, from which
-each worker decodes only its own record's frames. Nothing decoded outlives
-its stage.
-While worker threads run, numpy's OpenBLAS is held to one thread, so its own
-threads do not compete with the workers for the same cores.
+The text and audio stages stream chapters through one worker pool: chapter
+inputs are loaded in chapter order on the calling thread, the next one while
+the current one's records run, and at most two are alive at once. The audio
+stage's chapter input is the opened file, from which each worker decodes only
+its own record's frames. Nothing decoded outlives its stage.
+Each stage that runs worker threads starts one pool and, while it runs, holds
+numpy's OpenBLAS to one thread, so its own threads do not compete with the
+workers for the same cores.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import logging
 import shlex
 import subprocess
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -192,12 +194,25 @@ def _one_blas_thread():
         set_(before)
 
 
+@contextmanager
+def _pool(workers: int):
+    """A pool of `workers` threads, with numpy's OpenBLAS held to one thread.
+
+    On leaving, queued tasks are cancelled and running ones joined before
+    the BLAS thread count is restored.
+    """
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            yield pool
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _pmap(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    # Each worker's BLAS calls run in that worker; the pool joins before the
-    # BLAS thread count is restored.
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+    with _pool(workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -216,27 +231,56 @@ class _Reject(NamedTuple):
 
 
 def _by_chapter(records, load, work, workers: int):
-    """Map work(rec, chapter_input) over records, one chapter at a time.
+    """Map work(rec, chapter_input) over records, streamed chapter by chapter.
 
-    Chapters are visited in sorted order. load(chapter_id) returns the
-    chapter's input or the reject reason (a str) for all its records; the
-    input is dropped before the next chapter is loaded. Results are returned
-    in input-record order, which is the order rejects are written in.
+    Chapters are loaded on the calling thread in sorted order. load(chapter_id)
+    returns the chapter's input or the reject reason (a str) for all its
+    records. With workers > 1 one pool runs every chapter's records: the next
+    chapter is loaded while the current one's records run, and the oldest
+    chapter's results are collected, and its input dropped, before a third is
+    loaded, so at most two chapter inputs are alive and the pool does not
+    drain at a chapter's end. A chapter's records are queued longest
+    `duration_s` first. Results are returned in input-record order, which is
+    the order rejects are written in.
     """
     groups: dict[str, list[int]] = {}
     for i, rec in enumerate(records):
         groups.setdefault(rec.chapter_id, []).append(i)
     results: list = [None] * len(records)
-    for chapter_id in sorted(groups):
-        indices = groups[chapter_id]
-        data = load(chapter_id)
-        if isinstance(data, str):
-            done = [_Reject(records[i], data) for i in indices]
-        else:
-            done = _pmap(lambda rec: work(rec, data), [records[i] for i in indices], workers)
+    if workers <= 1 or len(records) <= 1:
+        for chapter_id in sorted(groups):
+            data = load(chapter_id)
+            for i in groups[chapter_id]:
+                results[i] = (_Reject(records[i], data) if isinstance(data, str)
+                              else work(records[i], data))
             del data
-        for i, result in zip(indices, done):
-            results[i] = result
+        return results
+
+    def run(rec, held: list):
+        return work(rec, held[0])
+
+    def collect(futures: dict, held: list):
+        for i, future in futures.items():
+            results[i] = future.result()
+        held.clear()  # the tasks that ran keep only this emptied list
+
+    with _pool(workers) as pool:
+        pending: deque = deque()  # ({index: future}, [input]) of submitted chapters
+        for chapter_id in sorted(groups):
+            if len(pending) == 2:
+                collect(*pending.popleft())
+            data = load(chapter_id)
+            indices = groups[chapter_id]
+            if isinstance(data, str):
+                for i in indices:
+                    results[i] = _Reject(records[i], data)
+                continue
+            held = [data]
+            # Longest records first, so that short ones fill the last gaps.
+            order = sorted(indices, key=lambda i: -records[i].duration_s)
+            pending.append(({i: pool.submit(run, records[i], held) for i in order}, held))
+        while pending:
+            collect(*pending.popleft())
     return results
 
 
@@ -428,7 +472,9 @@ def _stage_speakers(records, ctx: _Context):
         tagged = curation.apply_speaker_counts(records, counts)
     except curation.CurationError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return tagged, [], {}
+    counted = {c.utterance_id for c in counts}
+    missing = sum(rec.utterance_id not in counted for rec in tagged)
+    return tagged, [], ({"no_speaker_count": missing} if missing else {})
 
 
 def _collect(results):

@@ -151,6 +151,66 @@ class TestMixdown:
         _same_bits(out.samples, x.mean(axis=1))
 
 
+# name -> (format tag, bytes per sample, extreme stored values: min, max, silence).
+# 24-bit samples are stored left-justified in int32.
+_KERNEL_CASES = {
+    "uint8": (1, 1, [0, 255, 128]),
+    "int16": (1, 2, [-32768, 32767, 0]),
+    "int24": (1, 3, [-(2**31), (2**23 - 1) << 8, 0]),
+    "int32": (1, 4, [-(2**31), 2**31 - 1, 0]),
+    "float32": (3, 4, [-1.0, 1.0, -0.0]),
+    "float64": (3, 8, [-1.0, 1.0, -0.0]),
+}
+
+
+def _stored(encoding, channels, frames=1031):
+    """Random stored samples with rows of every extreme, as the WAV reader holds them."""
+    tag, width, extremes = _KERNEL_CASES[encoding]
+    dtype, zero, scale = audiolib._ENCODINGS[(tag, width)]
+    rng = np.random.default_rng(channels * 17 + width + tag)
+    if tag == 3:
+        x = rng.uniform(-1, 1, (frames, channels))
+    elif width == 3:
+        x = rng.integers(-(2**23), 2**23, (frames, channels)) << 8
+    else:
+        info = np.iinfo(np.dtype(dtype))
+        x = rng.integers(info.min, info.max, (frames, channels), endpoint=True)
+    x = x.astype(dtype)
+    lo, hi, silence = extremes
+    x[0], x[1], x[2] = lo, hi, silence  # all-min, all-max and all-silent frames
+    x[3, ::2], x[3, 1::2] = lo, hi
+    x[4, ::2], x[4, 1::2] = hi, lo
+    x[5, ::2] = silence
+    if tag == 3:
+        x[6] = 0.0
+        x[7, 1::2] = -0.0
+    return x, zero, scale
+
+
+class TestKernelOracle:
+    """The decode kernels give the bits of the plain numpy expressions they replace."""
+
+    @pytest.mark.parametrize("channels", range(1, 9))
+    @pytest.mark.parametrize("encoding", list(_KERNEL_CASES))
+    def test_as_float_and_mix(self, encoding, channels):
+        data, zero, scale = _stored(encoding, channels)
+        expected = (data.astype(np.float64) - zero) / scale
+        _same_bits(audiolib._as_float(data, zero, scale), expected)
+        _same_bits(audiolib._as_float(data[:, 0], zero, scale), expected[:, 0])
+        _same_bits(audiolib._mix(data, zero, scale), expected.mean(axis=1))
+
+    @pytest.mark.parametrize("frame,hop", [(7, 3), (100, 50), (400, 200), (551, 276),
+                                           (1102, 551), (1200, 600), (5, 9), (1, 1)])
+    def test_frame_rms(self, frame, hop):
+        # (100, 50) is trim_silence's grid at 4 kHz, (1102, 551) at 44.1 kHz.
+        rng = np.random.default_rng(frame + hop)
+        for n in (0, 1, frame - 1, frame, frame + 1, frame + hop, 3 * frame + 2 * hop + 1):
+            x = rng.uniform(-1, 1, n)
+            padded = np.concatenate([x, np.zeros(max(0, frame - n))])
+            frames = np.lib.stride_tricks.sliding_window_view(padded, frame)[::hop]
+            _same_bits(audiolib._frame_rms(x, frame, hop), np.sqrt((frames**2).mean(axis=1)))
+
+
 # name -> (format tag, bytes per sample)
 _ENCODINGS = {"uint8": (1, 1), "int16": (1, 2), "int24": (1, 3), "int32": (1, 4),
               "float32": (3, 4), "float64": (3, 8), "extensible": (0xFFFE, 2)}
