@@ -6,11 +6,13 @@ resampler is a polyphase matrix product.
 
 from __future__ import annotations
 
-import io
 import math
+import os
 import shlex
 import struct
 import subprocess
+import tempfile
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -143,13 +145,13 @@ def _mix(data: np.ndarray, zero: float = 0.0, scale: float = 1.0) -> np.ndarray:
 class PcmFile:
     """An opened PCM WAV stream: its header and where its frames start.
 
-    A WAV file keeps only its path; each read opens the file, seeks and
-    reads its own bytes, so threads can read one PcmFile at once without
-    sharing a file handle. Decoder output keeps the decoder's whole stdout.
+    `fd` reads the WAV file, or an anonymous temp file holding decoder output,
+    and is closed when the PcmFile is collected. Reads use `os.pread`, which
+    moves no shared file position, so threads can read one PcmFile at once.
     """
 
     path: Path
-    stream: bytes | None  # decoder output; None for a WAV file read in place
+    fd: int
     sample_rate_hz: int
     channels: int
     width: int  # bytes per sample
@@ -185,7 +187,7 @@ def _read_header(fid) -> tuple:
         raise AudioError("data chunk before fmt chunk")
     rate, channels, width, encoding = fmt
     here = fid.tell()
-    frames = min(size, fid.seek(0, io.SEEK_END) - here) // (channels * width)
+    frames = min(size, fid.seek(0, os.SEEK_END) - here) // (channels * width)
     return rate, channels, width, encoding, here, frames
 
 
@@ -193,22 +195,22 @@ def open_pcm(path: str | Path, decoder_cmd: str | None = None) -> PcmFile:
     """Parse the header of a PCM WAV file, or of `decoder_cmd`'s output for it.
 
     No frames are read from a WAV file. A path that is not `.wav` is decoded
-    by `decoder_cmd` when one is given (see load_pcm), once; its output is
-    kept on the PcmFile for every later read.
+    by `decoder_cmd` when one is given (see load_pcm), once, into an
+    anonymous temporary file (under TMPDIR) that every later read uses.
     """
-    stream = None
-    if decoder_cmd is not None and Path(path).suffix.lower() != ".wav":
-        cmd = [part.format(input=str(path)) for part in shlex.split(decoder_cmd)]
-        stream = subprocess.run(cmd, capture_output=True, check=True).stdout
-        fid = io.BytesIO(stream)
-    else:
-        fid = open(path, "rb")
-    with fid:
+    decode = decoder_cmd is not None and Path(path).suffix.lower() != ".wav"
+    with tempfile.TemporaryFile() if decode else open(path, "rb") as fid:
+        if decode:
+            cmd = [part.format(input=str(path)) for part in shlex.split(decoder_cmd)]
+            subprocess.run(cmd, stdout=fid, stderr=subprocess.PIPE, check=True)
+            fid.seek(0)  # the decoder wrote through this file's position
         try:
             header = _read_header(fid)
         except AudioError as exc:
             raise AudioError(f"{path}: {exc}") from None
-    return PcmFile(Path(path), stream, *header)
+        pcm = PcmFile(Path(path), os.dup(fid.fileno()), *header)
+    weakref.finalize(pcm, os.close, pcm.fd)
+    return pcm
 
 
 def _read_frames(pcm: PcmFile, start: int, stop: int, mono: bool) -> np.ndarray:
@@ -221,13 +223,13 @@ def _read_frames(pcm: PcmFile, start: int, stop: int, mono: bool) -> np.ndarray:
     start = max(0, start)
     offset = pcm.data_offset + start * block
     size = max(0, min(stop, pcm.num_frames) - start) * block
-    if pcm.stream is not None:
-        raw = memoryview(pcm.stream)[offset:offset + size]
-    else:
-        with open(pcm.path, "rb") as fh:
-            fh.seek(offset)
-            raw = fh.read(size)
-    frames = len(raw) // block  # fewer if the file shrank since it was opened
+    raw = b""
+    while len(raw) < size:  # one pread returns at most ~2 GiB on Linux
+        chunk = os.pread(pcm.fd, size - len(raw), offset + len(raw))
+        if not chunk:  # the file shrank since it was opened
+            break
+        raw += chunk
+    frames = len(raw) // block
     raw = raw[:frames * block]
     dtype, zero, scale = pcm.encoding
     if pcm.width == 3:
@@ -363,8 +365,8 @@ def _design_filter(source_hz: int, target_hz: int) -> _Polyphase:
 def resample(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
     """Polyphase Kaiser-windowed-sinc rate conversion to target_hz.
 
-    Identity when target_hz equals the source rate. Stopband attenuation
-    exceeds 60 dB and the passband is flat within 0.1 dB up to 0.45 * target_hz.
+    Identity when target_hz equals the source rate. The stopband is at least
+    69 dB down; the passband is flat within 0.1 dB up to 0.45 * the lower rate.
     The output has ceil(n * target_hz / source_hz) samples and equals
     scipy.signal.resample_poly with the same filter to within ~1e-15.
     """

@@ -7,8 +7,9 @@ utterance_id before writing, so the worker count never affects output bytes.
 The text and audio stages stream chapters through one worker pool: chapter
 inputs are loaded in chapter order on the calling thread, the next one while
 the current one's records run, and at most two are alive at once. The audio
-stage's chapter input is the opened file, from which each worker decodes only
-its own record's frames. Nothing decoded outlives its stage.
+stage's chapter input is one open descriptor, of the WAV file or of decoder
+output spooled to a temporary file, from which each worker preads only its
+own record's frames. Nothing decoded outlives its stage.
 Each stage that runs worker threads starts one pool and, while it runs, holds
 numpy's OpenBLAS to one thread, so its own threads do not compete with the
 workers for the same cores.
@@ -381,10 +382,11 @@ def _encode(buf: audiolib.AudioBuffer, out_path: Path, encoder_cmd: str) -> None
 def _stage_bandwidth(records, ctx: _Context):
     cfg = ctx.config
     chapter_ids = sorted({r.chapter_id for r in records})
+    chapters = ctx.chapters  # read here, before any worker needs it
 
     def estimate(chapter_id: str) -> int | str:
         """The chapter's bandwidth in Hz, or the reason its records are rejected."""
-        if chapter_id not in ctx.chapters:
+        if chapter_id not in chapters:
             return "missing_chapter"
         pcm = ctx.open_chapter(chapter_id)
         if isinstance(pcm, str):

@@ -1,7 +1,12 @@
+import errno
+import gc
 import os
+import stat
 import struct
 import subprocess
 import sys
+import tempfile
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -272,7 +277,8 @@ class TestRangeRead:
     @pytest.mark.parametrize("mono", [False, True])
     @pytest.mark.parametrize("channels", [1, 2, 3, 8])
     @pytest.mark.parametrize("encoding", list(_ENCODINGS))
-    def test_equals_slice_of_full_load(self, tmp_path, encoding, channels, mono, route):
+    def test_equals_slice_of_full_load(self, tmp_path, monkeypatch, encoding, channels,
+                                       mono, route):
         # Not .wav: the decoder route goes through decoder_cmd.
         path = tmp_path / ("chapter.wav" if route == "wav" else "chapter.raw")
         path.write_bytes(_wav_stream(encoding, channels))
@@ -280,12 +286,26 @@ class TestRangeRead:
         full = load_pcm(path, decoder_cmd, mono=mono).samples
         pcm = open_pcm(path, decoder_cmd)
         assert pcm.num_frames == 800
-        assert (pcm.stream is None) == (route == "wav")
+        # Both routes read a regular file through os.pread on the one descriptor.
+        assert stat.S_ISREG(os.fstat(pcm.fd).st_mode)
+        read_from = _recording_pread(monkeypatch)
         for offset_s, head_s in self.SPANS:
             start, stop = self._frames(offset_s, head_s, self.RATE)
             piece = load_pcm(pcm, head_s=head_s, mono=mono, offset_s=offset_s)
             assert piece.sample_rate_hz == self.RATE
             _same_bits(piece.samples, full[start:stop])
+        assert set(read_from) == {pcm.fd}
+
+    @pytest.mark.parametrize("mono", [False, True])
+    @pytest.mark.parametrize("route", ["wav", "decoder"])
+    def test_short_preads_give_full_load(self, tmp_path, monkeypatch, route, mono):
+        path = tmp_path / ("chapter.wav" if route == "wav" else "chapter.raw")
+        path.write_bytes(_wav_stream("int24", 3))  # 7200 bytes of frames
+        decoder_cmd = "cat {input}" if route == "decoder" else None
+        full = load_pcm(path, decoder_cmd, mono=mono).samples
+        read_from = _recording_pread(monkeypatch, cap=1000)
+        _same_bits(load_pcm(path, decoder_cmd, mono=mono).samples, full)
+        assert len(read_from) == 8
 
     def test_declared_size_past_file_end(self, tmp_path):
         stream = _wav_stream("int16", 2)  # 4-byte frames
@@ -301,18 +321,74 @@ class TestRangeRead:
             _same_bits(piece.samples, full[start:stop])
 
     def test_threads_read_one_file_at_once(self, tmp_path):
-        path = tmp_path / "chapter.wav"
-        path.write_bytes(_wav_stream("int24", 3))
-        pcm = open_pcm(path)
+        stream = _wav_stream("int24", 3)
+        (tmp_path / "chapter.wav").write_bytes(stream)
+        (tmp_path / "chapter.raw").write_bytes(stream)  # through decoder_cmd
         spans = [(i / 1000, 0.003 * (i % 5)) for i in range(50)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for name in ("chapter.wav", "chapter.raw"):
+                pcm = open_pcm(tmp_path / name, "cat {input}")
 
-        def read(span):
-            return load_pcm(pcm, head_s=span[1], mono=True, offset_s=span[0]).samples
+                def read(span):
+                    return load_pcm(pcm, head_s=span[1], mono=True, offset_s=span[0]).samples
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            pieces = list(pool.map(read, spans))
-        for span, piece in zip(spans, pieces):
-            _same_bits(piece, read(span))
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    pieces = list(pool.map(read, spans))
+                for span, piece in zip(spans, pieces):
+                    _same_bits(piece, read(span))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _recording_pread(monkeypatch, cap=None):
+    """Replace os.pread with one that returns at most `cap` bytes per call;
+    returns the list of descriptors it is called on."""
+    pread, fds = os.pread, []
+
+    def recording(fd, size, offset):
+        fds.append(fd)
+        return pread(fd, size if cap is None else min(size, cap), offset)
+
+    monkeypatch.setattr(audiolib.os, "pread", recording)
+    return fds
+
+
+class TestDescriptor:
+    @pytest.mark.parametrize("route", ["wav", "decoder"])
+    def test_collected_pcm_file_closes_descriptor(self, tmp_path, route):
+        path = tmp_path / ("chapter.wav" if route == "wav" else "chapter.raw")
+        path.write_bytes(_wav_stream("int16", 2))
+        pcm = open_pcm(path, "cat {input}" if route == "decoder" else None)
+        fd, ref = pcm.fd, weakref.ref(pcm)
+        os.fstat(fd)
+        del pcm
+        gc.collect()
+        assert ref() is None
+        with pytest.raises(OSError) as err:
+            os.fstat(fd)
+        assert err.value.errno == errno.EBADF
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("decoder_cmd,error", [
+        ("false {input}", subprocess.CalledProcessError),  # fails
+        ("echo {input}", AudioError),  # writes no WAV
+        ("true {input}", AudioError),  # writes nothing
+        ("speechcurate-no-such-decoder {input}", FileNotFoundError),
+    ])
+    def test_failed_decode_leaves_no_descriptor(self, tmp_path, monkeypatch,
+                                                decoder_cmd, error):
+        path = tmp_path / "chapter.raw"
+        path.write_bytes(_wav_stream("int16", 1))
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(error):
+            open_pcm(path, decoder_cmd)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert list(spool.iterdir()) == []
 
 
 class TestResample:
@@ -333,12 +409,16 @@ class TestResample:
         buf = AudioBuffer(sine(1000, 0.5, 44100), 44100)
         assert resample(buf, 44100) is buf
 
-    def test_above_nyquist_attenuated_60db(self):
-        buf = AudioBuffer(sine(23000, 2.0, 48000), 48000)
-        out = resample(buf, 44100)
-        rms_in = np.std(buf.samples)
-        rms_out = np.std(out.samples[2000:-2000])
-        assert 20 * np.log10(rms_out / rms_in + 1e-12) <= -60
+    @pytest.mark.parametrize("source_hz,target_hz", [
+        (48000, 44100), (44100, 22050), (48000, 22050), (48000, 16000)])
+    def test_stopband_attenuated_69db(self, source_hz, target_hz):
+        # 60 tones from the stop frequency (the lower Nyquist) up to the
+        # source Nyquist; the worst measured is -69.9 dB, at 48 -> 44.1 kHz.
+        f_stop = 0.5 * min(source_hz, target_hz)
+        for freq in np.linspace(f_stop, 0.5 * source_hz, 60, endpoint=False):
+            buf = AudioBuffer(sine(freq, 1.0, source_hz), source_hz)
+            rms_out = np.std(resample(buf, target_hz).samples[2000:-2000])
+            assert 20 * np.log10(rms_out / np.std(buf.samples)) <= -69, freq
 
     def test_round_trip_preserves_tone(self):
         buf = AudioBuffer(sine(1000, 2.0, 48000), 48000)

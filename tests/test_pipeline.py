@@ -1,7 +1,10 @@
+import errno
 import gc
 import json
+import os
 import re
 import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -279,8 +282,8 @@ class TestChapterStreaming:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_one_decoded_chapter_alive(self, tmp_path, monkeypatch):
-        # ch0 and ch2 go through decoder_cmd, so their opened audio holds the
-        # decoded stream; ch1 and ch3 are read in place.
+        # ch0 and ch2 go through decoder_cmd, so their opened audio is a
+        # temporary file of the decoded stream; ch1 and ch3 are read in place.
         root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
         _decoded_copies(root, ("ch0", "ch2"))
         records = read_manifest(root / "utterances.jsonl")
@@ -501,9 +504,15 @@ class TestChapterStreaming:
         }
         assert {r.chapter_id for r in read_manifest(result.final_manifest)} == {"ch0"}
 
+    @pytest.mark.parametrize("decoder", [False, True])
     @pytest.mark.parametrize("stage", ["audio", "bandwidth"])
-    def test_chapter_removed_after_open_rejected(self, tmp_path, monkeypatch, stage):
+    def test_chapter_removed_after_open_still_read(self, tmp_path, monkeypatch, stage,
+                                                   decoder):
+        # The opened descriptor keeps an unlinked chapter file readable.
         root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        if decoder:
+            _decoded_copies(root, ("ch1",))
+        outs = {name: tmp_path / name for name in ("kept", "removed")}
         open_pcm_ = audiolib.open_pcm
 
         def open_then_remove(path, decoder_cmd=None):
@@ -512,12 +521,45 @@ class TestChapterStreaming:
                 Path(path).unlink()
             return pcm
 
-        monkeypatch.setattr(audiolib, "open_pcm", open_then_remove)
+        for name, out in outs.items():
+            if name == "removed":
+                monkeypatch.setattr(audiolib, "open_pcm", open_then_remove)
+            config = make_config(root, out, workers=2)
+            config.stages = [stage]
+            config.decoder_cmd = "cat {input}"
+            result = run_pipeline(config)
+            assert result.reports[0].drop_reasons == {}
+        assert not (root / read_chapters(root / "chapters.jsonl")[1].audio_path).exists()
+        assert [r.chapter_id for r in read_manifest(result.final_manifest)].count("ch1") == 2
+        files = {str(p.relative_to(outs["kept"])) for p in outs["kept"].rglob("*")}
+        assert files == {str(p.relative_to(outs["removed"])) for p in outs["removed"].rglob("*")}
+        for name in files:
+            if (outs["kept"] / name).is_file():
+                assert (outs["kept"] / name).read_bytes() == (outs["removed"] / name).read_bytes()
+
+    @pytest.mark.parametrize("stage", ["audio", "bandwidth"])
+    def test_read_error_after_open_rejected(self, tmp_path, monkeypatch, stage):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        open_pcm_, pread = audiolib.open_pcm, os.pread
+        failing = []  # held open, so that no other chapter reuses the descriptor
+
+        def open_marking(path, decoder_cmd=None):
+            pcm = open_pcm_(path, decoder_cmd)
+            if Path(path).stem == "ch1":
+                failing.append(pcm)
+            return pcm
+
+        def faulty_pread(fd, size, offset):
+            if any(pcm.fd == fd for pcm in failing):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return pread(fd, size, offset)
+
+        monkeypatch.setattr(audiolib, "open_pcm", open_marking)
+        monkeypatch.setattr(audiolib.os, "pread", faulty_pread)
         config = make_config(root, tmp_path / "out", workers=2)
         config.stages = [stage]
         result = run_pipeline(config)
-        assert result.reports[0].drop_reasons == {
-            "chapter_audio_unreadable:FileNotFoundError": 2}
+        assert result.reports[0].drop_reasons == {"chapter_audio_unreadable:OSError": 2}
         assert "ch1" not in {r.chapter_id for r in read_manifest(result.final_manifest)}
 
 
@@ -546,6 +588,22 @@ class TestBandwidthStage:
         est = chapter_bandwidth(load_pcm(tmp_path / "raw" / "c0.wav"), 44100)
         assert rec.bandwidth_hz == round(est.f_max_hz)
         assert rec.bandwidth_hz <= 22050
+
+    def test_chapters_manifest_read_once_on_calling_thread(self, tmp_path, monkeypatch):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+        readers: list[str] = []
+        read_chapters_ = pipeline_mod.read_chapters
+
+        def slow_read(path):
+            readers.append(threading.current_thread().name)
+            time.sleep(0.05)  # long enough for a second worker to read it too
+            return read_chapters_(path)
+
+        monkeypatch.setattr(pipeline_mod, "read_chapters", slow_read)
+        config = make_config(root, tmp_path / "out", workers=2)
+        config.stages = ["bandwidth"]
+        assert run_pipeline(config).reports[0].records_out == 4
+        assert readers == [threading.current_thread().name]
 
     def test_chapter_shorter_than_one_window_rejected(self, tmp_path):
         samples = np.random.default_rng(8).standard_normal(1000) * 0.1
