@@ -10,15 +10,11 @@ the current one's records run, and at most two are alive at once. The audio
 stage's chapter input is one open descriptor, of the WAV file or of decoder
 output spooled to a temporary file, from which each worker preads only its
 own record's frames. Nothing decoded outlives its stage.
-Each stage that runs worker threads starts one pool and, while it runs, holds
-numpy's OpenBLAS to one thread, so its own threads do not compete with the
-workers for the same cores.
+Each stage that runs worker threads starts one pool.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import logging
 import shlex
@@ -29,8 +25,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from . import audio as audiolib
 from . import bandwidth as bwlib
@@ -149,65 +143,15 @@ def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
     return path
 
 
-# Thread-count functions of the OpenBLAS that numpy wheels bundle, by build.
-_OPENBLAS_SYMBOLS = (
-    "scipy_openblas_{}_num_threads64_",  # numpy 2.x
-    "openblas_{}_num_threads64_",        # numpy 1.x
-    "openblas_{}_num_threads",
-)
-
-
-@functools.cache
-def _openblas():
-    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
-
-    Other BLAS builds (MKL, Accelerate, a distro numpy) are not found and
-    are left as they are. Called only from the thread that starts a pool.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))  # already loaded by numpy: the same handle
-        for name in _OPENBLAS_SYMBOLS:
-            try:
-                get, set_ = (getattr(lib, name.format(op)) for op in ("get", "set"))
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    logger.debug("no OpenBLAS found in %s; BLAS threads left as they are", libs)
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS to one thread, then restore the count it had."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 @contextmanager
 def _pool(workers: int):
-    """A pool of `workers` threads, with numpy's OpenBLAS held to one thread.
-
-    On leaving, queued tasks are cancelled and running ones joined before
-    the BLAS thread count is restored.
-    """
-    with _one_blas_thread():
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            yield pool
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+    """A pool of `workers` threads; on leaving, queued tasks are cancelled and
+    running ones joined."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _pmap(fn, items, workers: int):

@@ -508,7 +508,8 @@ def _scipy_taps(source_hz, target_hz):
 
 
 RATE_PAIRS = [(48000, 44100), (44100, 22050), (48000, 22050),
-              (22050, 44100), (16000, 44100), (44100, 48000)]
+              (22050, 44100), (16000, 44100), (44100, 48000),
+              (47952, 44100)]
 
 
 def _int16(x):
@@ -533,8 +534,55 @@ class TestResampleOracle:
     def test_filter_cache_read_only(self):
         resample(AudioBuffer(np.zeros(10), 48000), 44100)
         poly = audiolib._design_filter(48000, 44100)
-        with pytest.raises(ValueError):
-            poly.taps[0, 0] = 1.0
+        assert poly.bands
+        for _, _, taps in poly.bands:
+            assert taps.flags.c_contiguous
+            with pytest.raises(ValueError):
+                taps[0, 0] = 1.0
+
+
+# Counts every float the design stores, whatever its layout, in a child
+# process whose address space is capped at 1 GiB above what the imports
+# took: a design whose size grows with up * down fails there in seconds,
+# as a MemoryError or on the size, instead of exhausting the machine.
+_DESIGN_SIZE_CHILD = """
+import dataclasses, os, resource, sys
+import numpy as np
+from speechcurate.audio import _design_filter
+
+def stored(value):
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, (tuple, list)):
+        return sum(stored(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return sum(stored(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return 0
+
+with open("/proc/self/statm") as fh:
+    used = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+resource.setrlimit(resource.RLIMIT_AS, (used + 2**30, used + 2**30))
+print(stored(_design_filter(int(sys.argv[1]), int(sys.argv[2]))))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs Linux /proc")
+@pytest.mark.parametrize("source_hz", [47952, 44056, 44101])
+def test_design_size_linear_in_numtaps(source_hz):
+    # Whole-row tap matrices would hold 15x numtaps at 47952 Hz, and
+    # 44187 x 44100 floats (15.6 GB) at 44101 Hz.
+    target_hz = 44100
+    f_stop = 0.5 * min(source_hz, target_hz)
+    up = Fraction(target_hz, source_hz).numerator
+    numtaps, _ = signal.kaiserord(70.0, 0.1 * f_stop / (source_hz * up / 2))
+    numtaps |= 1
+    src = Path(audiolib.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _DESIGN_SIZE_CHILD, str(source_hz), str(target_hz)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert int(out.stdout) <= 1.5 * numtaps
 
 
 class TestWavWriter:

@@ -1,3 +1,4 @@
+import ctypes
 import errno
 import gc
 import json
@@ -38,6 +39,7 @@ from speechcurate.pipeline import (
     run_pipeline,
 )
 
+from conftest import lowpassed_noise
 from corpus_harness import build_corpus, make_config
 
 
@@ -335,9 +337,8 @@ class TestChapterStreaming:
 
         assert pipeline_mod._by_chapter(records, lambda c: [c], work, 2) == [True] * 4
 
-    def test_one_pool_and_blas_cap_per_stage(self, monkeypatch):
-        blas_calls, pools, queued = [], [], []
-        monkeypatch.setattr(pipeline_mod, "_openblas", lambda: (lambda: 3, blas_calls.append))
+    def test_one_pool_per_stage(self, monkeypatch):
+        pools, queued = [], []
 
         class CountingPool(ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
@@ -352,13 +353,12 @@ class TestChapterStreaming:
         records = [SimpleNamespace(chapter_id=f"ch{i % 4}", duration_s=i) for i in range(12)]
         out = pipeline_mod._by_chapter(records, lambda c: [c], lambda r, c: c[0], 2)
         assert out == [f"ch{i % 4}" for i in range(12)]
-        assert len(pools) == 1 and blas_calls == [1, 3]
+        assert len(pools) == 1
         # Chapter by chapter, each chapter's longest records first.
         assert queued == [8, 4, 0, 9, 5, 1, 10, 6, 2, 11, 7, 3]
 
-    def test_worker_error_propagates_and_frees_inputs(self, monkeypatch):
-        blas_calls, inputs = [], []
-        monkeypatch.setattr(pipeline_mod, "_openblas", lambda: (lambda: 3, blas_calls.append))
+    def test_worker_error_propagates_and_frees_inputs(self):
+        inputs = []
 
         class Chapter:
             pass
@@ -379,14 +379,12 @@ class TestChapterStreaming:
             pipeline_mod._by_chapter(records, load, work, 2)
         gc.collect()  # the traceback's frames and the failed future form cycles
         assert len(inputs) >= 2 and all(ref() is None for ref in inputs)
-        assert blas_calls == [1, 3]
 
     def test_serial_path_builds_no_pool(self, corpus, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a pool or BLAS lookup on the serial path")
+            raise AssertionError("a pool on the serial path")
 
         monkeypatch.setattr(pipeline_mod, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(pipeline_mod, "_openblas", no_pool)
         records = [SimpleNamespace(chapter_id=f"ch{i % 3}", duration_s=1.0) for i in range(6)]
 
         def by_chapter(records, workers):
@@ -611,6 +609,38 @@ class TestBandwidthStage:
         assert result.exit_code == EXIT_PARTIAL
         assert result.reports[0].drop_reasons == {"degenerate_spectrum": 1}
         assert read_manifest(result.final_manifest) == []
+
+
+def test_odd_source_rate_beside_48k(tmp_path):
+    # 47952 -> 44100 Hz has 1225 polyphase phases against 147 at 48 kHz.
+    (tmp_path / "raw").mkdir()
+    chapters, records = [], []
+    for i, sr in enumerate((48000, 47952)):
+        path = f"raw/c{i}.wav"
+        save_pcm(AudioBuffer(lowpassed_noise(8000, 4.0, sr, seed=i) * 0.3, sr), tmp_path / path)
+        chapters.append(ChapterRecord(f"c{i}", "b0", f"s{i}", path, sr))
+        records += [UtteranceRecord(f"c{i}_{k:04d}", "b0", f"c{i}", f"s{i}", path,
+                                    2.0 * k, 2.0, raw_text="x") for k in range(2)]
+    write_chapters(chapters, tmp_path / "chapters.jsonl")
+    write_manifest(records, tmp_path / "utterances.jsonl")
+    outs = []
+    for workers in (1, 2):
+        outs.append(tmp_path / f"w{workers}")
+        config = make_config(tmp_path, outs[-1], workers=workers)
+        config.stages = ["audio", "bandwidth"]
+        result = run_pipeline(config)
+        assert result.exit_code == 0
+        assert [r.records_dropped for r in result.reports] == [0, 0]
+        kept = read_manifest(result.final_manifest)
+        assert [r.utterance_id for r in kept] == [r.utterance_id for r in records]
+        for rec in kept:
+            assert abs(rec.bandwidth_hz - 8000) <= 300, rec
+            assert load_pcm(outs[-1] / rec.audio_path).sample_rate_hz == 44100
+    names = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*") if p.is_file())
+    assert sum(name.endswith(".wav") for name in names) == 4
+    assert names == sorted(str(p.relative_to(outs[1])) for p in outs[1].rglob("*") if p.is_file())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestDecode:
@@ -1047,86 +1077,46 @@ def test_encoder_output_replaces_into_place(tmp_path):
     assert names == sorted(f"{r.utterance_id}.flac" for r in kept)
 
 
-def _bundles_openblas() -> bool:
-    """numpy names OpenBLAS as its BLAS and ships it in a wheel's numpy.libs."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    return "openblas" in blas.lower() and libs.is_dir()
-
-
-needs_openblas = pytest.mark.skipif(not _bundles_openblas(),
-                                    reason="numpy does not bundle OpenBLAS")
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # already loaded by numpy: the same handle
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            try:
+                get, set_ = (getattr(lib, name.format(op)) for op in ("get", "set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 class TestBlasThreads:
-    @pytest.fixture
-    def blas_threads(self):
-        """The OpenBLAS thread-count getter, with the count set to 2 for the test."""
-        get, set_ = pipeline_mod._openblas()
-        before = get()
-        set_(2)
-        yield get
-        set_(before)
+    """Stage workers leave numpy's BLAS threads as they are; no output byte may
+    depend on the worker count, whether BLAS runs threaded or not."""
 
-    @needs_openblas
-    def test_pool_workers_run_one_blas_thread(self, blas_threads):
-        assert pipeline_mod._pmap(lambda _: blas_threads(), [0] * 4, 2) == [1] * 4
-        assert blas_threads() == 2
-
-    @needs_openblas
-    def test_count_restored_when_a_worker_raises(self, blas_threads):
-        def work(i):
-            if i == 2:
-                raise RuntimeError("worker failed")
-            return blas_threads()
-
-        with pytest.raises(RuntimeError, match="worker failed"):
-            pipeline_mod._pmap(work, [0, 1, 2, 3], 2)
-        assert blas_threads() == 2
-
-    @needs_openblas
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_run_pipeline_restores_count(self, corpus, tmp_path, monkeypatch,
-                                         blas_threads, fail):
-        resample_, seen = audiolib.resample, []
-
-        def tracking_resample(buf, target_hz):
-            seen.append(blas_threads())
-            if fail:
-                raise RuntimeError("resampler failed")
-            return resample_(buf, target_hz)
-
-        monkeypatch.setattr(audiolib, "resample", tracking_resample)
-        config = make_config(corpus, tmp_path / "out", workers=2)
-        config.stages = ["audio"]
-        if fail:
-            with pytest.raises(RuntimeError, match="resampler failed"):
+    @pytest.mark.parametrize("threaded", [True, False], ids=["openblas", "none"])
+    def test_same_bytes_at_any_worker_count(self, tmp_path, threaded):
+        blas = _openblas_threads()
+        before = blas[0]() if blas else None
+        if blas and not threaded:
+            blas[1](1)
+        try:
+            root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
+            outs = []
+            for workers in (1, 2):
+                outs.append(tmp_path / f"w{workers}")
+                config = make_config(root, outs[-1], workers=workers)
+                config.stages = ["audio", "bandwidth"]
                 run_pipeline(config)
-        else:
-            run_pipeline(config)
-        assert seen and set(seen) == {1}
-        assert blas_threads() == 2
-
-    def test_serial_path_never_sets_blas_threads(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(pipeline_mod, "_openblas", lambda: (lambda: 3, calls.append))
-        assert pipeline_mod._pmap(str, [1, 2], 1) == ["1", "2"]
-        assert pipeline_mod._pmap(str, [1], 4) == ["1"]
-        assert calls == []
-        assert pipeline_mod._pmap(str, [1, 2], 2) == ["1", "2"]
-        assert calls == [1, 3]
-
-    @pytest.mark.parametrize("found", [True, False], ids=["openblas", "none"])
-    def test_same_bytes_at_any_worker_count(self, tmp_path, monkeypatch, found):
-        if not found:
-            monkeypatch.setattr(pipeline_mod, "_openblas", lambda: None)
-        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
-        outs = []
-        for workers in (1, 2):
-            outs.append(tmp_path / f"w{workers}")
-            config = make_config(root, outs[-1], workers=workers)
-            config.stages = ["audio", "bandwidth"]
-            run_pipeline(config)
+                if blas:
+                    assert blas[0]() == (before if threaded else 1)
+        finally:
+            if blas:
+                blas[1](before)
         names = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*") if p.is_file())
         assert any(name.endswith(".wav") for name in names)
         assert names == sorted(
