@@ -469,16 +469,10 @@ def trim_silence(
     hop = max(1, int(round(hop_s * sr)))
     rms = _frame_rms(x, frame, hop)
     peak = rms.max() if len(rms) else 0.0
-    if peak <= 0.0:
-        return TrimResult(
-            trimmed=AudioBuffer(samples=x[:0], sample_rate_hz=sr),
-            leading_removed_s=buf.duration_s,
-            trailing_removed_s=0.0,
-            empty_after_trim=True,
-        )
     thresh = peak * 10.0 ** (-threshold_db / 20.0)
     idx = np.nonzero(rms >= thresh)[0]
-    if len(idx) == 0:
+    # A NaN peak fails every comparison, so it lands here too.
+    if not peak > 0.0 or len(idx) == 0:
         return TrimResult(
             trimmed=AudioBuffer(samples=x[:0], sample_rate_hz=sr),
             leading_removed_s=buf.duration_s,

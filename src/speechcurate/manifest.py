@@ -219,13 +219,17 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
             raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+def read_jsonl(
+    path: str | Path, parse: Callable[[dict], T], unique: str | None = None
+) -> list[T]:
     """parse(obj) for each JSON object line of a UTF-8 JSONL file, in order.
 
+    With `unique`, two lines with the same value of that key are an error.
     Every error is a ManifestError naming the file and line, including a
     KeyError, TypeError, ValueError or ManifestError raised by parse.
     """
     out: list[T] = []
+    seen: set = set()
     for lineno, line in _lines(path):
         try:
             obj = json.loads(line)
@@ -235,6 +239,10 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
             raise ManifestError(f"{path}:{lineno}: not a JSON object")
         try:
             out.append(parse(obj))
+            if unique is not None:
+                if obj[unique] in seen:
+                    raise ManifestError(f"duplicate {unique} {obj[unique]!r}")
+                seen.add(obj[unique])
         except (KeyError, TypeError, ValueError, ManifestError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ManifestError(f"{path}:{lineno}: {detail}") from exc
@@ -243,20 +251,11 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
 
 def read_manifest(path: str | Path) -> list[UtteranceRecord]:
     """Read a JSONL utterance manifest, preserving record order."""
-    seen: set[str] = set()
-
-    def parse(obj: dict) -> UtteranceRecord:
-        rec = UtteranceRecord.from_json_dict(obj)
-        if rec.utterance_id in seen:
-            raise ManifestError(f"duplicate utterance_id {rec.utterance_id!r}")
-        seen.add(rec.utterance_id)
-        return rec
-
-    return read_jsonl(path, parse)
+    return read_jsonl(path, UtteranceRecord.from_json_dict, unique="utterance_id")
 
 
 def read_chapters(path: str | Path) -> list[ChapterRecord]:
-    return read_jsonl(path, ChapterRecord.from_json_dict)
+    return read_jsonl(path, ChapterRecord.from_json_dict, unique="chapter_id")
 
 
 @contextmanager

@@ -4,13 +4,15 @@ Each stage reads the previous stage's manifest and writes a new one plus a
 JSON stage report; per-utterance failures are quarantined into a rejects
 manifest instead of aborting the run. Worker results are re-sorted by
 utterance_id before writing, so the worker count never affects output bytes.
-The text and audio stages stream chapters through one worker pool: chapter
-inputs are loaded in chapter order on the calling thread, the next one while
-the current one's records run, and at most two are alive at once. The audio
-stage's chapter input is one open descriptor, of the WAV file or of decoder
-output spooled to a temporary file, from which each worker preads only its
-own record's frames. Nothing decoded outlives its stage.
-Each stage that runs worker threads starts one pool.
+The text and audio stages stream chapters through one pool of `workers`
+threads, at every worker count: chapter inputs are loaded in chapter order on
+the calling thread, the next one while the current one's records run, and at
+most min(2, workers) are alive at once. The audio stage's chapter input is
+one open descriptor, of the WAV file or of decoder output spooled to a
+temporary file, from which each worker preads only its own record's frames.
+Nothing decoded outlives its stage. The bandwidth stage maps its chapters
+over one such pool. Segment and validate run on the calling thread: their
+per-record work is pure Python, which holds the interpreter lock.
 """
 
 from __future__ import annotations
@@ -154,20 +156,13 @@ def _pool(workers: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _pmap(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with _pool(workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_jsonl_map(path: str | Path, key: str, value: str) -> dict[str, str]:
     def parse(obj: dict) -> tuple[str, str]:
         if not isinstance(obj[value], str):
             raise TypeError(f"{value} must be a string, got {obj[value]!r}")
         return obj[key], obj[value]
 
-    return dict(read_jsonl(path, parse))
+    return dict(read_jsonl(path, parse, unique=key))
 
 
 class _Reject(NamedTuple):
@@ -180,26 +175,19 @@ def _by_chapter(records, load, work, workers: int):
 
     Chapters are loaded on the calling thread in sorted order. load(chapter_id)
     returns the chapter's input or the reject reason (a str) for all its
-    records. With workers > 1 one pool runs every chapter's records: the next
-    chapter is loaded while the current one's records run, and the oldest
-    chapter's results are collected, and its input dropped, before a third is
-    loaded, so at most two chapter inputs are alive and the pool does not
-    drain at a chapter's end. A chapter's records are queued longest
-    `duration_s` first. Results are returned in input-record order, which is
-    the order rejects are written in.
+    records. One pool of `workers` threads runs every chapter's records. Once
+    min(2, workers) chapters are queued, the oldest one's results are
+    collected, and its input dropped, before the next is loaded. So with two
+    or more workers the next chapter is loaded while the current one's
+    records run, at most two chapter inputs are alive and the pool does not
+    drain at a chapter's end; with one worker, one input is alive. A
+    chapter's records are queued longest `duration_s` first. Results are
+    returned in input-record order, which is the order rejects are written in.
     """
     groups: dict[str, list[int]] = {}
     for i, rec in enumerate(records):
         groups.setdefault(rec.chapter_id, []).append(i)
     results: list = [None] * len(records)
-    if workers <= 1 or len(records) <= 1:
-        for chapter_id in sorted(groups):
-            data = load(chapter_id)
-            for i in groups[chapter_id]:
-                results[i] = (_Reject(records[i], data) if isinstance(data, str)
-                              else work(records[i], data))
-            del data
-        return results
 
     def run(rec, held: list):
         return work(rec, held[0])
@@ -212,7 +200,7 @@ def _by_chapter(records, load, work, workers: int):
     with _pool(workers) as pool:
         pending: deque = deque()  # ({index: future}, [input]) of submitted chapters
         for chapter_id in sorted(groups):
-            if len(pending) == 2:
+            if len(pending) == min(2, workers):
                 collect(*pending.popleft())
             data = load(chapter_id)
             indices = groups[chapter_id]
@@ -221,6 +209,7 @@ def _by_chapter(records, load, work, workers: int):
                     results[i] = _Reject(records[i], data)
                 continue
             held = [data]
+            del data  # so that collect() drops the chapter's last reference
             # Longest records first, so that short ones fill the last gaps.
             order = sorted(indices, key=lambda i: -records[i].duration_s)
             pending.append(({i: pool.submit(run, records[i], held) for i in order}, held))
@@ -348,7 +337,8 @@ def _stage_bandwidth(records, ctx: _Context):
         )
         return "degenerate_spectrum" if est.degenerate else int(round(est.f_max_hz))
 
-    estimates = dict(zip(chapter_ids, _pmap(estimate, chapter_ids, cfg.workers)))
+    with _pool(cfg.workers) as pool:
+        estimates = dict(zip(chapter_ids, pool.map(estimate, chapter_ids)))
 
     def work(rec: UtteranceRecord):
         bandwidth_hz = estimates[rec.chapter_id]
@@ -384,7 +374,7 @@ def _stage_segment(records, ctx: _Context):
             return _Reject(rec, f"alignment_mismatch:{exc}")
         return children
 
-    return _collect(_pmap(work, records, cfg.workers))
+    return _collect([work(rec) for rec in records])
 
 
 def _stage_validate(records, ctx: _Context):
@@ -408,7 +398,7 @@ def _stage_validate(records, ctx: _Context):
             return _Reject(rec, "cer_gate")
         return [rec]
 
-    return _collect(_pmap(work, records, cfg.workers))
+    return _collect([work(rec) for rec in records])
 
 
 def _stage_speakers(records, ctx: _Context):

@@ -194,7 +194,8 @@ def load_alignments_jsonl(path: str | Path) -> dict[str, list[AlignmentToken]]:
     """Consolidated alignments: JSONL of {utterance_id, tokens: [...]}."""
     try:
         return dict(read_jsonl(path, lambda obj: (
-            obj["utterance_id"], [_token_from_obj(tok) for tok in obj["tokens"]])))
+            obj["utterance_id"], [_token_from_obj(tok) for tok in obj["tokens"]]),
+            unique="utterance_id"))
     except ManifestError as exc:
         raise AlignmentError(str(exc)) from exc
 

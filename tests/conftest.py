@@ -1,5 +1,6 @@
 import gc
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -52,3 +53,16 @@ def no_leaked_descriptors():
         gc.collect()
         after = len(os.listdir(_FD_DIR))
     assert after <= before, f"{after - before} file descriptor(s) left open"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that ends with more live threads than it began with.
+
+    Every stage that runs worker threads starts a pool, at any worker count,
+    and must join it before it returns.
+    """
+    before = threading.active_count()
+    yield
+    after = threading.active_count()
+    assert after <= before, f"{after - before} thread(s) left running"

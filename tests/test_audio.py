@@ -462,10 +462,19 @@ class TestTrimSilence:
         assert result.trimmed.num_frames == buf.num_frames
 
     def test_all_zero_flags_empty(self):
-        buf = AudioBuffer(np.zeros(16000), 16000)
-        result = trim_silence(buf)
-        assert result.empty_after_trim
-        assert result.trimmed.num_frames == 0
+        # Zeros have no peak. A threshold above the peak (negative dB) or a
+        # NaN sample, which makes the peak NaN, leaves no frame active.
+        tone = sine(440, 1.0, 16000, amplitude=0.5)
+        with_nan = tone.copy()
+        with_nan[100] = np.nan
+        for samples, threshold_db in [(np.zeros(16000), 50.0), (tone, -6.0),
+                                      (with_nan, 50.0)]:
+            buf = AudioBuffer(samples, 16000)
+            result = trim_silence(buf, threshold_db=threshold_db)
+            assert result.empty_after_trim
+            assert result.trimmed.num_frames == 0
+            assert result.leading_removed_s == buf.duration_s
+            assert result.trailing_removed_s == 0.0
 
     def test_durations_conserved(self):
         sr = 16000

@@ -283,9 +283,12 @@ class TestChapterStreaming:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
-    def test_one_decoded_chapter_alive(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_decoded_chapter_alive(self, tmp_path, monkeypatch, workers):
         # ch0 and ch2 go through decoder_cmd, so their opened audio is a
         # temporary file of the decoded stream; ch1 and ch3 are read in place.
+        # With one worker a chapter is dropped before the next one opens.
+        held = min(2, workers)
         root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
         _decoded_copies(root, ("ch0", "ch2"))
         records = read_manifest(root / "utterances.jsonl")
@@ -299,13 +302,13 @@ class TestChapterStreaming:
 
         def tracking_open(path, decoder_cmd=None):
             # The chapter whose records still run, and the one opened next.
-            assert alive() <= 1, "two chapters still open at the next open"
+            assert alive() < held, f"{alive()} chapters still open at the next open"
             pcm = open_pcm_(path, decoder_cmd)
             opened.append(weakref.ref(pcm))
             return pcm
 
         def checking_load(pcm, decoder_cmd=None, head_s=None, mono=False, offset_s=0.0):
-            assert alive() <= 2, f"{alive()} chapters open"
+            assert alive() <= held, f"{alive()} chapters open"
             assert (offset_s, head_s) in spans, "a read that is not one record's"
             buf = load_pcm_(pcm, decoder_cmd, head_s, mono, offset_s)
             sr = buf.sample_rate_hz
@@ -315,7 +318,7 @@ class TestChapterStreaming:
 
         monkeypatch.setattr(audiolib, "open_pcm", tracking_open)
         monkeypatch.setattr(audiolib, "load_pcm", checking_load)
-        config = make_config(root, tmp_path / "out", workers=2)
+        config = make_config(root, tmp_path / "out", workers=workers)
         config.stages = ["audio"]
         config.decoder_cmd = "cat {input}"
         result = run_pipeline(config)
@@ -380,20 +383,18 @@ class TestChapterStreaming:
         gc.collect()  # the traceback's frames and the failed future form cycles
         assert len(inputs) >= 2 and all(ref() is None for ref in inputs)
 
-    def test_serial_path_builds_no_pool(self, corpus, tmp_path, monkeypatch):
+    def test_pure_python_stages_build_no_pool(self, corpus, tmp_path, monkeypatch):
+        # Segment and validate hold the interpreter lock, so they run on the
+        # calling thread at any worker count.
         def no_pool(*args, **kwargs):
-            raise AssertionError("a pool on the serial path")
+            raise AssertionError("a pool in a pure-Python stage")
 
         monkeypatch.setattr(pipeline_mod, "ThreadPoolExecutor", no_pool)
-        records = [SimpleNamespace(chapter_id=f"ch{i % 3}", duration_s=1.0) for i in range(6)]
-
-        def by_chapter(records, workers):
-            return pipeline_mod._by_chapter(records, lambda c: [c], lambda r, c: c[0], workers)
-
-        assert by_chapter(records, 1) == [f"ch{i % 3}" for i in range(6)]
-        assert by_chapter(records[:1], 4) == ["ch0"]
-        result = run_pipeline(make_config(corpus, tmp_path / "out", workers=1))
-        assert len(result.reports) == 6
+        config = make_config(corpus, tmp_path / "out", workers=4)
+        config.stages = ["segment", "validate", "speakers"]
+        result = run_pipeline(config)
+        assert [r.stage for r in result.reports] == config.stages
+        assert all(r.records_out for r in result.reports)
 
     def test_decoder_runs_once_per_chapter(self, tmp_path, monkeypatch):
         root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
@@ -920,6 +921,16 @@ _UNKNOWN_CHAPTER_KEY = _chapter_ch1(
     lambda obj: obj.update(book_txt_path=obj.pop("book_text_path")))
 _DECLARED_16K = _chapter_ch1(lambda obj: obj.update(sample_rate_hz=16000))
 
+
+def _duplicate_ch1(root, config):
+    """Append a second ch1 line that points at ch3's audio."""
+    path = root / "chapters.jsonl"
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    duplicate = {**objs[1], "audio_path": objs[3]["audio_path"]}
+    path.write_text(path.read_text() + json.dumps(duplicate) + "\n")
+    return path
+
+
 # One row per malformed input: the stages run, how the fault is planted (the
 # path it returns fills {path}), the exit code and either the message
 # expected in the output or the stage report's drop reasons. Every row
@@ -932,6 +943,10 @@ FAULTS = [
                                          b'{"utterance_id": "u", "tokens": '
                                          b'[{"word": "a", "start": "x", "end": 1}]}\n'),
                  1, "config error: {path}:1: could not convert", id="alignments-bad-time"),
+    pytest.param(["segment"], _side_file("alignments_path", "al.jsonl",
+                                         b'{"utterance_id": "u", "tokens": []}\n' * 2),
+                 1, "config error: {path}:2: duplicate utterance_id 'u'",
+                 id="alignments-duplicate-id"),
     pytest.param(["segment"], _side_file("alignments_path", "al.ctm",
                                          b"u 1 0.0 0.2 a\nu 1 zero 0.2 b\n"),
                  1, "config error: {path}:2: could not convert", id="ctm-bad-time"),
@@ -947,10 +962,20 @@ FAULTS = [
                                           b'{"utterance_id": "ch0_0001", "hyp_text": 5}\n'),
                  1, "config error: {path}:1: hyp_text must be a string, got 5",
                  id="hyps-not-a-string"),
+    pytest.param(["validate"], _side_file("asr_hypotheses_path", "h.jsonl",
+                                          b'{"utterance_id": "u", "hyp_text": "a"}\n'
+                                          b'{"utterance_id": "u", "hyp_text": "b"}\n'),
+                 1, "config error: {path}:2: duplicate utterance_id 'u'",
+                 id="hyps-duplicate-id"),
     pytest.param(["text"], _side_file("predicted_pc_path", "pc.jsonl",
                                       b'{"utterance_id": "ch0_0001", "text": null}\n'),
                  1, "config error: {path}:1: text must be a string, got None",
                  id="predicted-pc-not-a-string"),
+    pytest.param(["text"], _side_file("predicted_pc_path", "pc.jsonl",
+                                      b'{"utterance_id": "u", "text": "a"}\n'
+                                      b'{"utterance_id": "u", "text": "b"}\n'),
+                 1, "config error: {path}:2: duplicate utterance_id 'u'",
+                 id="predicted-pc-duplicate-id"),
     pytest.param(["text"], _side_file("predicted_pc_path", "pc.jsonl", b'{"utterance_id"\n'),
                  1, "config error: {path}:1: malformed JSON", id="predicted-pc-malformed"),
     pytest.param(["text"], _side_file("predicted_pc_path", "pc.jsonl", None),
@@ -987,6 +1012,9 @@ FAULTS = [
     pytest.param(["text"], _UNKNOWN_CHAPTER_KEY,
                  1, "config error: {path}:2: unknown chapter keys: ['book_txt_path']",
                  id="chapter-unknown-key"),
+    pytest.param(["audio"], _duplicate_ch1,
+                 1, "config error: {path}:5: duplicate chapter_id 'ch1'",
+                 id="chapter-duplicate-id"),
     pytest.param(["text"], _book_text_ch1(b"\xff\xfe Some text."),
                  3, {"book_text_unreadable:UnicodeDecodeError": 2}, id="book-text-not-utf8"),
     pytest.param(["audio"], _DECLARED_16K, 3, {"sample_rate_mismatch": 2},
