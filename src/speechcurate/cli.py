@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 config error, 2 stage failure, 3 partial
-(rejected records present).
+(rejected records present); `_Main.invoke` maps errors to 1 and 2.
 """
 
 from __future__ import annotations
@@ -25,16 +25,19 @@ from .pipeline import (
 )
 
 
-def _read_manifest(path):
-    """read_manifest, with a malformed file reported as a config error (exit 1)."""
-    try:
-        return read_manifest(path)
-    except ManifestError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, ManifestError) as exc:
+            click.echo(f"config error: {exc}", err=True)
+            ctx.exit(EXIT_CONFIG_ERROR)
+        except (StageError, curation.CurationError) as exc:
+            click.echo(f"stage failure: {exc}", err=True)
+            ctx.exit(EXIT_STAGE_FAILURE)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.pass_context
 def main(ctx):
     """Deterministic speech-corpus curation pipeline."""
@@ -63,22 +66,14 @@ def run(config_path, stages_csv, seed, workers):
     try:
         config = PipelineConfig.from_yaml(config_path)
     except (ValueError, TypeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        raise ConfigError(str(exc)) from exc
     if stages_csv is not None:
         config.stages = [s.strip() for s in stages_csv.split(",") if s.strip()]
     if seed is not None:
         config.seed = seed
     if workers is not None:
         config.workers = workers
-    try:
-        result = run_pipeline(config)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    except StageError as exc:
-        click.echo(f"stage failure: {exc}", err=True)
-        sys.exit(EXIT_STAGE_FAILURE)
+    result = run_pipeline(config)
     if result.final_manifest is not None:
         click.echo(f"final manifest: {result.final_manifest}")
     sys.exit(result.exit_code)
@@ -91,7 +86,7 @@ def run(config_path, stages_csv, seed, workers):
               help="Also write histogram bins as CSV.")
 def stats(manifest_path, as_json, csv_path):
     """Corpus statistics and histograms for a manifest."""
-    records = _read_manifest(manifest_path)
+    records = read_manifest(manifest_path)
     report = curation.corpus_stats(records)
     if csv_path:
         report.write_csv(csv_path)
@@ -110,15 +105,10 @@ def subset(manifest_path, spec_path, out_path):
     """Filter a manifest through a SubsetSpec gate file."""
     try:
         spec = SubsetSpec.from_json_dict(json.loads(Path(spec_path).read_text()))
-    except (ValueError, TypeError, ManifestError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    records = _read_manifest(manifest_path)
-    try:
-        kept = curation.build_subset(records, spec)
-    except curation.CurationError as exc:
-        click.echo(f"stage failure: {exc}", err=True)
-        sys.exit(EXIT_STAGE_FAILURE)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    records = read_manifest(manifest_path)
+    kept = curation.build_subset(records, spec)
     write_manifest(kept, out_path)
     click.echo(f"kept {len(kept)} of {len(records)} records")
 
@@ -130,12 +120,8 @@ def subset(manifest_path, spec_path, out_path):
               help="JSON file receiving the split plans.")
 def splits(manifest_path, seed, out_path):
     """Sample seen-speaker dev/test split plans from a manifest."""
-    records = _read_manifest(manifest_path)
-    try:
-        plans = curation.sample_eval_splits(records, rng_seed=seed)
-    except curation.CurationError as exc:
-        click.echo(f"stage failure: {exc}", err=True)
-        sys.exit(EXIT_STAGE_FAILURE)
+    records = read_manifest(manifest_path)
+    plans = curation.sample_eval_splits(records, rng_seed=seed)
     payload = {name: list(plan.utterance_ids) for name, plan in plans.items()}
     with replacing(out_path) as tmp:
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -45,7 +45,10 @@ class PipelineConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "PipelineConfig":
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        try:
+            data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: malformed YAML: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(
                 f"{path}: must be a mapping of config keys, got {type(data).__name__}")

@@ -47,7 +47,7 @@ def load_speaker_counts(path: str | Path) -> list[SpeakerCountRecord]:
                 f"invalid literal for num_speakers: {n!r} (need a non-negative integer)")
         return SpeakerCountRecord(obj["utterance_id"], n)
 
-    return read_jsonl(path, parse)
+    return read_jsonl(path, parse, unique="utterance_id")
 
 
 def apply_speaker_counts(
@@ -105,11 +105,6 @@ def build_subset(records: list[UtteranceRecord], spec: SubsetSpec) -> list[Utter
             continue
         out.append(rec)
     return out
-
-
-def load_similarities(path: str | Path) -> dict[tuple[str, str], float]:
-    return dict(read_jsonl(path, lambda obj: (
-        (obj["context_id"], obj["target_id"]), float(obj["sim"]))))
 
 
 def _pick_context(

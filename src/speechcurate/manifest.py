@@ -29,6 +29,7 @@ _UTT_FIELDS = (
     "audio_path",
     "offset_s",
     "duration_s",
+    "trim_lead_s",
     "text",
     "text_source",
     "raw_text",
@@ -85,6 +86,8 @@ class UtteranceRecord:
     cer_pct: float | None = None
     num_speakers: int | None = None
     gender: str = "unknown"
+    # seconds of leading silence the audio stage cut; alignments count from before it
+    trim_lead_s: float | None = None
     extra: dict = field(default_factory=dict, compare=True)
 
     def validate(self) -> None:
@@ -94,6 +97,8 @@ class UtteranceRecord:
             raise InvariantError("offset_s", f"must be >= 0, got {self.offset_s}")
         if not self.duration_s > 0:
             raise InvariantError("duration_s", f"must be > 0, got {self.duration_s}")
+        if self.trim_lead_s is not None and self.trim_lead_s < 0:
+            raise InvariantError("trim_lead_s", f"must be >= 0, got {self.trim_lead_s}")
         if self.text_source is not None and self.text_source not in TEXT_SOURCES:
             raise InvariantError(
                 "text_source", f"must be one of {TEXT_SOURCES}, got {self.text_source!r}"
@@ -115,7 +120,7 @@ class UtteranceRecord:
             value = getattr(self, name)
             if value is None:
                 continue  # absent metrics are omitted keys, not null
-            if name in ("offset_s", "duration_s"):
+            if name in ("offset_s", "duration_s", "trim_lead_s"):
                 value = _round_seconds(value)
             elif name == "bandwidth_hz":
                 value = int(round(value))

@@ -1,9 +1,11 @@
 """Stage orchestration: fixed stage order, bounded parallelism, versioned outputs.
 
 Each stage reads the previous stage's manifest and writes a new one plus a
-JSON stage report; per-utterance failures are quarantined into a rejects
-manifest instead of aborting the run. Worker results are re-sorted by
-utterance_id before writing, so the worker count never affects output bytes.
+JSON stage report; per-utterance failures, an unknown chapter among them, are
+quarantined into a rejects manifest, each line naming its `reject_reason`.
+The segment stage shifts alignment times by the `trim_lead_s` the audio stage
+stamps. Worker results are re-sorted by utterance_id before writing, so the
+worker count never affects output bytes.
 The text and audio stages stream chapters through one pool of `workers`
 threads, at every worker count: chapter inputs are loaded in chapter order on
 the calling thread, the next one while the current one's records run, and at
@@ -110,7 +112,9 @@ class _Context:
 
     def open_chapter(self, chapter_id: str) -> audiolib.PcmFile | str:
         """The chapter's opened audio (see audio.open_pcm) or a reject reason."""
-        chapter = self.chapters[chapter_id]
+        chapter = self.chapters.get(chapter_id)
+        if chapter is None:
+            return "missing_chapter"
         path = Path(self.config.audio_root) / chapter.audio_path
         # Unreadable: corrupt or unsupported file, missing file or decoder, failing decoder.
         try:
@@ -257,9 +261,6 @@ def _stage_audio(records, ctx: _Context):
     cfg = ctx.config
     audio_out = ctx.out_dir / "audio"
     audio_out.mkdir(parents=True, exist_ok=True)
-    for chapter_id in sorted({r.chapter_id for r in records}):
-        if chapter_id not in ctx.chapters:
-            raise StageError("audio", f"chapter {chapter_id!r} not in chapters manifest")
 
     def work(rec: UtteranceRecord, pcm: audiolib.PcmFile):
         if int(round(rec.offset_s * pcm.sample_rate_hz)) >= pcm.num_frames:
@@ -294,6 +295,7 @@ def _stage_audio(records, ctx: _Context):
                 audio_path=str(out_path.relative_to(ctx.out_dir)),
                 offset_s=0.0,
                 duration_s=round(trim.trimmed.duration_s, 4),
+                trim_lead_s=round(trim.leading_removed_s, 4) or None,
             )
         ]
 
@@ -315,12 +317,10 @@ def _encode(buf: audiolib.AudioBuffer, out_path: Path, encoder_cmd: str) -> None
 def _stage_bandwidth(records, ctx: _Context):
     cfg = ctx.config
     chapter_ids = sorted({r.chapter_id for r in records})
-    chapters = ctx.chapters  # read here, before any worker needs it
+    ctx.chapters  # read here, before any worker needs it
 
     def estimate(chapter_id: str) -> int | str:
         """The chapter's bandwidth in Hz, or the reason its records are rejected."""
-        if chapter_id not in chapters:
-            return "missing_chapter"
         pcm = ctx.open_chapter(chapter_id)
         if isinstance(pcm, str):
             return pcm
@@ -362,10 +362,15 @@ def _stage_segment(records, ctx: _Context):
         if track is None:
             return _Reject(rec, "missing_alignment")
         transcript = rec.text if rec.text else rec.raw_text
+        if rec.trim_lead_s:  # token times into the trimmed audio's time base
+            track = [segmentation.AlignmentToken(t.word, t.start_s - rec.trim_lead_s,
+                                                 t.end_s - rec.trim_lead_s) for t in track]
         try:
             pauses = segmentation.find_candidate_pauses(
                 track, transcript, cfg.min_pause_s, ctx.abbreviations
             )
+            # a cut must land inside the kept audio
+            pauses = [p for p in pauses if 0.0 < p.midpoint_s < rec.duration_s]
             decision = segmentation.choose_split(
                 pauses, segmentation.utterance_seed(rec.utterance_id, cfg.seed)
             )
@@ -404,10 +409,7 @@ def _stage_validate(records, ctx: _Context):
 def _stage_speakers(records, ctx: _Context):
     path = _side_input(ctx, "speakers", "speaker_counts_path", "speaker counts")
     counts = curation.load_speaker_counts(path)
-    try:
-        tagged = curation.apply_speaker_counts(records, counts)
-    except curation.CurationError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    tagged = curation.apply_speaker_counts(records, counts)
     counted = {c.utterance_id for c in counts}
     missing = sum(rec.utterance_id not in counted for rec in tagged)
     return tagged, [], ({"no_speaker_count": missing} if missing else {})
@@ -441,9 +443,10 @@ _STAGE_FNS = {
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute the enabled stages in the fixed order.
 
-    Each stage writes `manifest.NN_stage.jsonl`, `rejects.stage.jsonl` (when
-    non-empty, else an old one is removed) and `report.stage.json` under
-    config.out_dir, each replaced only once complete. Inputs are never mutated.
+    Each stage writes `manifest.NN_stage.jsonl`, `rejects.stage.jsonl` (records
+    plus their `reject_reason`; when non-empty, else an old one is removed) and
+    `report.stage.json` under config.out_dir, each replaced only once complete.
+    Inputs are never mutated.
     Raises ConfigError for an invalid config or a bad utterances manifest
     before any stage runs, and for a bad side input when its stage starts.
     """
@@ -475,7 +478,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         rejects_path = ctx.out_dir / f"rejects.{stage}.jsonl"
         if rejects:
             any_rejects = True
-            write_manifest([r for r, _ in rejects], rejects_path)
+            write_manifest([r.with_fields(extra={**r.extra, "reject_reason": reason})
+                            for r, reason in rejects], rejects_path)
         else:
             rejects_path.unlink(missing_ok=True)
         drop_reasons: dict[str, int] = {}

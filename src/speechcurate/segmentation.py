@@ -40,6 +40,10 @@ class Pause:
     def duration_s(self) -> float:
         return self.gap_end_s - self.gap_start_s
 
+    @property
+    def midpoint_s(self) -> float:
+        return (self.gap_start_s + self.gap_end_s) / 2.0
+
 
 @dataclass(frozen=True)
 class SplitDecision:
@@ -120,7 +124,7 @@ def choose_split(pauses: list[Pause], rng_seed: int = 0) -> SplitDecision:
     pick = maximal[_splitmix64(rng_seed) % len(maximal)]
     chosen = candidates[pick]
     return SplitDecision(
-        split_point_s=(chosen.gap_start_s + chosen.gap_end_s) / 2.0,
+        split_point_s=chosen.midpoint_s,
         candidate_pauses=candidates,
         chosen_index=pick,
     )

@@ -10,7 +10,6 @@ from speechcurate.curation import (
     build_subset,
     build_triplets,
     corpus_stats,
-    load_similarities,
     load_speaker_counts,
     sample_eval_splits,
 )
@@ -181,11 +180,6 @@ class TestTriplets:
             assert t.context_utterance_id != t.target_utterance_id
             assert (by_id[t.context_utterance_id].speaker_id
                     == by_id[t.target_utterance_id].speaker_id)
-
-    def test_similarity_loader(self, tmp_path):
-        path = tmp_path / "sims.jsonl"
-        path.write_text('{"context_id": "a", "target_id": "b", "sim": 0.7}\n')
-        assert load_similarities(path) == {("a", "b"): 0.7}
 
 
 def eval_fixture(n_eligible=50, n_ineligible=10, utts_per_speaker=40):

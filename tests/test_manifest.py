@@ -137,6 +137,23 @@ def test_absent_metrics_are_omitted_keys(tmp_path):
         assert key not in obj
 
 
+def test_trim_lead_follows_duration_and_is_omitted_when_unset(tmp_path):
+    assert "trim_lead_s" not in make_record().to_json_dict()
+    obj = make_record(trim_lead_s=1.000049).to_json_dict()
+    assert list(obj)[6:9] == ["duration_s", "trim_lead_s", "text"]
+    assert obj["trim_lead_s"] == 1.0
+    path = tmp_path / "trimmed.jsonl"
+    write_manifest([make_record(trim_lead_s=0.25)], path)
+    assert read_manifest(path)[0].trim_lead_s == 0.25
+
+
+def test_negative_trim_lead_names_field(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({**make_record().to_json_dict(), "trim_lead_s": -0.5}) + "\n")
+    with pytest.raises(ManifestError, match="trim_lead_s: must be >= 0"):
+        read_manifest(path)
+
+
 def test_bad_text_source_rejected():
     with pytest.raises(InvariantError, match="text_source"):
         make_record(text_source="guessed").validate()

@@ -644,6 +644,65 @@ def test_odd_source_rate_beside_48k(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def _lead_silence_config(root, tokens):
+    """One 44.1 kHz chapter: 1.5 s of silence, speech to 3.0 s, a 0.4 s pause and
+    speech to 5.0 s. One record spans it, aligned by `tokens` ((word, start, end),
+    in seconds from the chapter start). Runs the audio and segment stages."""
+    sr = 44100
+    samples = lowpassed_noise(8000, 5.0, sr, seed=3) * 0.3
+    samples[:int(1.5 * sr)] = 0.0
+    samples[int(3.0 * sr):int(3.4 * sr)] = 0.0
+    (root / "raw").mkdir(parents=True)
+    save_pcm(AudioBuffer(samples, sr), root / "raw" / "c0.wav")
+    write_chapters([ChapterRecord("c0", "b0", "s0", "raw/c0.wav", sr)], root / "chapters.jsonl")
+    write_manifest([UtteranceRecord("c0_0000", "b0", "c0", "s0", "raw/c0.wav", 0.0, 5.0,
+                                    raw_text=" ".join(w for w, _, _ in tokens))],
+                   root / "utterances.jsonl")
+    (root / "alignments.jsonl").write_text(json.dumps({
+        "utterance_id": "c0_0000",
+        "tokens": [{"word": w, "start": a, "end": b} for w, a, b in tokens]}) + "\n")
+    config = make_config(root, root / "out")
+    config.stages = ["audio", "segment"]
+    return config
+
+
+class TestTrimTimeBase:
+    """The audio stage keeps 0.5 s of the 1.5 s leading silence, so the record's
+    audio starts 1.0 s into the alignment's time base."""
+
+    def test_cut_lands_in_the_pause_after_trimming(self, tmp_path):
+        config = _lead_silence_config(tmp_path, [("Hello.", 1.5, 3.0), ("World.", 3.4, 5.0)])
+        result = run_pipeline(config)
+        (trimmed,) = read_manifest(tmp_path / "out" / "manifest.00_audio.jsonl")
+        assert trimmed.trim_lead_s == pytest.approx(1.0, abs=0.005)
+        a, b = read_manifest(result.final_manifest)
+        # the pause runs 2.0-2.4 s into the trimmed audio; untrimmed times cut at 3.2 s
+        assert a.duration_s == pytest.approx(2.2, abs=0.005)
+        assert (a.raw_text, b.raw_text) == ("Hello.", "World.")
+        assert a.trim_lead_s == b.trim_lead_s == trimmed.trim_lead_s
+
+    def test_children_tile_their_file(self, tmp_path):
+        config = _lead_silence_config(tmp_path, [("Hello.", 1.5, 3.0), ("World.", 3.4, 5.0)])
+        a, b = read_manifest(run_pipeline(config).final_manifest)
+        assert a.audio_path == b.audio_path
+        wav = load_pcm(tmp_path / "out" / a.audio_path)
+        assert a.offset_s == 0.0
+        assert b.offset_s == a.duration_s
+        assert b.offset_s + b.duration_s == pytest.approx(wav.duration_s, abs=1e-4)
+
+    def test_pause_before_the_kept_audio_not_chosen(self, tmp_path):
+        # The longest pause, 0.3-1.5 s, lies mostly in the silence the audio
+        # stage cut: shifted, it spans -0.7-0.5 s, midpoint -0.1 s. The 0.1 s
+        # pause is cut instead.
+        config = _lead_silence_config(
+            tmp_path, [("Oh.", 0.1, 0.3), ("Hello.", 1.5, 3.0), ("World.", 3.1, 5.0)])
+        result = run_pipeline(config)
+        assert result.exit_code == 0
+        a, b = read_manifest(result.final_manifest)
+        assert (a.raw_text, b.raw_text) == ("Oh. Hello.", "World.")
+        assert a.duration_s == pytest.approx(2.05, abs=0.005)
+
+
 class TestDecode:
     @pytest.mark.parametrize("dtype,full_scale", [(np.int32, 2**31 - 1), (np.uint8, 255)])
     def test_decoder_output_normalized(self, tmp_path, dtype, full_scale):
@@ -727,6 +786,14 @@ class TestConfig:
         assert result.exit_code == 1, result.output
         assert (f"config error: {config_path}: must be a mapping of config keys, got list"
                 in result.output)
+
+    def test_malformed_yaml_is_config_error(self, tmp_path):
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text("workers: [1,\n")
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"config error: {config_path}: malformed YAML" in result.output
 
     def test_missing_alignments_fails_fast(self, corpus, tmp_path):
         config = make_config(corpus, tmp_path / "out")
@@ -922,6 +989,14 @@ _UNKNOWN_CHAPTER_KEY = _chapter_ch1(
 _DECLARED_16K = _chapter_ch1(lambda obj: obj.update(sample_rate_hz=16000))
 
 
+def _drop_ch1(root, config):
+    """Remove ch1's line from the chapters manifest; its records keep naming it."""
+    path = root / "chapters.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if json.loads(line)["chapter_id"] != "ch1"))
+    return path
+
+
 def _duplicate_ch1(root, config):
     """Append a second ch1 line that points at ch3's audio."""
     path = root / "chapters.jsonl"
@@ -999,7 +1074,7 @@ FAULTS = [
                  1, "config error: {path}:1: invalid literal for num_speakers: True",
                  id="counts-bool"),
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl", _DUP_COUNTS),
-                 1, "config error: {path}: duplicate speaker count for 'ch0_0000'",
+                 1, "config error: {path}:2: duplicate utterance_id 'ch0_0000'",
                  id="counts-duplicate-id"),
     pytest.param(["text"], _side_file("rules_path", "rules.txt", None),
                  1, "config error: {path}: unreadable", id="rules-missing"),
@@ -1021,6 +1096,9 @@ FAULTS = [
                  id="audio-rate-mismatch"),
     pytest.param(["bandwidth"], _DECLARED_16K, 3, {"sample_rate_mismatch": 2},
                  id="bandwidth-rate-mismatch"),
+    pytest.param(["audio"], _drop_ch1, 3, {"missing_chapter": 2}, id="audio-unknown-chapter"),
+    pytest.param(["bandwidth"], _drop_ch1, 3, {"missing_chapter": 2},
+                 id="bandwidth-unknown-chapter"),
 ]
 
 
@@ -1040,6 +1118,29 @@ def test_malformed_input_is_named(tmp_path, stages, plant, exit_code, expected):
         assert report["drop_reasons"] == expected
     else:
         assert expected.format(path=path) in result.output
+
+
+def test_reject_lines_name_their_reason(tmp_path):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+    path = root / "chapters.jsonl"
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    objs = [{**obj, "sample_rate_hz": 16000} if obj["chapter_id"] == "ch2" else obj
+            for obj in objs if obj["chapter_id"] != "ch1"]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    config = make_config(root, tmp_path / "out")
+    config.stages = ["audio"]
+    assert run_pipeline(config).exit_code == EXIT_PARTIAL
+    lines = [json.loads(line) for line in
+             (tmp_path / "out" / "rejects.audio.jsonl").read_text().splitlines()]
+    assert {obj["utterance_id"]: obj["reject_reason"] for obj in lines} == {
+        "ch1_0000": "missing_chapter", "ch1_0001": "missing_chapter",
+        "ch2_0000": "sample_rate_mismatch", "ch2_0001": "sample_rate_mismatch"}
+    inputs = {r.utterance_id: r.to_json_dict() for r in read_manifest(root / "utterances.jsonl")}
+    for obj in lines:
+        reason = obj.pop("reject_reason")
+        assert obj == inputs[obj["utterance_id"]], reason
+    kept = (tmp_path / "out" / "manifest.00_audio.jsonl").read_text()
+    assert kept and "reject_reason" not in kept
 
 
 def test_stage_without_rejects_removes_stale_rejects(corpus, tmp_path):
