@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 config error, 2 stage failure, 3 partial
-(rejected records present); `_Main.invoke` maps errors to 1 and 2.
+Exit codes: 0 success, 1 config or usage error, 2 stage failure, 3 partial
+(rejected records present); `_Main` maps errors to 1 and 2.
 """
 
 from __future__ import annotations
@@ -25,10 +25,24 @@ from .pipeline import (
 )
 
 
+_IN_FILE = click.Path(exists=True, dir_okay=False)
+_OUT_FILE = click.Path(dir_okay=False)
+
+
 class _Main(click.Group):
+    def make_context(self, *args, **kwargs):
+        try:  # the group's own arguments
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_CONFIG_ERROR
+            raise
+
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:  # a command's arguments, or an unknown command
+            exc.exit_code = EXIT_CONFIG_ERROR
+            raise
         except (ConfigError, ManifestError) as exc:
             click.echo(f"config error: {exc}", err=True)
             ctx.exit(EXIT_CONFIG_ERROR)
@@ -56,7 +70,7 @@ def main(ctx):
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=_IN_FILE)
 @click.option("--stages", "stages_csv", default=None,
               help=f"Comma-separated subset of: {','.join(STAGE_ORDER)}")
 @click.option("--seed", type=int, default=None, help="Override the global RNG seed.")
@@ -80,9 +94,9 @@ def run(config_path, stages_csv, seed, workers):
 
 
 @main.command()
-@click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
+@click.option("--manifest", "manifest_path", required=True, type=_IN_FILE)
 @click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
-@click.option("--csv", "csv_path", default=None, type=click.Path(),
+@click.option("--csv", "csv_path", default=None, type=_OUT_FILE,
               help="Also write histogram bins as CSV.")
 def stats(manifest_path, as_json, csv_path):
     """Corpus statistics and histograms for a manifest."""
@@ -97,16 +111,16 @@ def stats(manifest_path, as_json, csv_path):
 
 
 @main.command()
-@click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
-@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True),
+@click.option("--manifest", "manifest_path", required=True, type=_IN_FILE)
+@click.option("--spec", "spec_path", required=True, type=_IN_FILE,
               help="JSON file with subset thresholds.")
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=_OUT_FILE)
 def subset(manifest_path, spec_path, out_path):
     """Filter a manifest through a SubsetSpec gate file."""
     try:
         spec = SubsetSpec.from_json_dict(json.loads(Path(spec_path).read_text()))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except (ValueError, TypeError, ManifestError) as exc:
+        raise ConfigError(f"{spec_path}: {exc}") from exc
     records = read_manifest(manifest_path)
     kept = curation.build_subset(records, spec)
     write_manifest(kept, out_path)
@@ -114,9 +128,9 @@ def subset(manifest_path, spec_path, out_path):
 
 
 @main.command()
-@click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
+@click.option("--manifest", "manifest_path", required=True, type=_IN_FILE)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", "out_path", required=True, type=click.Path(),
+@click.option("--out", "out_path", required=True, type=_OUT_FILE,
               help="JSON file receiving the split plans.")
 def splits(manifest_path, seed, out_path):
     """Sample seen-speaker dev/test split plans from a manifest."""

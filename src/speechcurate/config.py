@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, asdict
-from numbers import Integral, Real
 from pathlib import Path
 
 import yaml
+
+from .manifest import schema_of, type_problems
 
 # Canonical stage execution order; enabled stages always run in this order.
 STAGE_ORDER = ("text", "audio", "bandwidth", "segment", "validate", "speakers")
@@ -63,30 +63,12 @@ class PipelineConfig:
         )
 
 
-_INT_FIELDS = ("target_sample_rate_hz", "workers", "seed")
-_REAL_FIELDS = ("trim_threshold_db", "max_edge_silence_s", "bandwidth_threshold_db",
-                "bandwidth_analysis_s", "min_pause_s", "max_cer_pct")
-_STR_FIELDS = ("utterances_manifest", "chapters_manifest", "audio_root", "out_dir")
-_OPTIONAL_STR_FIELDS = ("alignments_path", "asr_hypotheses_path", "speaker_counts_path",
-                        "predicted_pc_path", "abbreviations_path", "rules_path",
-                        "decoder_cmd", "encoder_cmd")
+_SCHEMA = schema_of(PipelineConfig)
 
 
 def validate_config(config: PipelineConfig) -> list[str]:
     """Empty list iff every invariant holds; messages name field and constraint."""
-    problems = []
-    # A bool is an int to Python, but `workers: true` is a mistake. NaN passes
-    # every bound below (each comparison is false), so it is not a number here.
-    for names, kind, what in ((_INT_FIELDS, Integral, "an integer"),
-                              (_REAL_FIELDS, Real, "a number"),
-                              (_STR_FIELDS, str, "a string"),
-                              (_OPTIONAL_STR_FIELDS, (str, type(None)), "a string or null")):
-        for name in names:
-            value = getattr(config, name)
-            if (not isinstance(value, kind) or isinstance(value, bool)
-                    or kind is Real and math.isnan(value)):
-                problems.append(f"{name}: must be {what}, got {value!r}")
-    if problems:
+    if problems := type_problems(vars(config), _SCHEMA):
         return problems
     for name in ("trim_threshold_db", "max_edge_silence_s", "min_pause_s", "max_cer_pct"):
         value = getattr(config, name)

@@ -8,7 +8,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import SubsetSpec, UtteranceRecord, read_jsonl, replacing
+from .manifest import (ManifestError, SubsetSpec, UtteranceRecord, read_jsonl, replacing,
+                       schema_of, type_problems)
 from .segmentation import _splitmix64
 
 logger = logging.getLogger(__name__)
@@ -22,6 +23,9 @@ class CurationError(Exception):
 class SpeakerCountRecord:
     utterance_id: str
     num_speakers: int
+
+
+_COUNTS_SCHEMA = schema_of(SpeakerCountRecord)
 
 
 @dataclass(frozen=True)
@@ -40,9 +44,10 @@ class SplitPlan:
 
 def load_speaker_counts(path: str | Path) -> list[SpeakerCountRecord]:
     def parse(obj: dict) -> SpeakerCountRecord:
+        if problems := type_problems(obj, _COUNTS_SCHEMA):
+            raise ManifestError("; ".join(problems))
         n = obj["num_speakers"]
-        # bool is an int subclass: `true` is not a count.
-        if type(n) is not int or n < 0:
+        if n < 0:
             raise ValueError(
                 f"invalid literal for num_speakers: {n!r} (need a non-negative integer)")
         return SpeakerCountRecord(obj["utterance_id"], n)

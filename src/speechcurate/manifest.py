@@ -11,7 +11,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -19,35 +19,6 @@ T = TypeVar("T")
 
 TEXT_SOURCES = ("book_match", "predicted_pc")
 GENDERS = ("m", "f", "unknown")
-
-# Serialization order. Unknown fields are appended after these, sorted by key.
-_UTT_FIELDS = (
-    "utterance_id",
-    "book_id",
-    "chapter_id",
-    "speaker_id",
-    "audio_path",
-    "offset_s",
-    "duration_s",
-    "trim_lead_s",
-    "text",
-    "text_source",
-    "raw_text",
-    "bandwidth_hz",
-    "wer_pct",
-    "cer_pct",
-    "num_speakers",
-    "gender",
-)
-
-_CHAPTER_FIELDS = (
-    "chapter_id",
-    "book_id",
-    "speaker_id",
-    "audio_path",
-    "sample_rate_hz",
-    "book_text_path",
-)
 
 
 class ManifestError(Exception):
@@ -67,9 +38,47 @@ def _round_seconds(x: float) -> float:
     return float(f"{x:.4f}")
 
 
+# The values a field annotation accepts, and how a message names them.
+_ACCEPTS = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
+            "float": ((int, float), "a number"), "int | float": ((int, float), "a number")}
+
+
+def schema_of(cls) -> dict[str, tuple[tuple[type, ...], str]]:
+    """{key: (accepted types, their name)} in field order, for each field of a
+    dataclass annotated (as a string) with an _ACCEPTS key, alone or `| None`.
+    A `dict` field holds unknown keys; a `list[str]` is left to its caller."""
+    schema = {}
+    for f in fields(cls):
+        if f.type in ("dict", "list[str]"):
+            continue
+        base = f.type.removesuffix(" | None")
+        accepted, what = _ACCEPTS[base]
+        if base != f.type:
+            accepted, what = (*accepted, type(None)), f"{what} or null"
+        schema[f.name] = accepted, what
+    return schema
+
+
+def type_problems(obj: dict, schema: dict) -> list[str]:
+    """A message for each value in obj that its field's annotation does not accept.
+    A bool is not a number, and NaN is not a number: it passes every range check."""
+    problems = []
+    for name, value in obj.items():
+        if name in schema:
+            accepted, what = schema[name]
+            # NaN is the one accepted value unequal to itself.
+            if not isinstance(value, accepted) or isinstance(value, bool) or value != value:
+                problems.append(f"{name}: must be {what}, got {value!r}")
+    return problems
+
+
 @dataclass(frozen=True)
 class UtteranceRecord:
-    """One manifest row: an audio span plus transcript and quality metadata."""
+    """One manifest row: an audio span plus transcript and quality metadata.
+
+    The field order is the manifest's key order; other keys are kept in
+    `extra` and written after them, sorted by key.
+    """
 
     utterance_id: str
     book_id: str
@@ -78,21 +87,25 @@ class UtteranceRecord:
     audio_path: str
     offset_s: float
     duration_s: float
-    raw_text: str = ""
+    # seconds of leading silence the audio stage cut; alignments count from before it
+    trim_lead_s: float | None = None
     text: str | None = None
     text_source: str | None = None
+    raw_text: str = ""
     bandwidth_hz: int | None = None
     wer_pct: float | None = None
     cer_pct: float | None = None
     num_speakers: int | None = None
     gender: str = "unknown"
-    # seconds of leading silence the audio stage cut; alignments count from before it
-    trim_lead_s: float | None = None
     extra: dict = field(default_factory=dict, compare=True)
 
     def validate(self) -> None:
         if not self.utterance_id:
             raise InvariantError("utterance_id", "must be non-empty")
+        for name in ("offset_s", "duration_s", "trim_lead_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvariantError(name, f"must be finite, got {value}")
         if self.offset_s < 0:
             raise InvariantError("offset_s", f"must be >= 0, got {self.offset_s}")
         if not self.duration_s > 0:
@@ -116,7 +129,7 @@ class UtteranceRecord:
 
     def to_json_dict(self) -> dict:
         out: dict = {}
-        for name in _UTT_FIELDS:
+        for name in _UTT_SCHEMA:
             value = getattr(self, name)
             if value is None:
                 continue  # absent metrics are omitted keys, not null
@@ -133,18 +146,18 @@ class UtteranceRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "UtteranceRecord":
-        known = {k: obj[k] for k in _UTT_FIELDS if k in obj}
-        extra = {k: v for k, v in obj.items() if k not in _UTT_FIELDS}
-        missing = [k for k in ("utterance_id", "book_id", "chapter_id", "speaker_id",
-                               "audio_path", "offset_s", "duration_s") if k not in known]
-        if missing:
-            raise ManifestError(f"missing required fields: {', '.join(missing)}")
-        rec = cls(extra=extra, **known)
+        if problems := type_problems(obj, _UTT_SCHEMA):
+            raise ManifestError("; ".join(problems))
+        known = {k: obj[k] for k in _UTT_SCHEMA if k in obj}
+        rec = cls(extra={k: v for k, v in obj.items() if k not in known}, **known)
         rec.validate()
         return rec
 
     def with_fields(self, **changes) -> "UtteranceRecord":
         return replace(self, **changes)
+
+
+_UTT_SCHEMA = schema_of(UtteranceRecord)
 
 
 @dataclass(frozen=True)
@@ -163,24 +176,23 @@ class ChapterRecord:
             raise InvariantError("sample_rate_hz", f"must be > 0, got {self.sample_rate_hz}")
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for name in _CHAPTER_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {k: v for k in _CHAPTER_SCHEMA if (v := getattr(self, k)) is not None}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ChapterRecord":
         # A misspelled key would otherwise leave its field unset. bandwidth_hz
         # is a legacy key, still accepted and ignored.
-        unknown = set(obj) - set(_CHAPTER_FIELDS) - {"bandwidth_hz"}
+        unknown = set(obj) - set(_CHAPTER_SCHEMA) - {"bandwidth_hz"}
         if unknown:
             raise ManifestError(f"unknown chapter keys: {sorted(unknown)}")
-        known = {k: obj[k] for k in _CHAPTER_FIELDS if k in obj}
-        rec = cls(**known)
+        if problems := type_problems(obj, _CHAPTER_SCHEMA):
+            raise ManifestError("; ".join(problems))
+        rec = cls(**{k: obj[k] for k in _CHAPTER_SCHEMA if k in obj})
         rec.validate()
         return rec
+
+
+_CHAPTER_SCHEMA = schema_of(ChapterRecord)
 
 
 @dataclass(frozen=True)
@@ -200,12 +212,17 @@ class SubsetSpec:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SubsetSpec":
         # A misspelled key would otherwise leave its gate at the default (off).
-        unknown = set(obj) - set(cls.__dataclass_fields__)
+        unknown = set(obj) - set(_SUBSET_SCHEMA)
         if unknown:
             raise ManifestError(f"unknown subset spec keys: {sorted(unknown)}")
+        if problems := type_problems(obj, _SUBSET_SCHEMA):
+            raise ManifestError("; ".join(problems))
         spec = cls(**obj)
         spec.validate()
         return spec
+
+
+_SUBSET_SCHEMA = schema_of(SubsetSpec)
 
 
 def _dump_line(obj: dict) -> str:

@@ -236,7 +236,9 @@ def _stage_text(records, ctx: _Context):
     def load(chapter_id: str):
         # Clean and normalize the chapter once, before its workers start.
         chapter = ctx.chapters.get(chapter_id)
-        if chapter is None or chapter.book_text_path is None:
+        if chapter is None:
+            return "missing_chapter"
+        if chapter.book_text_path is None:
             return "missing_book_text"
         try:
             raw = Path(chapter.book_text_path).read_text(encoding="utf-8")

@@ -202,7 +202,7 @@ class TestDeterminism:
             result = run_pipeline(config)
             outs.append(tmp_path / f"w{workers}")
         (report,) = result.reports
-        assert report.drop_reasons == {"missing_book_text": 3}
+        assert report.drop_reasons == {"missing_book_text": 2, "missing_chapter": 1}
         kept = read_manifest(outs[0] / "manifest.00_text.jsonl")
         matched = {r.chapter_id for r in kept if r.text_source == "book_match"}
         assert matched == {"ch0", "ch1", "ch2", "ch3"}
@@ -826,6 +826,37 @@ class TestCli:
         result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
         assert result.exit_code == 1
 
+    # Exit 2 means a stage failed, so click's usage errors exit 1 like a config error.
+    @pytest.mark.parametrize("args", [
+        ["run", "--config", "absent.yaml"],
+        ["run", "--config", "."],
+        ["run", "--config", "config.yaml", "--workers", "x"],
+        ["run"],
+        ["stats", "--manifest", "."],
+        ["stats", "--manifest", "m.jsonl", "--csv", "."],
+        ["subset", "--manifest", "m.jsonl", "--spec", ".", "--out", "s.jsonl"],
+        ["subset", "--manifest", "m.jsonl", "--spec", "spec.json", "--out", "."],
+        ["splits", "--manifest", "m.jsonl", "--out", "."],
+        ["nonesuch"],
+        ["--nonesuch"],
+    ], ids=["missing-file", "directory", "bad-int", "missing-option", "stats-directory",
+            "csv-directory", "spec-directory", "out-directory", "splits-out-directory",
+            "unknown-command", "unknown-option"])
+    def test_usage_error_exit_code(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        for name in ("config.yaml", "m.jsonl", "spec.json"):
+            (tmp_path / name).write_text("{}\n")
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.yaml", "m.jsonl", "spec.json"]
+
+    @pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
+    def test_help_exit_code(self, args):
+        assert CliRunner().invoke(main, args).exit_code == 0
+
     def test_subset_command(self, corpus, tmp_path, pipeline_out):
         _, presult = pipeline_out
         spec_path = tmp_path / "spec.json"
@@ -842,6 +873,7 @@ class TestCli:
     @pytest.mark.parametrize("spec,message", [
         ({"min_bandwith_hz": 13000}, "min_bandwith_hz"),
         ({"min_bandwidth_hz": -1}, "must be >= 0"),
+        ({"min_bandwidth_hz": "13000"}, "min_bandwidth_hz: must be a number, got '13000'"),
     ])
     def test_subset_spec_error_exit_code(self, tmp_path, spec, message):
         manifest_path = tmp_path / "in.jsonl"
@@ -853,7 +885,7 @@ class TestCli:
             "subset", "--manifest", str(manifest_path),
             "--spec", str(spec_path), "--out", str(tmp_path / "out.jsonl")])
         assert result.exit_code == 1
-        assert "config error" in result.output and message in result.output
+        assert f"config error: {spec_path}: " in result.output and message in result.output
         assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["stats", "subset", "splits", "run"])
@@ -965,15 +997,25 @@ def _side_file(key, name, content):
     return plant
 
 
-def _chapter_ch1(change):
-    """Rewrite ch1's line of the chapters manifest with change(obj)."""
+def _rewrite_line(name, index, change):
+    """Rewrite line `index` (from 0) of the corpus file `name` with change(obj)."""
     def plant(root, config):
-        path = root / "chapters.jsonl"
+        path = root / name
         objs = [json.loads(line) for line in path.read_text().splitlines()]
-        change(objs[1])
+        change(objs[index])
         path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
         return path
     return plant
+
+
+def _chapter_ch1(**values):
+    """Set values on ch1's line of the chapters manifest (line 2)."""
+    return _rewrite_line("chapters.jsonl", 1, lambda obj: obj.update(values))
+
+
+def _utterance_1(**values):
+    """Set values on line 1 of the utterances manifest."""
+    return _rewrite_line("utterances.jsonl", 0, lambda obj: obj.update(values))
 
 
 def _book_text_ch1(content):
@@ -984,9 +1026,9 @@ def _book_text_ch1(content):
 
 
 _DUP_COUNTS = b'{"utterance_id": "ch0_0000", "num_speakers": 1}\n' * 2
-_UNKNOWN_CHAPTER_KEY = _chapter_ch1(
-    lambda obj: obj.update(book_txt_path=obj.pop("book_text_path")))
-_DECLARED_16K = _chapter_ch1(lambda obj: obj.update(sample_rate_hz=16000))
+_UNKNOWN_CHAPTER_KEY = _rewrite_line(
+    "chapters.jsonl", 1, lambda obj: obj.update(book_txt_path=obj.pop("book_text_path")))
+_DECLARED_16K = _chapter_ch1(sample_rate_hz=16000)
 
 
 def _drop_ch1(root, config):
@@ -1060,19 +1102,24 @@ FAULTS = [
                  1, "config error: {path}:1: malformed JSON", id="counts-malformed"),
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
                                           b'{"utterance_id": "u", "num_speakers": "two"}\n'),
-                 1, "config error: {path}:1: invalid literal", id="counts-not-a-number"),
+                 1, "config error: {path}:1: num_speakers: must be an integer, got 'two'",
+                 id="counts-not-a-number"),
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
                                           b'{"utterance_id": "ch0_0000", "num_speakers": -1}\n'),
                  1, "config error: {path}:1: invalid literal for num_speakers: -1",
                  id="counts-negative"),
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
                                           b'{"utterance_id": "ch0_0000", "num_speakers": 2.7}\n'),
-                 1, "config error: {path}:1: invalid literal for num_speakers: 2.7",
+                 1, "config error: {path}:1: num_speakers: must be an integer, got 2.7",
                  id="counts-fractional"),
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
                                           b'{"utterance_id": "ch0_0000", "num_speakers": true}\n'),
-                 1, "config error: {path}:1: invalid literal for num_speakers: True",
+                 1, "config error: {path}:1: num_speakers: must be an integer, got True",
                  id="counts-bool"),
+    pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
+                                          b'{"utterance_id": 5, "num_speakers": 1}\n'),
+                 1, "config error: {path}:1: utterance_id: must be a string, got 5",
+                 id="counts-id-not-a-string"),
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl", _DUP_COUNTS),
                  1, "config error: {path}:2: duplicate utterance_id 'ch0_0000'",
                  id="counts-duplicate-id"),
@@ -1087,6 +1134,39 @@ FAULTS = [
     pytest.param(["text"], _UNKNOWN_CHAPTER_KEY,
                  1, "config error: {path}:2: unknown chapter keys: ['book_txt_path']",
                  id="chapter-unknown-key"),
+    pytest.param(["audio"], _chapter_ch1(audio_path=5),
+                 1, "config error: {path}:2: audio_path: must be a string, got 5",
+                 id="chapter-audio-path-not-a-string"),
+    pytest.param(["text"], _chapter_ch1(book_text_path=5),
+                 1, "config error: {path}:2: book_text_path: must be a string or null, got 5",
+                 id="chapter-book-text-path-not-a-string"),
+    pytest.param(["audio"], _chapter_ch1(sample_rate_hz="48000"),
+                 1, "config error: {path}:2: sample_rate_hz: must be an integer, got '48000'",
+                 id="chapter-rate-string"),
+    pytest.param(["audio"], _chapter_ch1(sample_rate_hz=48000.0),
+                 1, "config error: {path}:2: sample_rate_hz: must be an integer, got 48000.0",
+                 id="chapter-rate-float"),
+    pytest.param(["text"], _utterance_1(raw_text=5),
+                 1, "config error: {path}:1: raw_text: must be a string, got 5",
+                 id="utterance-raw-text-not-a-string"),
+    pytest.param(["text"], _utterance_1(utterance_id=5),
+                 1, "config error: {path}:1: utterance_id: must be a string, got 5",
+                 id="utterance-id-not-a-string"),
+    pytest.param(["text"], _utterance_1(chapter_id=7),
+                 1, "config error: {path}:1: chapter_id: must be a string, got 7",
+                 id="utterance-chapter-id-not-a-string"),
+    pytest.param(["audio"], _utterance_1(offset_s=True),
+                 1, "config error: {path}:1: offset_s: must be a number, got True",
+                 id="utterance-offset-bool"),
+    pytest.param(["audio"], _utterance_1(offset_s=float("nan")),
+                 1, "config error: {path}:1: offset_s: must be a number, got nan",
+                 id="utterance-offset-nan"),
+    pytest.param(["audio"], _utterance_1(offset_s=float("inf")),
+                 1, "config error: {path}:1: offset_s: must be finite, got inf",
+                 id="utterance-offset-infinite"),
+    pytest.param(["audio"], _utterance_1(duration_s=float("inf")),
+                 1, "config error: {path}:1: duration_s: must be finite, got inf",
+                 id="utterance-duration-infinite"),
     pytest.param(["audio"], _duplicate_ch1,
                  1, "config error: {path}:5: duplicate chapter_id 'ch1'",
                  id="chapter-duplicate-id"),
