@@ -8,8 +8,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import (ManifestError, SubsetSpec, UtteranceRecord, read_jsonl, replacing,
-                       schema_of, type_problems)
+from .manifest import SubsetSpec, UtteranceRecord, from_typed, read_jsonl, replacing
 from .segmentation import _splitmix64
 
 logger = logging.getLogger(__name__)
@@ -23,9 +22,6 @@ class CurationError(Exception):
 class SpeakerCountRecord:
     utterance_id: str
     num_speakers: int
-
-
-_COUNTS_SCHEMA = schema_of(SpeakerCountRecord)
 
 
 @dataclass(frozen=True)
@@ -44,13 +40,11 @@ class SplitPlan:
 
 def load_speaker_counts(path: str | Path) -> list[SpeakerCountRecord]:
     def parse(obj: dict) -> SpeakerCountRecord:
-        if problems := type_problems(obj, _COUNTS_SCHEMA):
-            raise ManifestError("; ".join(problems))
-        n = obj["num_speakers"]
-        if n < 0:
-            raise ValueError(
-                f"invalid literal for num_speakers: {n!r} (need a non-negative integer)")
-        return SpeakerCountRecord(obj["utterance_id"], n)
+        count = from_typed(SpeakerCountRecord, obj)
+        if count.num_speakers < 0:
+            raise ValueError(f"invalid literal for num_speakers: {count.num_speakers!r} "
+                             "(need a non-negative integer)")
+        return count
 
     return read_jsonl(path, parse, unique="utterance_id")
 
@@ -246,7 +240,8 @@ def sample_eval_splits(
     for spk in selected:
         utts = sorted(qualified[spk], key=lambda u: u.utterance_id)
         dev = _stratified_draw(utts, UTTERANCES_PER_SPEAKER_PER_SPLIT, rng)
-        remaining = [u for u in utts if u not in dev]
+        drawn = {u.utterance_id for u in dev}
+        remaining = [u for u in utts if u.utterance_id not in drawn]
         test = _stratified_draw(remaining, UTTERANCES_PER_SPEAKER_PER_SPLIT, rng)
         dev_ids += [u.utterance_id for u in dev]
         test_ids += [u.utterance_id for u in test]

@@ -7,6 +7,7 @@ record sequences always serialize to identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -40,9 +41,11 @@ def _round_seconds(x: float) -> float:
 
 # The values a field annotation accepts, and how a message names them.
 _ACCEPTS = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
-            "float": ((int, float), "a number"), "int | float": ((int, float), "a number")}
+            "float": ((int, float), "a number"), "int | float": ((int, float), "a number"),
+            "list": ((list,), "a list")}
 
 
+@functools.cache
 def schema_of(cls) -> dict[str, tuple[tuple[type, ...], str]]:
     """{key: (accepted types, their name)} in field order, for each field of a
     dataclass annotated (as a string) with an _ACCEPTS key, alone or `| None`.
@@ -70,6 +73,25 @@ def type_problems(obj: dict, schema: dict) -> list[str]:
             if not isinstance(value, accepted) or isinstance(value, bool) or value != value:
                 problems.append(f"{name}: must be {what}, got {value!r}")
     return problems
+
+
+def from_typed(cls: type[T], obj: dict) -> T:
+    """cls built from obj's values for its fields, which must all be present
+    (else KeyError) and pass type_problems (else ManifestError); other keys
+    are ignored. For the side inputs whose dataclasses have no defaults."""
+    schema = schema_of(cls)
+    if problems := type_problems(obj, schema):
+        raise ManifestError("; ".join(problems))
+    return cls(**{name: obj[name] for name in schema})
+
+
+def _all_finite(value) -> bool:
+    """No NaN or infinity in value, a JSON value as json.loads returns it."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (list, dict)):
+        return all(map(_all_finite, value.values() if isinstance(value, dict) else value))
+    return True
 
 
 @dataclass(frozen=True)
@@ -102,7 +124,7 @@ class UtteranceRecord:
     def validate(self) -> None:
         if not self.utterance_id:
             raise InvariantError("utterance_id", "must be non-empty")
-        for name in ("offset_s", "duration_s", "trim_lead_s"):
+        for name in ("offset_s", "duration_s", "trim_lead_s", "wer_pct", "cer_pct"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvariantError(name, f"must be finite, got {value}")
@@ -120,12 +142,16 @@ class UtteranceRecord:
             raise InvariantError("gender", f"must be one of {GENDERS}, got {self.gender!r}")
         for name in ("wer_pct", "cer_pct"):
             value = getattr(self, name)
-            if value is not None and (value < 0 or math.isnan(value)):
+            if value is not None and value < 0:
                 raise InvariantError(name, f"must be >= 0, got {value}")
         if self.num_speakers is not None and self.num_speakers < 0:
             raise InvariantError("num_speakers", f"must be >= 0, got {self.num_speakers}")
         if self.bandwidth_hz is not None and self.bandwidth_hz < 0:
             raise InvariantError("bandwidth_hz", f"must be >= 0, got {self.bandwidth_hz}")
+        # Unknown keys are written back as read, and JSON has no NaN or infinity.
+        for name, value in self.extra.items():
+            if not _all_finite(value):
+                raise InvariantError(name, f"must be finite, got {value}")
 
     def to_json_dict(self) -> dict:
         out: dict = {}
@@ -226,7 +252,8 @@ _SUBSET_SCHEMA = schema_of(SubsetSpec)
 
 
 def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    # Strict JSON: NaN and Infinity are not JSON values.
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:

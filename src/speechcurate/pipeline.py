@@ -19,6 +19,7 @@ per-record work is pure Python, which holds the interpreter lock.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import shlex
@@ -38,6 +39,7 @@ from .manifest import (
     ChapterRecord,
     ManifestError,
     UtteranceRecord,
+    from_typed,
     read_chapters,
     read_jsonl,
     read_manifest,
@@ -126,6 +128,26 @@ class _Context:
         return pcm
 
 
+# glibc's mallopt parameter: bytes of freed memory an arena keeps at its top.
+_M_TOP_PAD = -2
+# About six float64 arrays of a 20 s record at 48 kHz, with room to spare.
+_TOP_PAD_BYTES = 64 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Let each malloc arena keep up to _TOP_PAD_BYTES of freed memory.
+
+    Without it glibc hands a record's multi-MB temporaries back to the kernel
+    when they are freed, and the next record faults them in again, zeroed.
+    The setting is process-wide and permanent (glibc has no getter to restore
+    it from); where mallopt is missing this does nothing.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+    except (AttributeError, OSError):
+        pass
+
+
 def _unreadable(exc: Exception) -> str:
     return f"chapter_audio_unreadable:{exc.__class__.__name__}"
 
@@ -160,13 +182,26 @@ def _pool(workers: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _load_jsonl_map(path: str | Path, key: str, value: str) -> dict[str, str]:
-    def parse(obj: dict) -> tuple[str, str]:
-        if not isinstance(obj[value], str):
-            raise TypeError(f"{value} must be a string, got {obj[value]!r}")
-        return obj[key], obj[value]
+@dataclass(frozen=True)
+class _Hypothesis:
+    """A line of the ASR hypotheses file."""
 
-    return dict(read_jsonl(path, parse, unique=key))
+    utterance_id: str
+    hyp_text: str
+
+
+@dataclass(frozen=True)
+class _PredictedText:
+    """A line of the predicted-PC file: the utterance's text with punctuation and case."""
+
+    utterance_id: str
+    text: str
+
+
+def _load_jsonl_map(path: str | Path, cls, value: str) -> dict[str, str]:
+    """{utterance_id: line.value} over a JSONL file of cls lines."""
+    lines = read_jsonl(path, lambda obj: from_typed(cls, obj), unique="utterance_id")
+    return {line.utterance_id: getattr(line, value) for line in lines}
 
 
 class _Reject(NamedTuple):
@@ -231,7 +266,7 @@ def _stage_text(records, ctx: _Context):
     predicted = {}
     if ctx.config.predicted_pc_path:
         path = _side_input(ctx, "text", "predicted_pc_path", "predicted PC")
-        predicted = _load_jsonl_map(path, "utterance_id", "text")
+        predicted = _load_jsonl_map(path, _PredictedText, "text")
 
     def load(chapter_id: str):
         # Clean and normalize the chapter once, before its workers start.
@@ -387,7 +422,7 @@ def _stage_segment(records, ctx: _Context):
 def _stage_validate(records, ctx: _Context):
     cfg = ctx.config
     path = _side_input(ctx, "validate", "asr_hypotheses_path", "ASR hypotheses")
-    hyps = _load_jsonl_map(path, "utterance_id", "hyp_text")
+    hyps = _load_jsonl_map(path, _Hypothesis, "hyp_text")
 
     def work(rec: UtteranceRecord):
         hyp = hyps.get(rec.utterance_id)
@@ -451,10 +486,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     Inputs are never mutated.
     Raises ConfigError for an invalid config or a bad utterances manifest
     before any stage runs, and for a bad side input when its stage starts.
+    Before the first stage, glibc's allocator is told to keep up to 64 MiB of
+    freed memory per arena, so each record reuses the pages the last one
+    freed; the setting stays for the life of the process.
     """
     problems = validate_config(config)
     if problems:
         raise ConfigError("; ".join(problems))
+    _keep_freed_heap()
     ctx = _Context(config)
     ctx.out_dir.mkdir(parents=True, exist_ok=True)
     try:

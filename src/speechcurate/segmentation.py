@@ -12,7 +12,8 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .manifest import ManifestError, UtteranceRecord, _lines, read_jsonl
+from .manifest import (ManifestError, UtteranceRecord, _lines, from_typed, read_jsonl,
+                       schema_of, type_problems)
 
 DEFAULT_MIN_PAUSE_S = 0.08
 
@@ -28,6 +29,26 @@ class AlignmentToken:
     word: str
     start_s: float
     end_s: float
+
+
+@dataclass(frozen=True)
+class _AlignmentLine:
+    """A line of a JSONL alignments file."""
+
+    utterance_id: str
+    tokens: list
+
+
+@dataclass(frozen=True)
+class _JsonToken:
+    """The keys and types of a token in a JSONL alignments file."""
+
+    word: str
+    start: float
+    end: float
+
+
+_TOKEN_SCHEMA = schema_of(_JsonToken)
 
 
 @dataclass(frozen=True)
@@ -196,10 +217,12 @@ def apply_split(
 
 def load_alignments_jsonl(path: str | Path) -> dict[str, list[AlignmentToken]]:
     """Consolidated alignments: JSONL of {utterance_id, tokens: [...]}."""
+    def parse(obj: dict) -> tuple[str, list[AlignmentToken]]:
+        line = from_typed(_AlignmentLine, obj)
+        return line.utterance_id, [_token_from_obj(tok) for tok in line.tokens]
+
     try:
-        return dict(read_jsonl(path, lambda obj: (
-            obj["utterance_id"], [_token_from_obj(tok) for tok in obj["tokens"]]),
-            unique="utterance_id"))
+        return dict(read_jsonl(path, parse, unique="utterance_id"))
     except ManifestError as exc:
         raise AlignmentError(str(exc)) from exc
 
@@ -224,6 +247,11 @@ def load_ctm(path: str | Path) -> dict[str, list[AlignmentToken]]:
 
 
 def _token_from_obj(obj: dict) -> AlignmentToken:
+    if not isinstance(obj, dict):
+        raise AlignmentError(f"token must be a JSON object, got {obj!r}")
+    if problems := type_problems(obj, _TOKEN_SCHEMA):
+        raise AlignmentError("; ".join(problems))
+    # float() only widens a JSON integer: the type rule has refused the rest.
     token = AlignmentToken(
         word=obj["word"], start_s=float(obj["start"]), end_s=float(obj["end"])
     )

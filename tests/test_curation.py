@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from speechcurate import curation
 from speechcurate.curation import (
     CurationError,
     SpeakerCountRecord,
@@ -202,7 +203,39 @@ def eval_fixture(n_eligible=50, n_ineligible=10, utts_per_speaker=40):
     return records
 
 
+def _seen_draw_by_equality(records, rng_seed):
+    """The seen-speaker draw as the sampler first wrote it: after the dev draw,
+    the records left for the test draw are found by dataclass equality."""
+    by_speaker = {}
+    for r in records:
+        if (r.bandwidth_hz >= curation.ELIGIBLE_MIN_BANDWIDTH_HZ and r.wer_pct == 0.0
+                and r.num_speakers == 1):
+            by_speaker.setdefault(r.speaker_id, []).append(r)
+    qualified = {spk: utts for spk, utts in by_speaker.items()
+                 if curation.SPEAKER_MIN_TRAIN_S <= sum(u.duration_s for u in utts)
+                 <= curation.SPEAKER_MAX_TRAIN_S}
+    rng = curation._Rng(rng_seed)
+    dev_ids, test_ids = [], []
+    for spk in curation._select_speakers(qualified, rng):
+        utts = sorted(qualified[spk], key=lambda u: u.utterance_id)
+        dev = curation._stratified_draw(utts, curation.UTTERANCES_PER_SPEAKER_PER_SPLIT, rng)
+        remaining = [u for u in utts if u not in dev]
+        test = curation._stratified_draw(
+            remaining, curation.UTTERANCES_PER_SPEAKER_PER_SPLIT, rng)
+        dev_ids += [u.utterance_id for u in dev]
+        test_ids += [u.utterance_id for u in test]
+    return tuple(dev_ids), tuple(test_ids)
+
+
 class TestEvalSplits:
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_plans_match_equality_reference(self, seed):
+        # 60 utterances per speaker, so the test draw picks 20 of the 40 left.
+        fixture = eval_fixture(utts_per_speaker=60)
+        plans = sample_eval_splits(fixture, rng_seed=seed)
+        assert (plans["dev_seen"].utterance_ids, plans["test_seen"].utterance_ids) == \
+            _seen_draw_by_equality(fixture, seed)
+
     def test_counts_and_disjointness(self):
         plans = sample_eval_splits(eval_fixture(), rng_seed=5)
         dev, test = plans["dev_seen"], plans["test_seen"]

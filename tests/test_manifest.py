@@ -147,6 +147,13 @@ def test_trim_lead_follows_duration_and_is_omitted_when_unset(tmp_path):
     assert read_manifest(path)[0].trim_lead_s == 0.25
 
 
+@pytest.mark.parametrize("field", ["wer_pct", "cer_pct"])
+def test_non_finite_metric_names_field(tmp_path, field):
+    with pytest.raises(InvariantError, match=f"{field}: must be finite, got inf"):
+        write_manifest([make_record(**{field: float("inf")})], tmp_path / "m.jsonl")
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_negative_trim_lead_names_field(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({**make_record().to_json_dict(), "trim_lead_s": -0.5}) + "\n")
@@ -264,6 +271,9 @@ def _interrupted():
     # already being written when it fails.
     pytest.param(lambda: [make_record(1), make_record(2, extra={"x": object()})],
                  TypeError, id="unserializable"),
+    # Output is strict JSON: no NaN or Infinity token, however deep.
+    pytest.param(lambda: [make_record(1), make_record(2, extra={"x": [float("inf")]})],
+                 InvariantError, id="non-finite"),
 ])
 def test_interrupted_write_keeps_previous_file(tmp_path, records, error):
     path = tmp_path / "m.jsonl"
