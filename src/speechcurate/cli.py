@@ -118,7 +118,7 @@ def stats(manifest_path, as_json, csv_path):
 def subset(manifest_path, spec_path, out_path):
     """Filter a manifest through a SubsetSpec gate file."""
     try:
-        spec = SubsetSpec.from_json_dict(json.loads(Path(spec_path).read_text()))
+        spec = SubsetSpec.from_json_dict(json.loads(Path(spec_path).read_text(encoding="utf-8")))
     except (ValueError, TypeError, ManifestError) as exc:
         raise ConfigError(f"{spec_path}: {exc}") from exc
     records = read_manifest(manifest_path)

@@ -237,6 +237,8 @@ class SubsetSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SubsetSpec":
+        if not isinstance(obj, dict):
+            raise ManifestError(f"must be a JSON object, got {type(obj).__name__}")
         # A misspelled key would otherwise leave its gate at the default (off).
         unknown = set(obj) - set(_SUBSET_SCHEMA)
         if unknown:
@@ -258,14 +260,16 @@ def _dump_line(obj: dict) -> str:
 
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each non-blank line of a UTF-8 file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:
                     yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:  # missing, a directory, no permission
+        raise ManifestError(f"{path}: unreadable: {exc}") from exc
 
 
 def read_jsonl(

@@ -6,15 +6,17 @@ quarantined into a rejects manifest, each line naming its `reject_reason`.
 The segment stage shifts alignment times by the `trim_lead_s` the audio stage
 stamps. Worker results are re-sorted by utterance_id before writing, so the
 worker count never affects output bytes.
-The text and audio stages stream chapters through one pool of `workers`
-threads, at every worker count: chapter inputs are loaded in chapter order on
-the calling thread, the next one while the current one's records run, and at
-most min(2, workers) are alive at once. The audio stage's chapter input is
-one open descriptor, of the WAV file or of decoder output spooled to a
-temporary file, from which each worker preads only its own record's frames.
-Nothing decoded outlives its stage. The bandwidth stage maps its chapters
-over one such pool. Segment and validate run on the calling thread: their
-per-record work is pure Python, which holds the interpreter lock.
+The run reads the chapters manifest and starts one pool of `workers` threads
+on the calling thread before the first stage, when text, audio or bandwidth
+is enabled. The text and audio stages stream chapters through that pool, at
+every worker count: chapter inputs are loaded in chapter order on the calling
+thread, the next one while the current one's records run, and at most
+min(2, workers) are alive at once. The audio stage's chapter input is one
+open descriptor, of the WAV file or of decoder output spooled to a temporary
+file, from which each worker preads only its own record's frames. Nothing
+decoded outlives its stage. The bandwidth stage maps its chapters over the
+pool. Segment and validate run on the calling thread: their per-record work
+is pure Python, which holds the interpreter lock.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import shlex
 import subprocess
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -96,21 +97,14 @@ class _Context:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.out_dir = Path(config.out_dir)
-        self._chapters: dict[str, ChapterRecord] | None = None
+        # Both set by run_pipeline when a chapter stage is enabled.
+        self.chapters: dict[str, ChapterRecord] = {}
+        self.pool: ThreadPoolExecutor | None = None
         self.rules = _load_text_file(
             textproc.load_rules, config.rules_path, textproc.default_rules)
         self.abbreviations = _load_text_file(
             segmentation.load_abbreviations, config.abbreviations_path,
             segmentation.load_default_abbreviations)
-
-    @property
-    def chapters(self) -> dict[str, ChapterRecord]:
-        if self._chapters is None:
-            path = Path(self.config.chapters_manifest)
-            if not path.exists():
-                raise StageError("setup", f"chapters manifest not found: {path}")
-            self._chapters = {c.chapter_id: c for c in read_chapters(path)}
-        return self._chapters
 
     def open_chapter(self, chapter_id: str) -> audiolib.PcmFile | str:
         """The chapter's opened audio (see audio.open_pcm) or a reject reason."""
@@ -171,17 +165,6 @@ def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
     return path
 
 
-@contextmanager
-def _pool(workers: int):
-    """A pool of `workers` threads; on leaving, queued tasks are cancelled and
-    running ones joined."""
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 @dataclass(frozen=True)
 class _Hypothesis:
     """A line of the ASR hypotheses file."""
@@ -209,19 +192,21 @@ class _Reject(NamedTuple):
     reason: str
 
 
-def _by_chapter(records, load, work, workers: int):
-    """Map work(rec, chapter_input) over records, streamed chapter by chapter.
+def _by_chapter(records, load, work, pool: ThreadPoolExecutor, workers: int):
+    """Map work(rec, chapter_input) over records on `pool`, streamed chapter by chapter.
 
     Chapters are loaded on the calling thread in sorted order. load(chapter_id)
     returns the chapter's input or the reject reason (a str) for all its
-    records. One pool of `workers` threads runs every chapter's records. Once
-    min(2, workers) chapters are queued, the oldest one's results are
+    records. The pool, of `workers` threads, runs every chapter's records.
+    Once min(2, workers) chapters are queued, the oldest one's results are
     collected, and its input dropped, before the next is loaded. So with two
     or more workers the next chapter is loaded while the current one's
     records run, at most two chapter inputs are alive and the pool does not
     drain at a chapter's end; with one worker, one input is alive. A
     chapter's records are queued longest `duration_s` first. Results are
     returned in input-record order, which is the order rejects are written in.
+    On a worker's error, the tasks still queued are left for the pool's owner
+    to cancel.
     """
     groups: dict[str, list[int]] = {}
     for i, rec in enumerate(records):
@@ -236,24 +221,23 @@ def _by_chapter(records, load, work, workers: int):
             results[i] = future.result()
         held.clear()  # the tasks that ran keep only this emptied list
 
-    with _pool(workers) as pool:
-        pending: deque = deque()  # ({index: future}, [input]) of submitted chapters
-        for chapter_id in sorted(groups):
-            if len(pending) == min(2, workers):
-                collect(*pending.popleft())
-            data = load(chapter_id)
-            indices = groups[chapter_id]
-            if isinstance(data, str):
-                for i in indices:
-                    results[i] = _Reject(records[i], data)
-                continue
-            held = [data]
-            del data  # so that collect() drops the chapter's last reference
-            # Longest records first, so that short ones fill the last gaps.
-            order = sorted(indices, key=lambda i: -records[i].duration_s)
-            pending.append(({i: pool.submit(run, records[i], held) for i in order}, held))
-        while pending:
+    pending: deque = deque()  # ({index: future}, [input]) of submitted chapters
+    for chapter_id in sorted(groups):
+        if len(pending) == min(2, workers):
             collect(*pending.popleft())
+        data = load(chapter_id)
+        indices = groups[chapter_id]
+        if isinstance(data, str):
+            for i in indices:
+                results[i] = _Reject(records[i], data)
+            continue
+        held = [data]
+        del data  # so that collect() drops the chapter's last reference
+        # Longest records first, so that short ones fill the last gaps.
+        order = sorted(indices, key=lambda i: -records[i].duration_s)
+        pending.append(({i: pool.submit(run, records[i], held) for i in order}, held))
+    while pending:
+        collect(*pending.popleft())
     return results
 
 
@@ -291,7 +275,7 @@ def _stage_text(records, ctx: _Context):
         text = predicted.get(rec.utterance_id, rec.raw_text)
         return [rec.with_fields(text=text, text_source="predicted_pc")]
 
-    return _collect(_by_chapter(records, load, work, ctx.config.workers))
+    return _collect(_by_chapter(records, load, work, ctx.pool, ctx.config.workers))
 
 
 def _stage_audio(records, ctx: _Context):
@@ -336,7 +320,8 @@ def _stage_audio(records, ctx: _Context):
             )
         ]
 
-    return _collect(_by_chapter(records, ctx.open_chapter, work, ctx.config.workers))
+    return _collect(_by_chapter(records, ctx.open_chapter, work, ctx.pool,
+                                ctx.config.workers))
 
 
 def _encode(buf: audiolib.AudioBuffer, out_path: Path, encoder_cmd: str) -> None:
@@ -354,7 +339,6 @@ def _encode(buf: audiolib.AudioBuffer, out_path: Path, encoder_cmd: str) -> None
 def _stage_bandwidth(records, ctx: _Context):
     cfg = ctx.config
     chapter_ids = sorted({r.chapter_id for r in records})
-    ctx.chapters  # read here, before any worker needs it
 
     def estimate(chapter_id: str) -> int | str:
         """The chapter's bandwidth in Hz, or the reason its records are rejected."""
@@ -374,8 +358,7 @@ def _stage_bandwidth(records, ctx: _Context):
         )
         return "degenerate_spectrum" if est.degenerate else int(round(est.f_max_hz))
 
-    with _pool(cfg.workers) as pool:
-        estimates = dict(zip(chapter_ids, pool.map(estimate, chapter_ids)))
+    estimates = dict(zip(chapter_ids, ctx.pool.map(estimate, chapter_ids)))
 
     def work(rec: UtteranceRecord):
         bandwidth_hz = estimates[rec.chapter_id]
@@ -484,8 +467,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     plus their `reject_reason`; when non-empty, else an old one is removed) and
     `report.stage.json` under config.out_dir, each replaced only once complete.
     Inputs are never mutated.
-    Raises ConfigError for an invalid config or a bad utterances manifest
-    before any stage runs, and for a bad side input when its stage starts.
+    Raises ConfigError for an invalid config or a bad utterances or chapters
+    manifest before any stage runs, and for a bad side input when its stage
+    starts. The worker pool is shut down before this returns or raises.
     Before the first stage, glibc's allocator is told to keep up to 64 MiB of
     freed memory per arena, so each record reuses the pages the last one
     freed; the setting stays for the life of the process.
@@ -496,49 +480,59 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     _keep_freed_heap()
     ctx = _Context(config)
     ctx.out_dir.mkdir(parents=True, exist_ok=True)
+    enabled = [s for s in STAGE_ORDER if s in config.stages]
     try:
         records = read_manifest(config.utterances_manifest)
-    except OSError as exc:
-        raise ConfigError(f"utterances manifest unreadable: {exc}") from exc
+        if not {"text", "audio", "bandwidth"}.isdisjoint(enabled):
+            path = Path(config.chapters_manifest)
+            if not path.exists():
+                raise StageError("setup", f"chapters manifest not found: {path}")
+            ctx.chapters = {c.chapter_id: c for c in read_chapters(path)}
+            # One pool for the run, so each worker keeps its grown malloc arena.
+            ctx.pool = ThreadPoolExecutor(max_workers=config.workers)
     except ManifestError as exc:
         raise ConfigError(str(exc)) from exc
     reports: list[StageReport] = []
     final_path: Path | None = None
     any_rejects = False
-    enabled = [s for s in STAGE_ORDER if s in config.stages]
-    for index, stage in enumerate(enabled):
-        fn = _STAGE_FNS[stage]
-        n_in = len(records)
-        try:
-            kept, rejects, extras = fn(records, ctx)
-        except ManifestError as exc:
-            raise ConfigError(str(exc)) from exc
-        kept.sort(key=lambda r: r.utterance_id)
-        final_path = ctx.out_dir / f"manifest.{index:02d}_{stage}.jsonl"
-        write_manifest(kept, final_path)
-        rejects_path = ctx.out_dir / f"rejects.{stage}.jsonl"
-        if rejects:
-            any_rejects = True
-            write_manifest([r.with_fields(extra={**r.extra, "reject_reason": reason})
-                            for r, reason in rejects], rejects_path)
-        else:
-            rejects_path.unlink(missing_ok=True)
-        drop_reasons: dict[str, int] = {}
-        for _, reason in rejects:
-            drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
-        report = StageReport(
-            stage=stage,
-            records_in=n_in,
-            records_out=len(kept),
-            records_dropped=len(rejects),
-            drop_reasons=drop_reasons,
-            extras=extras,
-        )
-        reports.append(report)
-        with replacing(ctx.out_dir / f"report.{stage}.json") as tmp:
-            tmp.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-                           + "\n", encoding="utf-8")
-        logger.info("[%s] in=%d out=%d dropped=%d", stage, n_in, len(kept), len(rejects))
-        records = kept
+    try:
+        for index, stage in enumerate(enabled):
+            fn = _STAGE_FNS[stage]
+            n_in = len(records)
+            try:
+                kept, rejects, extras = fn(records, ctx)
+            except ManifestError as exc:
+                raise ConfigError(str(exc)) from exc
+            kept.sort(key=lambda r: r.utterance_id)
+            final_path = ctx.out_dir / f"manifest.{index:02d}_{stage}.jsonl"
+            write_manifest(kept, final_path)
+            rejects_path = ctx.out_dir / f"rejects.{stage}.jsonl"
+            if rejects:
+                any_rejects = True
+                write_manifest([r.with_fields(extra={**r.extra, "reject_reason": reason})
+                                for r, reason in rejects], rejects_path)
+            else:
+                rejects_path.unlink(missing_ok=True)
+            drop_reasons: dict[str, int] = {}
+            for _, reason in rejects:
+                drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
+            report = StageReport(
+                stage=stage,
+                records_in=n_in,
+                records_out=len(kept),
+                records_dropped=len(rejects),
+                drop_reasons=drop_reasons,
+                extras=extras,
+            )
+            reports.append(report)
+            with replacing(ctx.out_dir / f"report.{stage}.json") as tmp:
+                tmp.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+                               + "\n", encoding="utf-8")
+            logger.info("[%s] in=%d out=%d dropped=%d", stage, n_in, len(kept), len(rejects))
+            records = kept
+    finally:
+        # Not the executor's __exit__: that would run every queued task first.
+        if ctx.pool is not None:
+            ctx.pool.shutdown(wait=True, cancel_futures=True)
     exit_code = EXIT_PARTIAL if any_rejects else EXIT_OK
     return PipelineResult(exit_code=exit_code, reports=reports, final_manifest=final_path)

@@ -59,8 +59,9 @@ def no_leaked_descriptors():
 def no_leaked_threads():
     """Fail a test that ends with more live threads than it began with.
 
-    Every stage that runs worker threads starts a pool, at any worker count,
-    and must join it before it returns.
+    run_pipeline starts one pool of worker threads for a run that enables a
+    chapter stage, at any worker count, and must join it before it returns,
+    also when the run fails.
     """
     before = threading.active_count()
     yield

@@ -339,9 +339,11 @@ class TestChapterStreaming:
                 ch1_started.set()
             return True
 
-        assert pipeline_mod._by_chapter(records, lambda c: [c], work, 2) == [True] * 4
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            out = pipeline_mod._by_chapter(records, lambda c: [c], work, pool, 2)
+        assert out == [True] * 4
 
-    def test_one_pool_per_stage(self, monkeypatch):
+    def test_one_pool_per_run(self, corpus, tmp_path, monkeypatch):
         pools, queued = [], []
 
         class CountingPool(ThreadPoolExecutor):
@@ -349,17 +351,24 @@ class TestChapterStreaming:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-            def submit(self, fn, rec, *args):
-                queued.append(rec.duration_s)
-                return super().submit(fn, rec, *args)
+            def submit(self, fn, *args):
+                queued.append(args[0])
+                return super().submit(fn, *args)
 
         monkeypatch.setattr(pipeline_mod, "ThreadPoolExecutor", CountingPool)
-        records = [SimpleNamespace(chapter_id=f"ch{i % 4}", duration_s=i) for i in range(12)]
-        out = pipeline_mod._by_chapter(records, lambda c: [c], lambda r, c: c[0], 2)
-        assert out == [f"ch{i % 4}" for i in range(12)]
+        config = make_config(corpus, tmp_path / "out", workers=2)
+        config.stages = ["text", "audio", "bandwidth"]
+        result = run_pipeline(config)
+        assert [r.stage for r in result.reports] == config.stages
+        assert all(r.records_out for r in result.reports)
         assert len(pools) == 1
+        queued.clear()
+        records = [SimpleNamespace(chapter_id=f"ch{i % 4}", duration_s=i) for i in range(12)]
+        with CountingPool(max_workers=2) as pool:
+            out = pipeline_mod._by_chapter(records, lambda c: [c], lambda r, c: c[0], pool, 2)
+        assert out == [f"ch{i % 4}" for i in range(12)]
         # Chapter by chapter, each chapter's longest records first.
-        assert queued == [8, 4, 0, 9, 5, 1, 10, 6, 2, 11, 7, 3]
+        assert [rec.duration_s for rec in queued] == [8, 4, 0, 9, 5, 1, 10, 6, 2, 11, 7, 3]
 
     def test_worker_error_propagates_and_frees_inputs(self):
         inputs = []
@@ -379,8 +388,9 @@ class TestChapterStreaming:
 
         records = [SimpleNamespace(chapter_id=f"ch{c}", uid=f"ch{c}_{i}", duration_s=1.0)
                    for c in range(4) for i in range(3)]
-        with pytest.raises(RuntimeError, match="worker failed"):
-            pipeline_mod._by_chapter(records, load, work, 2)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(RuntimeError, match="worker failed"):
+                pipeline_mod._by_chapter(records, load, work, pool, 2)
         gc.collect()  # the traceback's frames and the failed future form cycles
         assert len(inputs) >= 2 and all(ref() is None for ref in inputs)
 
@@ -875,6 +885,10 @@ class TestCli:
         ({"min_bandwith_hz": 13000}, "min_bandwith_hz"),
         ({"min_bandwidth_hz": -1}, "must be >= 0"),
         ({"min_bandwidth_hz": "13000"}, "min_bandwidth_hz: must be a number, got '13000'"),
+        ([], "must be a JSON object, got list"),
+        ("", "must be a JSON object, got str"),
+        (None, "must be a JSON object, got NoneType"),
+        ([1], "must be a JSON object, got list"),
     ])
     def test_subset_spec_error_exit_code(self, tmp_path, spec, message):
         manifest_path = tmp_path / "in.jsonl"
@@ -984,6 +998,22 @@ class TestInputErrors:
         assert result.exit_code == 2, result.output
         assert "chapters manifest not found" in result.output
 
+    @pytest.mark.parametrize("stage", ["text", "audio", "bandwidth"])
+    def test_missing_chapters_manifest_fails_with_no_records(self, corpus, tmp_path, stage):
+        # The chapters manifest of an enabled chapter stage is read before any
+        # stage runs, even when no record would look a chapter up.
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        config = make_config(corpus, tmp_path / "out")
+        config.stages = [stage]
+        config.utterances_manifest = str(empty)
+        config.chapters_manifest = str(tmp_path / "absent.jsonl")
+        config_path = tmp_path / "config.yaml"
+        config.to_yaml(config_path)
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert "chapters manifest not found" in result.output
+
     @pytest.mark.parametrize("which", ["utterances", "chapters"])
     def test_non_utf8_manifest_in_run_is_config_error(self, corpus, tmp_path, which):
         bad = tmp_path / "bad.jsonl"
@@ -1008,6 +1038,16 @@ def _side_file(key, name, content):
         path = root / name
         if content is not None:
             path.write_bytes(content)
+        setattr(config, key, str(path))
+        return path
+    return plant
+
+
+def _side_dir(key, name):
+    """Make root/name a directory and point config.key at it."""
+    def plant(root, config):
+        path = root / name
+        path.mkdir()
         setattr(config, key, str(path))
         return path
     return plant
@@ -1162,6 +1202,12 @@ FAULTS = [
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl", _DUP_COUNTS),
                  1, "config error: {path}:2: duplicate utterance_id 'ch0_0000'",
                  id="counts-duplicate-id"),
+    pytest.param(["audio"], _side_dir("chapters_manifest", "chapters.d"),
+                 1, "config error: {path}: unreadable", id="chapters-directory"),
+    pytest.param(["segment"], _side_dir("alignments_path", "al.jsonl"),
+                 1, "config error: {path}: unreadable", id="alignments-directory"),
+    pytest.param(["validate"], _side_dir("asr_hypotheses_path", "h.jsonl"),
+                 1, "config error: {path}: unreadable", id="hyps-directory"),
     pytest.param(["text"], _side_file("rules_path", "rules.txt", None),
                  1, "config error: {path}: unreadable", id="rules-missing"),
     pytest.param(["text"], _side_file("rules_path", "rules.txt", b"\xff\xfe"),
