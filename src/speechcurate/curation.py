@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import SubsetSpec, UtteranceRecord, from_typed, read_jsonl, replacing
+from .manifest import InvariantError, SubsetSpec, UtteranceRecord, from_typed, read_jsonl, replacing
 from .segmentation import _splitmix64
 
 logger = logging.getLogger(__name__)
@@ -22,6 +22,10 @@ class CurationError(Exception):
 class SpeakerCountRecord:
     utterance_id: str
     num_speakers: int
+
+    def validate(self) -> None:
+        if self.num_speakers < 0:
+            raise InvariantError("num_speakers", f"must be >= 0, got {self.num_speakers}")
 
 
 @dataclass(frozen=True)
@@ -39,14 +43,8 @@ class SplitPlan:
 
 
 def load_speaker_counts(path: str | Path) -> list[SpeakerCountRecord]:
-    def parse(obj: dict) -> SpeakerCountRecord:
-        count = from_typed(SpeakerCountRecord, obj)
-        if count.num_speakers < 0:
-            raise ValueError(f"invalid literal for num_speakers: {count.num_speakers!r} "
-                             "(need a non-negative integer)")
-        return count
-
-    return read_jsonl(path, parse, unique="utterance_id")
+    return read_jsonl(path, lambda obj: from_typed(SpeakerCountRecord, obj),
+                      unique="utterance_id")
 
 
 def apply_speaker_counts(

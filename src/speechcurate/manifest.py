@@ -12,7 +12,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -75,14 +75,44 @@ def type_problems(obj: dict, schema: dict) -> list[str]:
     return problems
 
 
-def from_typed(cls: type[T], obj: dict) -> T:
-    """cls built from obj's values for its fields, which must all be present
-    (else KeyError) and pass type_problems (else ManifestError); other keys
-    are ignored. For the side inputs whose dataclasses have no defaults."""
-    schema = schema_of(cls)
+@functools.cache
+def _rules_of(cls) -> tuple[dict, tuple[str, ...], str | None, bool]:
+    """from_typed's rules for a dataclass: (its schema_of, the fields without a
+    default, the `dict` field that holds unknown keys or None, whether an
+    unknown key is an error)."""
+    required = tuple(f.name for f in fields(cls)
+                     if f.default is MISSING and f.default_factory is MISSING)
+    bag = next((f.name for f in fields(cls) if f.type == "dict"), None)
+    return schema_of(cls), required, bag, bag is None and len(required) < len(fields(cls))
+
+
+def from_typed(cls: type[T], obj) -> T:
+    """The record of dataclass cls that the JSON object obj holds; each fault is a
+    ManifestError. A key that is not a field goes into cls's `dict` field if it
+    has one; else it is an error when some field has a default (a misspelt key
+    would leave that field at its default), and ignored when none has. Then every
+    value must pass type_problems, every field without a default be present, and
+    the record pass its validate(), if it has one."""
+    if not isinstance(obj, dict):
+        raise ManifestError(f"must be a JSON object, got {type(obj).__name__}")
+    schema, required, bag, strict = _rules_of(cls)
+    # The schema's keys, not obj's: cls(**values) matches interned names fastest.
+    values = {k: obj[k] for k in schema if k in obj}
+    if len(values) < len(obj):
+        unknown = {k: v for k, v in obj.items() if k not in schema}
+        if bag is not None:
+            values[bag] = unknown
+        elif strict:
+            raise ManifestError(f"unknown keys: {sorted(unknown)}")
     if problems := type_problems(obj, schema):
         raise ManifestError("; ".join(problems))
-    return cls(**{name: obj[name] for name in schema})
+    for name in required:
+        if name not in values:
+            raise ManifestError(f"missing key {name!r}")
+    rec = cls(**values)
+    if hasattr(rec, "validate"):
+        rec.validate()
+    return rec
 
 
 def _all_finite(value) -> bool:
@@ -170,14 +200,7 @@ class UtteranceRecord:
             out[key] = self.extra[key]
         return out
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "UtteranceRecord":
-        if problems := type_problems(obj, _UTT_SCHEMA):
-            raise ManifestError("; ".join(problems))
-        known = {k: obj[k] for k in _UTT_SCHEMA if k in obj}
-        rec = cls(extra={k: v for k, v in obj.items() if k not in known}, **known)
-        rec.validate()
-        return rec
+    from_json_dict = classmethod(from_typed)
 
     def with_fields(self, **changes) -> "UtteranceRecord":
         return replace(self, **changes)
@@ -206,16 +229,8 @@ class ChapterRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ChapterRecord":
-        # A misspelled key would otherwise leave its field unset. bandwidth_hz
-        # is a legacy key, still accepted and ignored.
-        unknown = set(obj) - set(_CHAPTER_SCHEMA) - {"bandwidth_hz"}
-        if unknown:
-            raise ManifestError(f"unknown chapter keys: {sorted(unknown)}")
-        if problems := type_problems(obj, _CHAPTER_SCHEMA):
-            raise ManifestError("; ".join(problems))
-        rec = cls(**{k: obj[k] for k in _CHAPTER_SCHEMA if k in obj})
-        rec.validate()
-        return rec
+        # bandwidth_hz is a legacy key, still accepted and ignored.
+        return from_typed(cls, {k: v for k, v in obj.items() if k != "bandwidth_hz"})
 
 
 _CHAPTER_SCHEMA = schema_of(ChapterRecord)
@@ -235,22 +250,7 @@ class SubsetSpec:
             if value < 0 or (isinstance(value, float) and math.isnan(value)):
                 raise InvariantError(name, f"must be >= 0, got {value}")
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SubsetSpec":
-        if not isinstance(obj, dict):
-            raise ManifestError(f"must be a JSON object, got {type(obj).__name__}")
-        # A misspelled key would otherwise leave its gate at the default (off).
-        unknown = set(obj) - set(_SUBSET_SCHEMA)
-        if unknown:
-            raise ManifestError(f"unknown subset spec keys: {sorted(unknown)}")
-        if problems := type_problems(obj, _SUBSET_SCHEMA):
-            raise ManifestError("; ".join(problems))
-        spec = cls(**obj)
-        spec.validate()
-        return spec
-
-
-_SUBSET_SCHEMA = schema_of(SubsetSpec)
+    from_json_dict = classmethod(from_typed)
 
 
 def _dump_line(obj: dict) -> str:

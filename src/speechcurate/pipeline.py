@@ -28,6 +28,7 @@ import shlex
 import subprocess
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -152,6 +153,16 @@ def _load_text_file(load, path: str | None, default):
         return load(path) if path else default()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: unreadable: {exc}") from exc
+
+
+@contextmanager
+def _writing(path: str | Path):
+    """An OSError raised while making or writing the output `path` is a
+    ConfigError naming it: a file in a directory's place, a missing directory."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write: {exc.strerror}") from exc
 
 
 def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
@@ -281,7 +292,8 @@ def _stage_text(records, ctx: _Context):
 def _stage_audio(records, ctx: _Context):
     cfg = ctx.config
     audio_out = ctx.out_dir / "audio"
-    audio_out.mkdir(parents=True, exist_ok=True)
+    with _writing(audio_out):
+        audio_out.mkdir(parents=True, exist_ok=True)
 
     def work(rec: UtteranceRecord, pcm: audiolib.PcmFile):
         if int(round(rec.offset_s * pcm.sample_rate_hz)) >= pcm.num_frames:
@@ -376,6 +388,7 @@ def _stage_segment(records, ctx: _Context):
         tracks = segmentation.load_ctm(path)
     else:
         tracks = segmentation.load_alignments_jsonl(path)
+    input_ids = {rec.utterance_id for rec in records}
 
     def work(rec: UtteranceRecord):
         track = tracks.get(rec.utterance_id)
@@ -397,6 +410,9 @@ def _stage_segment(records, ctx: _Context):
             children = segmentation.apply_split(rec, decision, track)
         except segmentation.AlignmentError as exc:
             return _Reject(rec, f"alignment_mismatch:{exc}")
+        # A child named like an input record would write its id twice.
+        if len(children) > 1 and not input_ids.isdisjoint(c.utterance_id for c in children):
+            return _Reject(rec, "split_id_collision")
         return children
 
     return _collect([work(rec) for rec in records])
@@ -467,8 +483,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     plus their `reject_reason`; when non-empty, else an old one is removed) and
     `report.stage.json` under config.out_dir, each replaced only once complete.
     Inputs are never mutated.
-    Raises ConfigError for an invalid config or a bad utterances or chapters
-    manifest before any stage runs, and for a bad side input when its stage
+    Raises ConfigError for an invalid config, an out_dir that cannot be made
+    or a bad utterances or chapters manifest before any stage runs, and for a
+    bad side input or an `out_dir/audio` that cannot be made when its stage
     starts. The worker pool is shut down before this returns or raises.
     Before the first stage, glibc's allocator is told to keep up to 64 MiB of
     freed memory per arena, so each record reuses the pages the last one
@@ -479,7 +496,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         raise ConfigError("; ".join(problems))
     _keep_freed_heap()
     ctx = _Context(config)
-    ctx.out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(ctx.out_dir):
+        ctx.out_dir.mkdir(parents=True, exist_ok=True)
     enabled = [s for s in STAGE_ORDER if s in config.stages]
     try:
         records = read_manifest(config.utterances_manifest)

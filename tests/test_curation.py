@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from click.testing import CliRunner
 
 from speechcurate import curation
 from speechcurate.curation import (
@@ -14,7 +15,8 @@ from speechcurate.curation import (
     load_speaker_counts,
     sample_eval_splits,
 )
-from speechcurate.manifest import SubsetSpec, UtteranceRecord
+from speechcurate.cli import main
+from speechcurate.manifest import SubsetSpec, UtteranceRecord, write_manifest
 
 
 def make_record(utterance_id, speaker_id="s1", duration_s=10.0, bandwidth_hz=14000,
@@ -201,6 +203,22 @@ def eval_fixture(n_eligible=50, n_ineligible=10, utts_per_speaker=40):
                 gender=gender,
             ))
     return records
+
+
+@pytest.mark.parametrize("command", ["stats", "subset", "splits"])
+def test_output_in_missing_directory_is_config_error(tmp_path, command):
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(eval_fixture(), manifest)
+    (tmp_path / "spec.json").write_text("{}")
+    out = tmp_path / "nodir" / "x.out"
+    args = {"stats": ["--csv", str(out)],
+            "subset": ["--spec", str(tmp_path / "spec.json"), "--out", str(out)],
+            "splits": ["--out", str(out)]}[command]
+    result = CliRunner().invoke(main, [command, "--manifest", str(manifest), *args])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"config error: {out}: cannot write: No such file or directory" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "spec.json"]
 
 
 def _seen_draw_by_equality(records, rng_seed):

@@ -210,7 +210,7 @@ def test_chapter_unknown_key_rejected(tmp_path):
     path.write_text(json.dumps({"chapter_id": "ch1", "book_id": "b1", "speaker_id": "s1",
                                 "audio_path": "raw/ch1.wav", "sample_rate_hz": 48000,
                                 "book_txt_path": "text/ch1.txt"}) + "\n")
-    with pytest.raises(ManifestError, match=r":1: unknown chapter keys: \['book_txt_path'\]"):
+    with pytest.raises(ManifestError, match=r":1: unknown keys: \['book_txt_path'\]"):
         read_chapters(path)
 
 

@@ -1185,7 +1185,7 @@ FAULTS = [
                  id="counts-not-a-number"),
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
                                           b'{"utterance_id": "ch0_0000", "num_speakers": -1}\n'),
-                 1, "config error: {path}:1: invalid literal for num_speakers: -1",
+                 1, "config error: {path}:1: num_speakers: must be >= 0, got -1",
                  id="counts-negative"),
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
                                           b'{"utterance_id": "ch0_0000", "num_speakers": 2.7}\n'),
@@ -1199,6 +1199,10 @@ FAULTS = [
                                           b'{"utterance_id": 5, "num_speakers": 1}\n'),
                  1, "config error: {path}:1: utterance_id: must be a string, got 5",
                  id="counts-id-not-a-string"),
+    pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl",
+                                          b'{"utterance_id": "ch0_0000", "num_speaker": 1}\n'),
+                 1, "config error: {path}:1: missing key 'num_speakers'",
+                 id="counts-misspelt-key"),
     pytest.param(["speakers"], _side_file("speaker_counts_path", "c.jsonl", _DUP_COUNTS),
                  1, "config error: {path}:2: duplicate utterance_id 'ch0_0000'",
                  id="counts-duplicate-id"),
@@ -1217,8 +1221,14 @@ FAULTS = [
     pytest.param(["text"], _side_file("abbreviations_path", "abbr.txt", b"Dr.\n\xff\n"),
                  1, "config error: {path}: unreadable", id="abbreviations-not-utf8"),
     pytest.param(["text"], _UNKNOWN_CHAPTER_KEY,
-                 1, "config error: {path}:2: unknown chapter keys: ['book_txt_path']",
+                 1, "config error: {path}:2: unknown keys: ['book_txt_path']",
                  id="chapter-unknown-key"),
+    pytest.param(["text"], _rewrite_line("utterances.jsonl", 0, lambda obj: obj.pop("book_id")),
+                 1, "config error: {path}:1: missing key 'book_id'",
+                 id="utterance-missing-key"),
+    pytest.param(["audio"], _rewrite_line("chapters.jsonl", 1, lambda obj: obj.pop("speaker_id")),
+                 1, "config error: {path}:2: missing key 'speaker_id'",
+                 id="chapter-missing-key"),
     pytest.param(["audio"], _chapter_ch1(audio_path=5),
                  1, "config error: {path}:2: audio_path: must be a string, got 5",
                  id="chapter-audio-path-not-a-string"),
@@ -1283,6 +1293,83 @@ def test_malformed_input_is_named(tmp_path, stages, plant, exit_code, expected):
         assert report["drop_reasons"] == expected
     else:
         assert expected.format(path=path) in result.output
+
+
+# A side input written by another tool may carry keys the stage does not read.
+@pytest.mark.parametrize("stage,key,line", [
+    ("validate", "asr_hypotheses_path",
+     lambda rec: {"utterance_id": rec.utterance_id, "hyp_text": rec.raw_text}),
+    ("speakers", "speaker_counts_path",
+     lambda rec: {"utterance_id": rec.utterance_id, "num_speakers": 1}),
+    ("text", "predicted_pc_path",
+     lambda rec: {"utterance_id": rec.utterance_id, "text": rec.raw_text.upper()}),
+], ids=["hyps", "counts", "predicted-pc"])
+def test_side_input_extra_key_accepted(corpus, tmp_path, stage, key, line):
+    records = read_manifest(corpus / "utterances.jsonl")
+    outputs = []
+    for extra in ({}, {"confidence": 0.9}):
+        side = tmp_path / f"side{len(extra)}.jsonl"
+        side.write_text("".join(json.dumps({**line(rec), **extra}) + "\n" for rec in records))
+        config = make_config(corpus, tmp_path / f"out{len(extra)}")
+        config.stages = [stage]
+        setattr(config, key, str(side))
+        result = run_pipeline(config)
+        outputs.append(read_manifest(result.final_manifest))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[1]) == len(records)
+    if stage == "text":  # ch0_0001's words are not in the book: it takes the predicted text
+        by_id = {rec.utterance_id: rec for rec in outputs[1]}
+        assert by_id["ch0_0001"].text == "ZULU YANKEE XRAY WHISKEY VICTOR"
+
+
+def test_split_never_writes_a_taken_id(tmp_path):
+    # u1 splits at its pause, and its first child would be named u1_a.
+    words = [("It", 0.0, 0.4), ("ended.", 0.5, 1.0), ("Then", 1.5, 1.9), ("more", 2.0, 2.4)]
+    records = [UtteranceRecord("u1", "b1", "c1", "s1", "a.wav", 0.0, 3.0,
+                               raw_text="it ended then more", text="It ended. Then more"),
+               UtteranceRecord("u1_a", "b1", "c1", "s1", "a.wav", 3.0, 3.0,
+                               raw_text="it ended then more", text="It ended then more")]
+    write_manifest(records, tmp_path / "utts.jsonl")
+    tokens = [{"word": w, "start": s, "end": e} for w, s, e in words]
+    (tmp_path / "al.jsonl").write_text("".join(
+        json.dumps({"utterance_id": rec.utterance_id, "tokens": tokens}) + "\n"
+        for rec in records))
+    config = PipelineConfig(utterances_manifest=str(tmp_path / "utts.jsonl"),
+                            alignments_path=str(tmp_path / "al.jsonl"),
+                            out_dir=str(tmp_path / "out"), stages=["segment"])
+    result = run_pipeline(config)
+    assert result.exit_code == EXIT_PARTIAL
+    assert result.reports[0].drop_reasons == {"split_id_collision": 1}
+    assert [rec.utterance_id for rec in read_manifest(result.final_manifest)] == ["u1_a"]
+    rejects = (tmp_path / "out" / "rejects.segment.jsonl").read_text()
+    assert json.loads(rejects)["utterance_id"] == "u1"
+
+
+def _file_at(*parts):
+    """Make the file out_dir/parts... and return its path."""
+    def plant(out):
+        path = out.joinpath(*parts)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("not a directory\n")
+        return path
+    return plant
+
+
+@pytest.mark.parametrize("plant", [_file_at(), _file_at("audio")], ids=["out-dir", "audio-dir"])
+def test_output_directory_that_is_a_file_is_config_error(tmp_path, plant):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+    out = tmp_path / "out"
+    path = plant(out)
+    config = make_config(root, out)
+    config.stages = ["text", "audio"]
+    config_path = tmp_path / "config.yaml"
+    config.to_yaml(config_path)
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"config error: {path}: cannot write: " in result.output
+    assert path.read_text() == "not a directory\n"
+    assert [p for p in tmp_path.rglob("*") if ".partial" in p.name] == []
 
 
 def test_reject_lines_name_their_reason(tmp_path):
