@@ -9,25 +9,28 @@ from __future__ import annotations
 import json
 import logging
 import sys
+import tempfile
 from pathlib import Path
 
 import click
 
 from . import curation
 from .config import STAGE_ORDER, PipelineConfig
-from .manifest import ManifestError, SubsetSpec, read_manifest, replacing, write_manifest
-from .pipeline import (
-    EXIT_CONFIG_ERROR,
-    EXIT_STAGE_FAILURE,
-    ConfigError,
-    StageError,
-    _writing,
-    run_pipeline,
-)
+from .manifest import ConfigError, SubsetSpec, read_manifest, replacing, write_manifest, writing
+from .pipeline import EXIT_CONFIG_ERROR, EXIT_STAGE_FAILURE, StageError, run_pipeline
 
 
 _IN_FILE = click.Path(exists=True, dir_okay=False)
 _OUT_FILE = click.Path(dir_okay=False)
+
+
+def _writable(ctx, param, path: str | None) -> str | None:
+    """The output path, once a file can be made in its directory and removed
+    again: checked as the options are parsed, before any manifest is read."""
+    if path is not None:
+        with writing(path), tempfile.TemporaryFile(dir=Path(path).parent):
+            pass
+    return path
 
 
 class _Main(click.Group):
@@ -44,7 +47,7 @@ class _Main(click.Group):
         except click.UsageError as exc:  # a command's arguments, or an unknown command
             exc.exit_code = EXIT_CONFIG_ERROR
             raise
-        except (ConfigError, ManifestError) as exc:
+        except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             ctx.exit(EXIT_CONFIG_ERROR)
         except (StageError, curation.CurationError) as exc:
@@ -78,10 +81,7 @@ def main(ctx):
 @click.option("--workers", type=int, default=None, help="Override the worker count.")
 def run(config_path, stages_csv, seed, workers):
     """Run the pipeline stages described by a YAML config."""
-    try:
-        config = PipelineConfig.from_yaml(config_path)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    config = PipelineConfig.from_yaml(config_path)
     if stages_csv is not None:
         config.stages = [s.strip() for s in stages_csv.split(",") if s.strip()]
     if seed is not None:
@@ -97,14 +97,14 @@ def run(config_path, stages_csv, seed, workers):
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=_IN_FILE)
 @click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
-@click.option("--csv", "csv_path", default=None, type=_OUT_FILE,
+@click.option("--csv", "csv_path", default=None, type=_OUT_FILE, callback=_writable,
               help="Also write histogram bins as CSV.")
 def stats(manifest_path, as_json, csv_path):
     """Corpus statistics and histograms for a manifest."""
     records = read_manifest(manifest_path)
     report = curation.corpus_stats(records)
     if csv_path:
-        with _writing(csv_path):
+        with writing(csv_path):
             report.write_csv(csv_path)
     if as_json:
         click.echo(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
@@ -116,16 +116,16 @@ def stats(manifest_path, as_json, csv_path):
 @click.option("--manifest", "manifest_path", required=True, type=_IN_FILE)
 @click.option("--spec", "spec_path", required=True, type=_IN_FILE,
               help="JSON file with subset thresholds.")
-@click.option("--out", "out_path", required=True, type=_OUT_FILE)
+@click.option("--out", "out_path", required=True, type=_OUT_FILE, callback=_writable)
 def subset(manifest_path, spec_path, out_path):
     """Filter a manifest through a SubsetSpec gate file."""
     try:
         spec = SubsetSpec.from_json_dict(json.loads(Path(spec_path).read_text(encoding="utf-8")))
-    except (ValueError, TypeError, ManifestError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{spec_path}: {exc}") from exc
     records = read_manifest(manifest_path)
     kept = curation.build_subset(records, spec)
-    with _writing(out_path):
+    with writing(out_path):
         write_manifest(kept, out_path)
     click.echo(f"kept {len(kept)} of {len(records)} records")
 
@@ -133,14 +133,14 @@ def subset(manifest_path, spec_path, out_path):
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=_IN_FILE)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", "out_path", required=True, type=_OUT_FILE,
+@click.option("--out", "out_path", required=True, type=_OUT_FILE, callback=_writable,
               help="JSON file receiving the split plans.")
 def splits(manifest_path, seed, out_path):
     """Sample seen-speaker dev/test split plans from a manifest."""
     records = read_manifest(manifest_path)
     plans = curation.sample_eval_splits(records, rng_seed=seed)
     payload = {name: list(plan.utterance_ids) for name, plan in plans.items()}
-    with _writing(out_path), replacing(out_path) as tmp:
+    with writing(out_path), replacing(out_path) as tmp:
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for name in sorted(payload):
         click.echo(f"{name}: {len(payload[name])} utterances")

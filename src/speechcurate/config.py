@@ -7,7 +7,7 @@ from pathlib import Path
 
 import yaml
 
-from .manifest import schema_of, type_problems
+from .manifest import ConfigError, schema_of, type_problems
 
 # Canonical stage execution order; enabled stages always run in this order.
 STAGE_ORDER = ("text", "audio", "bandwidth", "segment", "validate", "speakers")
@@ -45,16 +45,20 @@ class PipelineConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "PipelineConfig":
+        """The config the YAML file at path holds; each fault is a ConfigError.
+        Its values are type-checked later, by validate_config."""
         try:
             data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
         except yaml.YAMLError as exc:
-            raise ValueError(f"{path}: malformed YAML: {exc}") from exc
+            raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
         if not isinstance(data, dict):
-            raise ValueError(
+            raise ConfigError(
                 f"{path}: must be a mapping of config keys, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if unknown:  # YAML keys need not be strings
+            raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
         return cls(**data)
 
     def to_yaml(self, path: str | Path) -> None:

@@ -22,7 +22,11 @@ TEXT_SOURCES = ("book_match", "predicted_pc")
 GENDERS = ("m", "f", "unknown")
 
 
-class ManifestError(Exception):
+class ConfigError(ValueError):
+    """A fault of the run's config, an input file or an output location: exit 1."""
+
+
+class ManifestError(ConfigError):
     """Manifest could not be read or written."""
 
 
@@ -312,17 +316,32 @@ def read_chapters(path: str | Path) -> list[ChapterRecord]:
 
 
 @contextmanager
+def writing(path: str | Path) -> Iterator[None]:
+    """An OSError raised while making or writing the output `path` is a
+    ConfigError naming it: a file in a directory's place, a directory in a
+    file's place, a missing directory."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write: {exc.strerror}") from exc
+
+
+@contextmanager
 def replacing(path: str | Path) -> Iterator[Path]:
     """Yield `.{stem}.partial{suffix}` beside `path`; move it onto `path` on a clean exit.
 
-    A failed or interrupted write leaves `path` as it was. The temporary file
-    keeps the suffix, from which encoders such as ffmpeg pick the format.
+    A failed or interrupted write leaves `path` as it was and removes the
+    temporary file. The move runs under writing(path), so a directory at
+    `path` is a ConfigError; an OSError of the body is raised as it is. The
+    temporary file keeps the suffix, from which encoders such as ffmpeg pick
+    the format.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.stem}.partial{path.suffix}")
     try:
         yield tmp
-        os.replace(tmp, path)
+        with writing(path):
+            os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 

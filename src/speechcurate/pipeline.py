@@ -28,7 +28,6 @@ import shlex
 import subprocess
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -39,7 +38,7 @@ from . import curation, segmentation, textproc
 from .config import STAGE_ORDER, PipelineConfig, validate_config
 from .manifest import (
     ChapterRecord,
-    ManifestError,
+    ConfigError,
     UtteranceRecord,
     from_typed,
     read_chapters,
@@ -47,6 +46,7 @@ from .manifest import (
     read_manifest,
     replacing,
     write_manifest,
+    writing,
 )
 
 logger = logging.getLogger(__name__)
@@ -57,14 +57,8 @@ EXIT_STAGE_FAILURE = 2
 EXIT_PARTIAL = 3
 
 
-class ConfigError(Exception):
-    pass
-
-
 class StageError(Exception):
-    def __init__(self, stage: str, message: str):
-        self.stage = stage
-        super().__init__(f"stage {stage!r}: {message}")
+    """An enabled stage cannot run: a missing side input or chapters manifest; exit 2."""
 
 
 @dataclass
@@ -155,24 +149,14 @@ def _load_text_file(load, path: str | None, default):
         raise ConfigError(f"{path}: unreadable: {exc}") from exc
 
 
-@contextmanager
-def _writing(path: str | Path):
-    """An OSError raised while making or writing the output `path` is a
-    ConfigError naming it: a file in a directory's place, a missing directory."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot write: {exc.strerror}") from exc
-
-
 def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
     """The stage's required side-input file, named by config key `key`."""
     value = getattr(ctx.config, key)
     if not value:
-        raise StageError(stage, f"{key} is required")
+        raise StageError(f"stage {stage!r}: {key} is required")
     path = Path(value)
     if not path.exists():
-        raise StageError(stage, f"{what} file not found: {path}")
+        raise StageError(f"stage {stage!r}: {what} file not found: {path}")
     return path
 
 
@@ -292,7 +276,7 @@ def _stage_text(records, ctx: _Context):
 def _stage_audio(records, ctx: _Context):
     cfg = ctx.config
     audio_out = ctx.out_dir / "audio"
-    with _writing(audio_out):
+    with writing(audio_out):
         audio_out.mkdir(parents=True, exist_ok=True)
 
     def work(rec: UtteranceRecord, pcm: audiolib.PcmFile):
@@ -310,7 +294,8 @@ def _stage_audio(records, ctx: _Context):
             threshold_db=cfg.trim_threshold_db,
             max_edge_silence_s=cfg.max_edge_silence_s,
         )
-        if trim.empty_after_trim:
+        duration_s = round(trim.trimmed.duration_s, 4)
+        if duration_s == 0:  # nothing kept, or less than the manifest's 0.1 ms
             return _Reject(rec, "empty_after_trim")
         out_path = audio_out / f"{rec.utterance_id}.wav"
         if not cfg.encoder_cmd:
@@ -327,7 +312,7 @@ def _stage_audio(records, ctx: _Context):
             rec.with_fields(
                 audio_path=str(out_path.relative_to(ctx.out_dir)),
                 offset_s=0.0,
-                duration_s=round(trim.trimmed.duration_s, 4),
+                duration_s=duration_s,
                 trim_lead_s=round(trim.leading_removed_s, 4) or None,
             )
         ]
@@ -483,10 +468,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     plus their `reject_reason`; when non-empty, else an old one is removed) and
     `report.stage.json` under config.out_dir, each replaced only once complete.
     Inputs are never mutated.
-    Raises ConfigError for an invalid config, an out_dir that cannot be made
-    or a bad utterances or chapters manifest before any stage runs, and for a
-    bad side input or an `out_dir/audio` that cannot be made when its stage
-    starts. The worker pool is shut down before this returns or raises.
+    Raises ConfigError, a ValueError, for every fault of the config, an input
+    or an output location: an invalid config, a bad utterances or chapters
+    manifest or an out_dir that cannot be made, before any stage runs; a bad
+    side input, when its stage starts; an output that cannot be written, such
+    as a name a directory holds; and a stage's output record that fails its
+    validate(). Raises StageError when an enabled stage lacks its chapters
+    manifest or side input. The worker pool is shut down before this returns
+    or raises.
     Before the first stage, glibc's allocator is told to keep up to 64 MiB of
     freed memory per arena, so each record reuses the pages the last one
     freed; the setting stays for the life of the process.
@@ -496,31 +485,24 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         raise ConfigError("; ".join(problems))
     _keep_freed_heap()
     ctx = _Context(config)
-    with _writing(ctx.out_dir):
+    with writing(ctx.out_dir):
         ctx.out_dir.mkdir(parents=True, exist_ok=True)
     enabled = [s for s in STAGE_ORDER if s in config.stages]
-    try:
-        records = read_manifest(config.utterances_manifest)
-        if not {"text", "audio", "bandwidth"}.isdisjoint(enabled):
-            path = Path(config.chapters_manifest)
-            if not path.exists():
-                raise StageError("setup", f"chapters manifest not found: {path}")
-            ctx.chapters = {c.chapter_id: c for c in read_chapters(path)}
-            # One pool for the run, so each worker keeps its grown malloc arena.
-            ctx.pool = ThreadPoolExecutor(max_workers=config.workers)
-    except ManifestError as exc:
-        raise ConfigError(str(exc)) from exc
+    records = read_manifest(config.utterances_manifest)
+    if not {"text", "audio", "bandwidth"}.isdisjoint(enabled):
+        path = Path(config.chapters_manifest)
+        if not path.exists():
+            raise StageError(f"stage 'setup': chapters manifest not found: {path}")
+        ctx.chapters = {c.chapter_id: c for c in read_chapters(path)}
+        # One pool for the run, so each worker keeps its grown malloc arena.
+        ctx.pool = ThreadPoolExecutor(max_workers=config.workers)
     reports: list[StageReport] = []
     final_path: Path | None = None
     any_rejects = False
     try:
         for index, stage in enumerate(enabled):
-            fn = _STAGE_FNS[stage]
             n_in = len(records)
-            try:
-                kept, rejects, extras = fn(records, ctx)
-            except ManifestError as exc:
-                raise ConfigError(str(exc)) from exc
+            kept, rejects, extras = _STAGE_FNS[stage](records, ctx)
             kept.sort(key=lambda r: r.utterance_id)
             final_path = ctx.out_dir / f"manifest.{index:02d}_{stage}.jsonl"
             write_manifest(kept, final_path)
@@ -530,7 +512,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 write_manifest([r.with_fields(extra={**r.extra, "reject_reason": reason})
                                 for r, reason in rejects], rejects_path)
             else:
-                rejects_path.unlink(missing_ok=True)
+                with writing(rejects_path):
+                    rejects_path.unlink(missing_ok=True)
             drop_reasons: dict[str, int] = {}
             for _, reason in rejects:
                 drop_reasons[reason] = drop_reasons.get(reason, 0) + 1

@@ -4,7 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from speechcurate import curation
+from speechcurate import cli, curation
 from speechcurate.curation import (
     CurationError,
     SpeakerCountRecord,
@@ -217,6 +217,26 @@ def test_output_in_missing_directory_is_config_error(tmp_path, command):
     result = CliRunner().invoke(main, [command, "--manifest", str(manifest), *args])
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"config error: {out}: cannot write: No such file or directory" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "spec.json"]
+
+
+@pytest.mark.parametrize("command", ["stats", "subset", "splits"])
+def test_output_checked_before_manifest_is_read(tmp_path, monkeypatch, command):
+    def unread(path):
+        raise AssertionError("the manifest was read before the output was checked")
+
+    monkeypatch.setattr(cli, "read_manifest", unread)
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(eval_fixture(), manifest)
+    (tmp_path / "spec.json").write_text("{}")
+    out = tmp_path / "nodir" / "x.out"
+    args = {"stats": ["--csv", str(out)],
+            "subset": ["--spec", str(tmp_path / "spec.json"), "--out", str(out)],
+            "splits": ["--out", str(out)]}[command]
+    result = CliRunner().invoke(main, [command, "--manifest", str(manifest), *args])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert f"config error: {out}: cannot write: No such file or directory" in result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "spec.json"]
 

@@ -806,6 +806,33 @@ class TestConfig:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"config error: {config_path}: malformed YAML" in result.output
 
+    def test_config_not_utf8_names_file(self, tmp_path):
+        config_path = tmp_path / "config.yaml"
+        config_path.write_bytes(b"seed: 1\nout_dir: \xff\n")
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"config error: {config_path}: not UTF-8 text: " in result.output
+
+    def test_integer_key_is_an_unknown_key(self, tmp_path):
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text("1: a\nbogus: 2\n")
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1, result.output
+        assert "config error: unknown config keys: [1, 'bogus']" in result.output
+
+    @pytest.mark.parametrize("content,message", [
+        (b"workers: [1,\n", "malformed YAML"),
+        (b"- a\n- b\n", "must be a mapping of config keys, got list"),
+        (b"bogus: 1\n", "unknown config keys: ['bogus']"),
+        (b"seed: \xff\n", "not UTF-8 text"),
+    ], ids=["malformed", "not-mapping", "unknown-key", "not-utf8"])
+    def test_from_yaml_raises_config_error(self, tmp_path, content, message):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            PipelineConfig.from_yaml(path)
+
     def test_missing_alignments_fails_fast(self, corpus, tmp_path):
         config = make_config(corpus, tmp_path / "out")
         config.alignments_path = None
@@ -1370,6 +1397,81 @@ def test_output_directory_that_is_a_file_is_config_error(tmp_path, plant):
     assert f"config error: {path}: cannot write: " in result.output
     assert path.read_text() == "not a directory\n"
     assert [p for p in tmp_path.rglob("*") if ".partial" in p.name] == []
+
+
+@pytest.mark.parametrize("stage,name", [
+    ("audio", "audio/ch0_0000.wav"),
+    ("text", "manifest.00_text.jsonl"),
+    ("text", "rejects.text.jsonl"),
+    ("text", "report.text.json"),
+], ids=["wav", "stage-manifest", "rejects", "report"])
+def test_directory_at_output_name_is_config_error(tmp_path, stage, name):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    config = make_config(root, out)
+    config.stages = [stage]
+    config_path = tmp_path / "config.yaml"
+    config.to_yaml(config_path)
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"config error: {out / name}: cannot write: Is a directory" in result.output
+    assert (out / name).is_dir()
+    assert [p for p in tmp_path.rglob("*") if ".partial" in p.name] == []
+
+
+def test_directory_at_encoder_output_is_config_error(tmp_path):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+    config = make_config(root, tmp_path / "out")
+    config.stages = ["audio"]
+    config.encoder_cmd = "cp {input} {output}"
+    flac = tmp_path / "out" / "audio" / "ch0_0000.flac"
+    flac.mkdir(parents=True)
+    with pytest.raises(ConfigError, match=re.escape(f"{flac}: cannot write: Is a directory")):
+        run_pipeline(config)
+    assert [p for p in tmp_path.rglob("*") if ".partial" in p.name] == []
+
+
+def test_record_below_manifest_precision_is_empty_after_trim(tmp_path):
+    # One loud sample at 44.1 kHz lasts 0.023 ms: 0.0 s at the manifest's 4 decimals.
+    (tmp_path / "raw").mkdir()
+    save_pcm(AudioBuffer(np.array([0.5]), 44100), tmp_path / "raw" / "c1.wav")
+    write_chapters([ChapterRecord("c1", "b1", "s1", "raw/c1.wav", 44100)],
+                   tmp_path / "chapters.jsonl")
+    write_manifest([UtteranceRecord("u1", "b1", "c1", "s1", "raw/c1.wav", 0.0, 1.0)],
+                   tmp_path / "utts.jsonl")
+    out = tmp_path / "out"
+    config = PipelineConfig(utterances_manifest=str(tmp_path / "utts.jsonl"),
+                            chapters_manifest=str(tmp_path / "chapters.jsonl"),
+                            audio_root=str(tmp_path), out_dir=str(out), stages=["audio"],
+                            max_edge_silence_s=0)
+    config_path = tmp_path / "config.yaml"
+    config.to_yaml(config_path)
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == EXIT_PARTIAL, result.output
+    report = json.loads((out / "report.audio.json").read_text())
+    assert report["drop_reasons"] == {"empty_after_trim": 1}
+    assert list((out / "audio").iterdir()) == []
+
+
+def test_config_error_is_defined_once():
+    from speechcurate import manifest, segmentation
+    assert pipeline_mod.ConfigError is manifest.ConfigError
+    assert issubclass(manifest.ConfigError, ValueError)
+    for cls in (manifest.ManifestError, manifest.InvariantError, segmentation.AlignmentError):
+        assert issubclass(cls, manifest.ConfigError), cls
+
+
+def test_invalid_stage_output_is_config_error(corpus, tmp_path, monkeypatch):
+    def zero_length(records, ctx):
+        return [rec.with_fields(duration_s=0) for rec in records], [], {}
+
+    monkeypatch.setitem(pipeline_mod._STAGE_FNS, "speakers", zero_length)
+    config = make_config(corpus, tmp_path / "out")
+    config.stages = ["speakers"]
+    with pytest.raises(ConfigError, match="duration_s: must be > 0, got 0"):
+        run_pipeline(config)
 
 
 def test_reject_lines_name_their_reason(tmp_path):
