@@ -16,7 +16,8 @@ import click
 
 from . import curation
 from .config import STAGE_ORDER, PipelineConfig
-from .manifest import ConfigError, SubsetSpec, read_manifest, replacing, write_manifest, writing
+from .manifest import (ConfigError, SubsetSpec, read_manifest, read_text, replacing,
+                       write_manifest, writing)
 from .pipeline import EXIT_CONFIG_ERROR, EXIT_STAGE_FAILURE, StageError, run_pipeline
 
 
@@ -119,8 +120,9 @@ def stats(manifest_path, as_json, csv_path):
 @click.option("--out", "out_path", required=True, type=_OUT_FILE, callback=_writable)
 def subset(manifest_path, spec_path, out_path):
     """Filter a manifest through a SubsetSpec gate file."""
+    text = read_text(spec_path)
     try:
-        spec = SubsetSpec.from_json_dict(json.loads(Path(spec_path).read_text(encoding="utf-8")))
+        spec = SubsetSpec.from_json_dict(json.loads(text))
     except ValueError as exc:
         raise ConfigError(f"{spec_path}: {exc}") from exc
     records = read_manifest(manifest_path)

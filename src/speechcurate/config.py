@@ -7,7 +7,7 @@ from pathlib import Path
 
 import yaml
 
-from .manifest import ConfigError, schema_of, type_problems
+from .manifest import ConfigError, read_text, schema_of, type_problems
 
 # Canonical stage execution order; enabled stages always run in this order.
 STAGE_ORDER = ("text", "audio", "bandwidth", "segment", "validate", "speakers")
@@ -47,10 +47,9 @@ class PipelineConfig:
     def from_yaml(cls, path: str | Path) -> "PipelineConfig":
         """The config the YAML file at path holds; each fault is a ConfigError.
         Its values are type-checked later, by validate_config."""
+        text = read_text(path)
         try:
-            data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+            data = yaml.safe_load(text) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
         if not isinstance(data, dict):

@@ -262,6 +262,16 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
+def read_text(path: str | Path) -> str:
+    """The whole of a UTF-8 text file; a fault is a ConfigError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:  # missing, a directory, no permission
+        raise ConfigError(f"{path}: unreadable: {exc}") from exc
+
+
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each non-blank line of a UTF-8 file."""
     try:

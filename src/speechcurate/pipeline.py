@@ -13,10 +13,13 @@ every worker count: chapter inputs are loaded in chapter order on the calling
 thread, the next one while the current one's records run, and at most
 min(2, workers) are alive at once. The audio stage's chapter input is one
 open descriptor, of the WAV file or of decoder output spooled to a temporary
-file, from which each worker preads only its own record's frames. Nothing
-decoded outlives its stage. The bandwidth stage maps its chapters over the
-pool. Segment and validate run on the calling thread: their per-record work
-is pure Python, which holds the interpreter lock.
+file, from which each worker preads only its own record's frames. With
+bandwidth enabled too, each chapter's bandwidth estimate is one more task on
+that descriptor, queued ahead of the chapter's records, so a chapter is
+opened and decoded once; the bandwidth stage stamps the estimates. Without
+the audio stage, the bandwidth stage maps its chapters over the pool.
+Nothing decoded outlives its stage. Segment and validate run on the calling
+thread: their per-record work is pure Python, which holds the interpreter lock.
 """
 
 from __future__ import annotations
@@ -187,7 +190,8 @@ class _Reject(NamedTuple):
     reason: str
 
 
-def _by_chapter(records, load, work, pool: ThreadPoolExecutor, workers: int):
+def _by_chapter(records, load, work, pool: ThreadPoolExecutor, workers: int,
+                chapter_task=None):
     """Map work(rec, chapter_input) over records on `pool`, streamed chapter by chapter.
 
     Chapters are loaded on the calling thread in sorted order. load(chapter_id)
@@ -200,6 +204,10 @@ def _by_chapter(records, load, work, pool: ThreadPoolExecutor, workers: int):
     drain at a chapter's end; with one worker, one input is alive. A
     chapter's records are queued longest `duration_s` first. Results are
     returned in input-record order, which is the order rejects are written in.
+    With `chapter_task`, chapter_task(chapter_input) is queued once for each
+    loaded chapter, ahead of its records; the chapter's input is dropped only
+    once that task and the records are collected, and the call returns
+    (results, {chapter_id: chapter_task's result}).
     On a worker's error, the tasks still queued are left for the pool's owner
     to cancel.
     """
@@ -207,16 +215,22 @@ def _by_chapter(records, load, work, pool: ThreadPoolExecutor, workers: int):
     for i, rec in enumerate(records):
         groups.setdefault(rec.chapter_id, []).append(i)
     results: list = [None] * len(records)
+    chapter_results: dict = {}
 
     def run(rec, held: list):
         return work(rec, held[0])
 
-    def collect(futures: dict, held: list):
+    def run_chapter(held: list):
+        return chapter_task(held[0])
+
+    def collect(chapter_id: str, task, futures: dict, held: list):
+        if task is not None:
+            chapter_results[chapter_id] = task.result()
         for i, future in futures.items():
             results[i] = future.result()
         held.clear()  # the tasks that ran keep only this emptied list
 
-    pending: deque = deque()  # ({index: future}, [input]) of submitted chapters
+    pending: deque = deque()  # (chapter_id, task, {index: future}, [input]) per chapter
     for chapter_id in sorted(groups):
         if len(pending) == min(2, workers):
             collect(*pending.popleft())
@@ -228,17 +242,21 @@ def _by_chapter(records, load, work, pool: ThreadPoolExecutor, workers: int):
             continue
         held = [data]
         del data  # so that collect() drops the chapter's last reference
+        task = pool.submit(run_chapter, held) if chapter_task else None
         # Longest records first, so that short ones fill the last gaps.
         order = sorted(indices, key=lambda i: -records[i].duration_s)
-        pending.append(({i: pool.submit(run, records[i], held) for i in order}, held))
+        pending.append((chapter_id, task,
+                        {i: pool.submit(run, records[i], held) for i in order}, held))
     while pending:
         collect(*pending.popleft())
-    return results
+    return results if chapter_task is None else (results, chapter_results)
 
 
 # Every stage function maps (records, ctx) -> (kept, rejects, extras) where
 # rejects is a list of _Reject. A per-record worker returns the records it
-# keeps (two after a split) or a _Reject.
+# keeps (two after a split) or a _Reject. A stage may return more after
+# extras, which run_pipeline hands to the next stage as further arguments:
+# the audio stage, when bandwidth is enabled, returns its chapter estimates.
 
 
 def _stage_text(records, ctx: _Context):
@@ -317,8 +335,12 @@ def _stage_audio(records, ctx: _Context):
             )
         ]
 
-    return _collect(_by_chapter(records, ctx.open_chapter, work, ctx.pool,
-                                ctx.config.workers))
+    if "bandwidth" not in cfg.stages:
+        return _collect(_by_chapter(records, ctx.open_chapter, work, ctx.pool, cfg.workers))
+    # Each chapter's bandwidth is estimated from the chapter opened here.
+    results, estimates = _by_chapter(records, ctx.open_chapter, work, ctx.pool, cfg.workers,
+                                     lambda pcm: _chapter_bandwidth(pcm, cfg))
+    return (*_collect(results), estimates)
 
 
 def _encode(buf: audiolib.AudioBuffer, out_path: Path, encoder_cmd: str) -> None:
@@ -333,29 +355,33 @@ def _encode(buf: audiolib.AudioBuffer, out_path: Path, encoder_cmd: str) -> None
         wav_path.unlink(missing_ok=True)
 
 
-def _stage_bandwidth(records, ctx: _Context):
-    cfg = ctx.config
-    chapter_ids = sorted({r.chapter_id for r in records})
+def _chapter_bandwidth(pcm: audiolib.PcmFile, cfg: PipelineConfig) -> int | str:
+    """The opened chapter's bandwidth in Hz, or the reason its records are rejected."""
+    # Only the analysed head is decoded.
+    try:
+        head = audiolib.load_pcm(pcm, head_s=cfg.bandwidth_analysis_s, mono=True)
+    except OSError as exc:
+        return _unreadable(exc)
+    est = bwlib.chapter_bandwidth(
+        head,
+        cfg.target_sample_rate_hz,
+        cfg.bandwidth_analysis_s,
+        cfg.bandwidth_threshold_db,
+    )
+    return "degenerate_spectrum" if est.degenerate else int(round(est.f_max_hz))
+
+
+def _stage_bandwidth(records, ctx: _Context, estimates: dict | None = None):
+    """Stamp each record with its chapter's bandwidth from `estimates`, the
+    audio stage's; the chapters without one are opened and estimated here."""
+    estimates = dict(estimates or {})
+    missing = sorted({r.chapter_id for r in records} - estimates.keys())
 
     def estimate(chapter_id: str) -> int | str:
-        """The chapter's bandwidth in Hz, or the reason its records are rejected."""
         pcm = ctx.open_chapter(chapter_id)
-        if isinstance(pcm, str):
-            return pcm
-        # Only the analysed head is decoded.
-        try:
-            head = audiolib.load_pcm(pcm, head_s=cfg.bandwidth_analysis_s, mono=True)
-        except OSError as exc:
-            return _unreadable(exc)
-        est = bwlib.chapter_bandwidth(
-            head,
-            cfg.target_sample_rate_hz,
-            cfg.bandwidth_analysis_s,
-            cfg.bandwidth_threshold_db,
-        )
-        return "degenerate_spectrum" if est.degenerate else int(round(est.f_max_hz))
+        return pcm if isinstance(pcm, str) else _chapter_bandwidth(pcm, ctx.config)
 
-    estimates = dict(zip(chapter_ids, ctx.pool.map(estimate, chapter_ids)))
+    estimates.update(zip(missing, ctx.pool.map(estimate, missing)))
 
     def work(rec: UtteranceRecord):
         bandwidth_hz = estimates[rec.chapter_id]
@@ -499,10 +525,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     reports: list[StageReport] = []
     final_path: Path | None = None
     any_rejects = False
+    handed: list = []  # what the last stage returned after its extras
     try:
         for index, stage in enumerate(enabled):
             n_in = len(records)
-            kept, rejects, extras = _STAGE_FNS[stage](records, ctx)
+            kept, rejects, extras, *handed = _STAGE_FNS[stage](records, ctx, *handed)
             kept.sort(key=lambda r: r.utterance_id)
             final_path = ctx.out_dir / f"manifest.{index:02d}_{stage}.jsonl"
             write_manifest(kept, final_path)

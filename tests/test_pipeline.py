@@ -20,6 +20,7 @@ from click.testing import CliRunner
 from scipy.io import wavfile
 
 from speechcurate import audio as audiolib
+from speechcurate import bandwidth as bwlib
 from speechcurate import pipeline as pipeline_mod
 from speechcurate.audio import AudioBuffer, load_pcm, save_pcm
 from speechcurate.bandwidth import chapter_bandwidth
@@ -573,6 +574,157 @@ class TestChapterStreaming:
         assert "ch1" not in {r.chapter_id for r in read_manifest(result.final_manifest)}
 
 
+class TestOnePassPerChapter:
+    """With audio and bandwidth both enabled, each chapter is opened and
+    decoded once, and its bandwidth estimate runs beside its records."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chapter_opened_once(self, tmp_path, monkeypatch, workers):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        opened: list[str] = []
+        open_pcm_ = audiolib.open_pcm
+
+        def counting_open(path, decoder_cmd=None):
+            opened.append(Path(path).stem)
+            return open_pcm_(path, decoder_cmd)
+
+        monkeypatch.setattr(audiolib, "open_pcm", counting_open)
+        config = make_config(root, tmp_path / "out", workers=workers)
+        config.stages = ["audio", "bandwidth"]
+        result = run_pipeline(config)
+        assert [r.records_out for r in result.reports] == [8, 8]
+        assert sorted(opened) == [c.chapter_id for c in read_chapters(root / "chapters.jsonl")]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_decoder_runs_once_per_chapter(self, tmp_path, monkeypatch, workers):
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        config = make_config(root, tmp_path / "wav", workers=workers)
+        config.stages = ["audio", "bandwidth"]
+        run_pipeline(config)
+        chapter_ids = [c.chapter_id for c in read_chapters(root / "chapters.jsonl")]
+        _decoded_copies(root, chapter_ids)
+        decoded: list[str] = []
+        run_ = audiolib.subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            decoded.append(Path(cmd[-1]).stem)
+            return run_(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(audiolib.subprocess, "run", counting_run)
+        config = make_config(root, tmp_path / "raw", workers=workers)
+        config.stages = ["audio", "bandwidth"]
+        config.decoder_cmd = "cat {input}"
+        run_pipeline(config)
+        assert sorted(decoded) == chapter_ids
+        assert _tree(tmp_path / "raw") == _tree(tmp_path / "wav")
+
+    def test_estimate_runs_beside_its_chapters_records(self, tmp_path, monkeypatch):
+        # A record of ch1 waits in trim_silence until ch1's estimate has
+        # started, which a later stage's estimate never does in time.
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        started = {c.chapter_id: threading.Event()
+                   for c in read_chapters(root / "chapters.jsonl")}
+        chapter = threading.local()  # the chapter this thread last read from
+        waited: list[bool] = []
+        load_pcm_, bandwidth_, trim_ = (audiolib.load_pcm, bwlib.chapter_bandwidth,
+                                        audiolib.trim_silence)
+
+        def noting_load(pcm, *args, **kwargs):
+            chapter.id = pcm.path.stem
+            return load_pcm_(pcm, *args, **kwargs)
+
+        def noting_bandwidth(*args, **kwargs):
+            started[chapter.id].set()
+            return bandwidth_(*args, **kwargs)
+
+        def waiting_trim(*args, **kwargs):
+            if chapter.id == "ch1" and not waited:
+                waited.append(started["ch1"].wait(timeout=5))
+            return trim_(*args, **kwargs)
+
+        monkeypatch.setattr(audiolib, "load_pcm", noting_load)
+        monkeypatch.setattr(bwlib, "chapter_bandwidth", noting_bandwidth)
+        monkeypatch.setattr(audiolib, "trim_silence", waiting_trim)
+        config = make_config(root, tmp_path / "out", workers=2)
+        config.stages = ["audio", "bandwidth"]
+        result = run_pipeline(config)
+        assert waited == [True]
+        assert [r.records_out for r in result.reports] == [8, 8]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bandwidth_outputs_as_bandwidth_alone(self, tmp_path, workers):
+        # Every ch1 record starts past its chapter's end, so the audio stage
+        # rejects them all; ch8 is shorter than one analysis window, so the
+        # bandwidth stage rejects its record.
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        noise = np.random.default_rng(5).uniform(-0.5, 0.5, 1920)  # 40 ms
+        save_pcm(AudioBuffer(noise, 48000), root / "raw" / "ch8.wav")
+        chapters = read_chapters(root / "chapters.jsonl")
+        chapters.append(ChapterRecord("ch8", "book0", "spk8", "raw/ch8.wav", 48000))
+        write_chapters(chapters, root / "chapters.jsonl")
+        records = [r.with_fields(offset_s=1000.0) if r.chapter_id == "ch1" else r
+                   for r in read_manifest(root / "utterances.jsonl")]
+        records.append(records[0].with_fields(utterance_id="ch8_0000", chapter_id="ch8",
+                                              audio_path="raw/ch8.wav", offset_s=0.0,
+                                              duration_s=0.04))
+        write_manifest(records, root / "utterances.jsonl")
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        config = make_config(root, both, workers=workers)
+        config.stages = ["audio", "bandwidth"]
+        result = run_pipeline(config)
+        assert [r.drop_reasons for r in result.reports] == [
+            {"offset_past_end": 2}, {"degenerate_spectrum": 1}]
+        # The bandwidth stage on its own opens and estimates each chapter itself.
+        config = make_config(root, alone, workers=workers)
+        config.stages = ["bandwidth"]
+        config.utterances_manifest = str(both / "manifest.00_audio.jsonl")
+        run_pipeline(config)
+        for name, other in [("manifest.01_bandwidth.jsonl", "manifest.00_bandwidth.jsonl"),
+                            ("report.bandwidth.json", None), ("rejects.bandwidth.jsonl", None)]:
+            assert (both / name).read_bytes() == (alone / (other or name)).read_bytes(), name
+
+    def test_chapter_task_results_beside_records(self):
+        records = [SimpleNamespace(chapter_id=c, uid=f"{c}_{i}", duration_s=1.0)
+                   for c in ("ch0", "ch1", "ch2") for i in range(2)]
+
+        def load(chapter_id):
+            return "missing_chapter" if chapter_id == "ch1" else [chapter_id]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results, estimates = pipeline_mod._by_chapter(
+                records, load, lambda rec, chapter: rec.uid, pool, 2,
+                lambda chapter: chapter[0].upper())
+        assert estimates == {"ch0": "CH0", "ch2": "CH2"}
+        assert results[:2] == ["ch0_0", "ch0_1"] and results[4:] == ["ch2_0", "ch2_1"]
+        assert [r.reason for r in results[2:4]] == ["missing_chapter"] * 2
+
+    def test_chapter_task_error_propagates_and_frees_inputs(self):
+        inputs = []
+
+        class Chapter:
+            def __init__(self, chapter_id):
+                self.chapter_id = chapter_id
+
+        def load(chapter_id):
+            chapter = Chapter(chapter_id)
+            inputs.append(weakref.ref(chapter))
+            return chapter
+
+        def chapter_task(chapter):
+            if chapter.chapter_id == "ch1":
+                raise RuntimeError("chapter task failed")
+            return chapter.chapter_id
+
+        records = [SimpleNamespace(chapter_id=f"ch{c}", uid=f"ch{c}_{i}", duration_s=1.0)
+                   for c in range(4) for i in range(3)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(RuntimeError, match="chapter task failed"):
+                pipeline_mod._by_chapter(records, load, lambda rec, chapter: rec.uid,
+                                         pool, 2, chapter_task)
+        gc.collect()  # the traceback's frames and the failed future form cycles
+        assert len(inputs) >= 2 and all(ref() is None for ref in inputs)
+
+
 def _bandwidth_only_config(root, samples, sr):
     """One chapter WAV with one utterance spanning it; runs the bandwidth stage only."""
     (root / "raw").mkdir(parents=True)
@@ -928,6 +1080,19 @@ class TestCli:
             "--spec", str(spec_path), "--out", str(tmp_path / "out.jsonl")])
         assert result.exit_code == 1
         assert f"config error: {spec_path}: " in result.output and message in result.output
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_subset_spec_not_utf8_is_config_error(self, tmp_path):
+        manifest_path = tmp_path / "in.jsonl"
+        write_manifest([UtteranceRecord("u1", "b", "c", "s", "a.wav", 0.0, 1.0,
+                                        bandwidth_hz=14000)], manifest_path)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(b'{"min_bandwidth_hz": 13000, "note": "\xff"}')
+        result = CliRunner().invoke(main, [
+            "subset", "--manifest", str(manifest_path),
+            "--spec", str(spec_path), "--out", str(tmp_path / "out.jsonl")])
+        assert result.exit_code == 1
+        assert f"config error: {spec_path}: not UTF-8 text: " in result.output
         assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["stats", "subset", "splits", "run"])
