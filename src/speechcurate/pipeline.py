@@ -6,20 +6,26 @@ quarantined into a rejects manifest, each line naming its `reject_reason`.
 The segment stage shifts alignment times by the `trim_lead_s` the audio stage
 stamps. Worker results are re-sorted by utterance_id before writing, so the
 worker count never affects output bytes.
-The run reads the chapters manifest and starts one pool of `workers` threads
-on the calling thread before the first stage, when text, audio or bandwidth
-is enabled. The text and audio stages stream chapters through that pool, at
-every worker count: chapter inputs are loaded in chapter order on the calling
-thread, the next one while the current one's records run, and at most
-min(2, workers) are alive at once. The audio stage's chapter input is one
-open descriptor, of the WAV file or of decoder output spooled to a temporary
-file, from which each worker preads only its own record's frames. With
-bandwidth enabled too, each chapter's bandwidth estimate is one more task on
-that descriptor, queued ahead of the chapter's records, so a chapter is
-opened and decoded once; the bandwidth stage stamps the estimates. Without
-the audio stage, the bandwidth stage maps its chapters over the pool.
-Nothing decoded outlives its stage. Segment and validate run on the calling
-thread: their per-record work is pure Python, which holds the interpreter lock.
+The text, audio and bandwidth stages run as one chapter pass before the
+first stage's outputs are written, when any of them is enabled. The pass
+reads the chapters manifest and starts one pool of `workers` threads on the
+calling thread, at every worker count. Chapters are loaded in chapter order
+on the calling thread, each once: its cleaned book text when text runs, and
+its opened audio when audio runs and text has not rejected it. The next
+chapter loads while the last one's records run, and at most
+min(2, workers) chapters are alive at once. The opened audio is one
+descriptor, of the WAV file or of decoder output spooled to a temporary
+file, from which each worker preads only its own record's frames. Each
+record runs the text step, then the audio step, on one worker, and stops at
+its first reject. A chapter's bandwidth estimate is one more task, queued
+ahead of its records: on the audio the chapter holds, so it is opened and
+decoded once, or, without audio, on the chapter it opens itself. A
+bandwidth-only run loads nothing on the calling thread, so up to `workers`
+estimates run at once. The calling thread stamps the estimates. Each
+stage's version of a record is kept until its manifest is written, and
+nothing decoded outlives the pass. Segment and validate run on the calling
+thread: their per-record work is pure Python, which holds the interpreter
+lock.
 """
 
 from __future__ import annotations
@@ -95,20 +101,25 @@ class _Context:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.out_dir = Path(config.out_dir)
-        # Both set by run_pipeline when a chapter stage is enabled.
-        self.chapters: dict[str, ChapterRecord] = {}
-        self.pool: ThreadPoolExecutor | None = None
-        self.rules = _load_text_file(
-            textproc.load_rules, config.rules_path, textproc.default_rules)
-        self.abbreviations = _load_text_file(
-            segmentation.load_abbreviations, config.abbreviations_path,
-            segmentation.load_default_abbreviations)
+        self.rules = (textproc.load_rules(config.rules_path) if config.rules_path
+                      else textproc.default_rules())
+        self.abbreviations = (segmentation.load_abbreviations(config.abbreviations_path)
+                              if config.abbreviations_path
+                              else segmentation.load_default_abbreviations())
 
-    def open_chapter(self, chapter_id: str) -> audiolib.PcmFile | str:
+    def open_book(self, chapter: ChapterRecord) -> tuple | str:
+        """The chapter's cleaned book text and its strip_pc_map, or a reject reason."""
+        if chapter.book_text_path is None:
+            return "missing_book_text"
+        try:
+            raw = Path(chapter.book_text_path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            return f"book_text_unreadable:{exc.__class__.__name__}"
+        text = textproc.clean_formatting(raw, self.rules)
+        return text, textproc.strip_pc_map(text)
+
+    def open_chapter(self, chapter: ChapterRecord) -> audiolib.PcmFile | str:
         """The chapter's opened audio (see audio.open_pcm) or a reject reason."""
-        chapter = self.chapters.get(chapter_id)
-        if chapter is None:
-            return "missing_chapter"
         path = Path(self.config.audio_root) / chapter.audio_path
         # Unreadable: corrupt or unsupported file, missing file or decoder, failing decoder.
         try:
@@ -142,14 +153,6 @@ def _keep_freed_heap() -> None:
 
 def _unreadable(exc: Exception) -> str:
     return f"chapter_audio_unreadable:{exc.__class__.__name__}"
-
-
-def _load_text_file(load, path: str | None, default):
-    """load(path), or default() without a path; an unreadable file is a ConfigError."""
-    try:
-        return load(path) if path else default()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: unreadable: {exc}") from exc
 
 
 def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
@@ -190,24 +193,23 @@ class _Reject(NamedTuple):
     reason: str
 
 
-def _by_chapter(records, load, work, pool: ThreadPoolExecutor, workers: int,
+def _by_chapter(records, load, work, pool: ThreadPoolExecutor, window: int,
                 chapter_task=None):
     """Map work(rec, chapter_input) over records on `pool`, streamed chapter by chapter.
 
-    Chapters are loaded on the calling thread in sorted order. load(chapter_id)
-    returns the chapter's input or the reject reason (a str) for all its
-    records. The pool, of `workers` threads, runs every chapter's records.
-    Once min(2, workers) chapters are queued, the oldest one's results are
-    collected, and its input dropped, before the next is loaded. So with two
-    or more workers the next chapter is loaded while the current one's
-    records run, at most two chapter inputs are alive and the pool does not
-    drain at a chapter's end; with one worker, one input is alive. A
-    chapter's records are queued longest `duration_s` first. Results are
-    returned in input-record order, which is the order rejects are written in.
-    With `chapter_task`, chapter_task(chapter_input) is queued once for each
-    loaded chapter, ahead of its records; the chapter's input is dropped only
-    once that task and the records are collected, and the call returns
-    (results, {chapter_id: chapter_task's result}).
+    Chapters are loaded on the calling thread in sorted order: load(chapter_id)
+    returns the chapter's input. The pool runs every chapter's records. Once
+    `window` chapters are queued, the oldest one's results are collected, and
+    its input dropped, before the next is loaded. So at most `window` chapter
+    inputs are alive; with a window of two or more, the next chapter is
+    loaded while the queued ones run and the pool does not drain at a
+    chapter's end. A chapter's records are queued longest `duration_s` first;
+    with `work` None none are queued, and their results stay None. With
+    `chapter_task`, chapter_task(chapter_input) is queued once for each
+    chapter, ahead of its records. A chapter's input is dropped only once its
+    task and records are collected. Returns (results, {chapter_id:
+    chapter_task's result, or None without one}), results in input-record
+    order.
     On a worker's error, the tasks still queued are left for the pool's owner
     to cancel.
     """
@@ -224,74 +226,52 @@ def _by_chapter(records, load, work, pool: ThreadPoolExecutor, workers: int,
         return chapter_task(held[0])
 
     def collect(chapter_id: str, task, futures: dict, held: list):
-        if task is not None:
-            chapter_results[chapter_id] = task.result()
+        chapter_results[chapter_id] = task.result() if task else None
         for i, future in futures.items():
             results[i] = future.result()
         held.clear()  # the tasks that ran keep only this emptied list
 
     pending: deque = deque()  # (chapter_id, task, {index: future}, [input]) per chapter
     for chapter_id in sorted(groups):
-        if len(pending) == min(2, workers):
+        if len(pending) == window:
             collect(*pending.popleft())
-        data = load(chapter_id)
-        indices = groups[chapter_id]
-        if isinstance(data, str):
-            for i in indices:
-                results[i] = _Reject(records[i], data)
-            continue
-        held = [data]
-        del data  # so that collect() drops the chapter's last reference
+        held = [load(chapter_id)]
         task = pool.submit(run_chapter, held) if chapter_task else None
         # Longest records first, so that short ones fill the last gaps.
-        order = sorted(indices, key=lambda i: -records[i].duration_s)
-        pending.append((chapter_id, task,
-                        {i: pool.submit(run, records[i], held) for i in order}, held))
+        order = sorted(groups[chapter_id], key=lambda i: -records[i].duration_s)
+        futures = {i: pool.submit(run, records[i], held) for i in order if work}
+        pending.append((chapter_id, task, futures, held))
     while pending:
         collect(*pending.popleft())
-    return results if chapter_task is None else (results, chapter_results)
+    return results, chapter_results
 
 
-# Every stage function maps (records, ctx) -> (kept, rejects, extras) where
-# rejects is a list of _Reject. A per-record worker returns the records it
-# keeps (two after a split) or a _Reject. A stage may return more after
-# extras, which run_pipeline hands to the next stage as further arguments:
-# the audio stage, when bandwidth is enabled, returns its chapter estimates.
+# _text_step(ctx) and _audio_step(ctx) return a per-record step, which maps
+# (record, its chapter's input) to the record it keeps or a _Reject. A stage
+# function of _STAGE_FNS maps (records, ctx) -> (kept, rejects, extras), where
+# rejects is a list of _Reject; its per-record worker returns the records it
+# keeps (two after a split) or a _Reject.
 
 
-def _stage_text(records, ctx: _Context):
+def _text_step(ctx: _Context):
     predicted = {}
     if ctx.config.predicted_pc_path:
         path = _side_input(ctx, "text", "predicted_pc_path", "predicted PC")
         predicted = _load_jsonl_map(path, _PredictedText, "text")
-
-    def load(chapter_id: str):
-        # Clean and normalize the chapter once, before its workers start.
-        chapter = ctx.chapters.get(chapter_id)
-        if chapter is None:
-            return "missing_chapter"
-        if chapter.book_text_path is None:
-            return "missing_book_text"
-        try:
-            raw = Path(chapter.book_text_path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            return f"book_text_unreadable:{exc.__class__.__name__}"
-        text = textproc.clean_formatting(raw, ctx.rules)
-        return text, textproc.strip_pc_map(text)
 
     def work(rec: UtteranceRecord, book):
         chapter_text, chapter_norm = book
         match = textproc.match_transcript(rec.raw_text, chapter_text, chapter_norm)
         if match.matched:
             text = textproc.normalize_spoken(match.restored_text, ctx.rules)
-            return [rec.with_fields(text=text, text_source="book_match")]
+            return rec.with_fields(text=text, text_source="book_match")
         text = predicted.get(rec.utterance_id, rec.raw_text)
-        return [rec.with_fields(text=text, text_source="predicted_pc")]
+        return rec.with_fields(text=text, text_source="predicted_pc")
 
-    return _collect(_by_chapter(records, load, work, ctx.pool, ctx.config.workers))
+    return work
 
 
-def _stage_audio(records, ctx: _Context):
+def _audio_step(ctx: _Context):
     cfg = ctx.config
     audio_out = ctx.out_dir / "audio"
     with writing(audio_out):
@@ -326,21 +306,14 @@ def _stage_audio(records, ctx: _Context):
                     _encode(trim.trimmed, tmp, cfg.encoder_cmd)
             except (OSError, subprocess.CalledProcessError) as exc:
                 return _Reject(rec, f"encode_failed:{exc.__class__.__name__}")
-        return [
-            rec.with_fields(
-                audio_path=str(out_path.relative_to(ctx.out_dir)),
-                offset_s=0.0,
-                duration_s=duration_s,
-                trim_lead_s=round(trim.leading_removed_s, 4) or None,
-            )
-        ]
+        return rec.with_fields(
+            audio_path=str(out_path.relative_to(ctx.out_dir)),
+            offset_s=0.0,
+            duration_s=duration_s,
+            trim_lead_s=round(trim.leading_removed_s, 4) or None,
+        )
 
-    if "bandwidth" not in cfg.stages:
-        return _collect(_by_chapter(records, ctx.open_chapter, work, ctx.pool, cfg.workers))
-    # Each chapter's bandwidth is estimated from the chapter opened here.
-    results, estimates = _by_chapter(records, ctx.open_chapter, work, ctx.pool, cfg.workers,
-                                     lambda pcm: _chapter_bandwidth(pcm, cfg))
-    return (*_collect(results), estimates)
+    return work
 
 
 def _encode(buf: audiolib.AudioBuffer, out_path: Path, encoder_cmd: str) -> None:
@@ -371,25 +344,76 @@ def _chapter_bandwidth(pcm: audiolib.PcmFile, cfg: PipelineConfig) -> int | str:
     return "degenerate_spectrum" if est.degenerate else int(round(est.f_max_hz))
 
 
-def _stage_bandwidth(records, ctx: _Context, estimates: dict | None = None):
-    """Stamp each record with its chapter's bandwidth from `estimates`, the
-    audio stage's; the chapters without one are opened and estimated here."""
-    estimates = dict(estimates or {})
-    missing = sorted({r.chapter_id for r in records} - estimates.keys())
+def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
+    """{stage: (kept, rejects, extras)} of the enabled text, audio and bandwidth stages.
 
-    def estimate(chapter_id: str) -> int | str:
-        pcm = ctx.open_chapter(chapter_id)
-        return pcm if isinstance(pcm, str) else _chapter_bandwidth(pcm, ctx.config)
+    They run as one _by_chapter pass. For each chapter the loader opens, in
+    stage order, what each enabled per-record step reads (the cleaned book
+    text for text, the PcmFile for audio), stopping at the first that rejects
+    the chapter. Each record runs those steps on one worker and stops at its
+    first _Reject. The bandwidth estimate is the chapter's one task, on the
+    PcmFile the audio step holds, or on the chapter it opens itself without
+    audio. The calling thread then stamps each record the last step kept.
+    Each stage's rejects are in its input order: manifest order for the first
+    enabled stage, utterance_id order after it.
+    """
+    cfg = ctx.config
+    path = Path(cfg.chapters_manifest)
+    if not path.exists():
+        raise StageError(f"stage 'setup': chapters manifest not found: {path}")
+    chapters = {c.chapter_id: c for c in read_chapters(path)}
+    # (stage, per-record step, open(chapter) -> the step's chapter input or a reason)
+    steps = [(stage, make(ctx), open_input) for stage, make, open_input in
+             (("text", _text_step, ctx.open_book), ("audio", _audio_step, ctx.open_chapter))
+             if stage in cfg.stages]
 
-    estimates.update(zip(missing, ctx.pool.map(estimate, missing)))
+    def load(chapter_id: str) -> list:
+        # The chapter, then each step's input; after a reject reason, that reason.
+        inputs = [chapters.get(chapter_id, "missing_chapter")]
+        for _, _, open_input in steps:
+            inputs.append(inputs[-1] if isinstance(inputs[-1], str) else open_input(inputs[0]))
+        return inputs
 
-    def work(rec: UtteranceRecord):
-        bandwidth_hz = estimates[rec.chapter_id]
-        if isinstance(bandwidth_hz, str):
-            return _Reject(rec, bandwidth_hz)
-        return [rec.with_fields(bandwidth_hz=bandwidth_hz)]
+    def work(rec: UtteranceRecord, inputs: list) -> tuple:
+        chain = ()  # each step's record or _Reject, up to the first _Reject
+        for (_, step, _), data in zip(steps, inputs[1:]):
+            rec = _Reject(rec, data) if isinstance(data, str) else step(rec, data)
+            chain += (rec,)
+            if isinstance(rec, _Reject):
+                break
+        return chain
 
-    return _collect([work(rec) for rec in records])
+    def estimate(inputs: list) -> int | str:
+        pcm = inputs[-1]  # the audio step's PcmFile, or a reject reason
+        if not isinstance(pcm, (str, audiolib.PcmFile)):  # without audio
+            pcm = ctx.open_chapter(inputs[0])
+        return pcm if isinstance(pcm, str) else _chapter_bandwidth(pcm, cfg)
+
+    # A chapter's input can be a whole decoded chapter, so at most two are
+    # held; a bandwidth-only loader holds none, so `workers` estimates run.
+    window = min(2, cfg.workers) if steps else cfg.workers
+    # One pool for the run, so each worker keeps its grown malloc arena.
+    pool = ThreadPoolExecutor(max_workers=cfg.workers)
+    try:
+        results, estimates = _by_chapter(records, load, work if steps else None, pool,
+                                         window, estimate if "bandwidth" in cfg.stages else None)
+    finally:
+        # Not the executor's __exit__: that would run every queued task first.
+        pool.shutdown(wait=True, cancel_futures=True)
+    # {stage: (kept, rejects, extras)}: a _Reject goes to index 1 (True).
+    out = {s: ([], [], {}) for s in ("text", "audio", "bandwidth") if s in cfg.stages}
+    for i, chain in enumerate(results):
+        results[i] = None  # each record's chain goes once its versions are sorted out
+        for (stage, _, _), item in zip(steps, chain or ()):  # None without steps
+            out[stage][isinstance(item, _Reject)].append(item)
+    if "bandwidth" in out:
+        for rec in out[steps[-1][0]][0] if steps else records:
+            hz = estimates[rec.chapter_id]
+            item = _Reject(rec, hz) if isinstance(hz, str) else rec.with_fields(bandwidth_hz=hz)
+            out["bandwidth"][isinstance(item, _Reject)].append(item)
+    for _, rejects, _ in list(out.values())[1:]:  # in the stage's input order
+        rejects.sort(key=lambda r: r.record.utterance_id)
+    return out
 
 
 def _stage_segment(records, ctx: _Context):
@@ -477,10 +501,8 @@ def _collect(results):
     return kept, rejects, extras
 
 
+# The stages that run after the chapter stages (see _chapter_stages).
 _STAGE_FNS = {
-    "text": _stage_text,
-    "audio": _stage_audio,
-    "bandwidth": _stage_bandwidth,
     "segment": _stage_segment,
     "validate": _stage_validate,
     "speakers": _stage_speakers,
@@ -497,11 +519,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     Raises ConfigError, a ValueError, for every fault of the config, an input
     or an output location: an invalid config, a bad utterances or chapters
     manifest or an out_dir that cannot be made, before any stage runs; a bad
-    side input, when its stage starts; an output that cannot be written, such
-    as a name a directory holds; and a stage's output record that fails its
-    validate(). Raises StageError when an enabled stage lacks its chapters
-    manifest or side input. The worker pool is shut down before this returns
-    or raises.
+    side input, when its stage starts (text, audio and bandwidth start
+    together, before any stage's outputs are written); an output that cannot
+    be written, such as a name a directory holds; and a stage's output record
+    that fails its validate(). Raises StageError when an enabled stage lacks
+    its chapters manifest or side input. The worker pool is shut down before
+    this returns or raises.
     Before the first stage, glibc's allocator is told to keep up to 64 MiB of
     freed memory per arena, so each record reuses the pages the last one
     freed; the setting stays for the life of the process.
@@ -515,52 +538,41 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         ctx.out_dir.mkdir(parents=True, exist_ok=True)
     enabled = [s for s in STAGE_ORDER if s in config.stages]
     records = read_manifest(config.utterances_manifest)
-    if not {"text", "audio", "bandwidth"}.isdisjoint(enabled):
-        path = Path(config.chapters_manifest)
-        if not path.exists():
-            raise StageError(f"stage 'setup': chapters manifest not found: {path}")
-        ctx.chapters = {c.chapter_id: c for c in read_chapters(path)}
-        # One pool for the run, so each worker keeps its grown malloc arena.
-        ctx.pool = ThreadPoolExecutor(max_workers=config.workers)
+    chapter_stages = (_chapter_stages(records, ctx)
+                      if not {"text", "audio", "bandwidth"}.isdisjoint(enabled) else {})
     reports: list[StageReport] = []
     final_path: Path | None = None
     any_rejects = False
-    handed: list = []  # what the last stage returned after its extras
-    try:
-        for index, stage in enumerate(enabled):
-            n_in = len(records)
-            kept, rejects, extras, *handed = _STAGE_FNS[stage](records, ctx, *handed)
-            kept.sort(key=lambda r: r.utterance_id)
-            final_path = ctx.out_dir / f"manifest.{index:02d}_{stage}.jsonl"
-            write_manifest(kept, final_path)
-            rejects_path = ctx.out_dir / f"rejects.{stage}.jsonl"
-            if rejects:
-                any_rejects = True
-                write_manifest([r.with_fields(extra={**r.extra, "reject_reason": reason})
-                                for r, reason in rejects], rejects_path)
-            else:
-                with writing(rejects_path):
-                    rejects_path.unlink(missing_ok=True)
-            drop_reasons: dict[str, int] = {}
-            for _, reason in rejects:
-                drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
-            report = StageReport(
-                stage=stage,
-                records_in=n_in,
-                records_out=len(kept),
-                records_dropped=len(rejects),
-                drop_reasons=drop_reasons,
-                extras=extras,
-            )
-            reports.append(report)
-            with replacing(ctx.out_dir / f"report.{stage}.json") as tmp:
-                tmp.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-                               + "\n", encoding="utf-8")
-            logger.info("[%s] in=%d out=%d dropped=%d", stage, n_in, len(kept), len(rejects))
-            records = kept
-    finally:
-        # Not the executor's __exit__: that would run every queued task first.
-        if ctx.pool is not None:
-            ctx.pool.shutdown(wait=True, cancel_futures=True)
+    for index, stage in enumerate(enabled):
+        n_in = len(records)
+        kept, rejects, extras = chapter_stages.pop(stage, None) or _STAGE_FNS[stage](records, ctx)
+        kept.sort(key=lambda r: r.utterance_id)
+        final_path = ctx.out_dir / f"manifest.{index:02d}_{stage}.jsonl"
+        write_manifest(kept, final_path)
+        rejects_path = ctx.out_dir / f"rejects.{stage}.jsonl"
+        if rejects:
+            any_rejects = True
+            write_manifest([r.with_fields(extra={**r.extra, "reject_reason": reason})
+                            for r, reason in rejects], rejects_path)
+        else:
+            with writing(rejects_path):
+                rejects_path.unlink(missing_ok=True)
+        drop_reasons: dict[str, int] = {}
+        for _, reason in rejects:
+            drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
+        report = StageReport(
+            stage=stage,
+            records_in=n_in,
+            records_out=len(kept),
+            records_dropped=len(rejects),
+            drop_reasons=drop_reasons,
+            extras=extras,
+        )
+        reports.append(report)
+        with replacing(ctx.out_dir / f"report.{stage}.json") as tmp:
+            tmp.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+                           + "\n", encoding="utf-8")
+        logger.info("[%s] in=%d out=%d dropped=%d", stage, n_in, len(kept), len(rejects))
+        records = kept
     exit_code = EXIT_PARTIAL if any_rejects else EXIT_OK
     return PipelineResult(exit_code=exit_code, reports=reports, final_manifest=final_path)

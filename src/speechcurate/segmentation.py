@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .manifest import (ManifestError, UtteranceRecord, _lines, from_typed, read_jsonl,
-                       schema_of, type_problems)
+                       read_text, schema_of, type_problems)
 
 DEFAULT_MIN_PAUSE_S = 0.08
 
@@ -78,8 +78,10 @@ def load_default_abbreviations() -> frozenset[str]:
 
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:
+    """One abbreviation per line; a file that cannot be read, or is not UTF-8, is a
+    ConfigError naming it."""
     entries = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             entries.add(line.rstrip(".").casefold())

@@ -12,6 +12,8 @@ import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .manifest import read_text
+
 
 class TextError(Exception):
     pass
@@ -125,10 +127,13 @@ _WS_RE = re.compile(r"[ \t\f\v]+")
 
 
 def load_rules(path: str | Path) -> NormalizationRules:
-    """Read `token<TAB>expansion` lines; lines starting `! ` define artifacts."""
+    """Read `token<TAB>expansion` lines; lines starting `! ` define artifacts.
+
+    A file that cannot be read, or is not UTF-8, is a ConfigError naming it.
+    """
     expansions: dict[str, str] = {}
     artifacts: list[tuple[str, str]] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

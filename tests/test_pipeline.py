@@ -1,6 +1,7 @@
 import ctypes
 import errno
 import gc
+import itertools
 import json
 import os
 import platform
@@ -22,6 +23,7 @@ from scipy.io import wavfile
 from speechcurate import audio as audiolib
 from speechcurate import bandwidth as bwlib
 from speechcurate import pipeline as pipeline_mod
+from speechcurate import textproc
 from speechcurate.audio import AudioBuffer, load_pcm, save_pcm
 from speechcurate.bandwidth import chapter_bandwidth
 from speechcurate.cli import main
@@ -285,11 +287,12 @@ class TestChapterStreaming:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_one_decoded_chapter_alive(self, tmp_path, monkeypatch, workers):
         # ch0 and ch2 go through decoder_cmd, so their opened audio is a
         # temporary file of the decoded stream; ch1 and ch3 are read in place.
-        # With one worker a chapter is dropped before the next one opens.
+        # With one worker a chapter is dropped before the next one opens; with
+        # more, at most two chapters are open, whatever the worker count.
         held = min(2, workers)
         root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
         _decoded_copies(root, ("ch0", "ch2"))
@@ -341,7 +344,7 @@ class TestChapterStreaming:
             return True
 
         with ThreadPoolExecutor(max_workers=2) as pool:
-            out = pipeline_mod._by_chapter(records, lambda c: [c], work, pool, 2)
+            out, _ = pipeline_mod._by_chapter(records, lambda c: [c], work, pool, 2)
         assert out == [True] * 4
 
     def test_one_pool_per_run(self, corpus, tmp_path, monkeypatch):
@@ -366,7 +369,7 @@ class TestChapterStreaming:
         queued.clear()
         records = [SimpleNamespace(chapter_id=f"ch{i % 4}", duration_s=i) for i in range(12)]
         with CountingPool(max_workers=2) as pool:
-            out = pipeline_mod._by_chapter(records, lambda c: [c], lambda r, c: c[0], pool, 2)
+            out, _ = pipeline_mod._by_chapter(records, lambda c: [c], lambda r, c: c[0], pool, 2)
         assert out == [f"ch{i % 4}" for i in range(12)]
         # Chapter by chapter, each chapter's longest records first.
         assert [rec.duration_s for rec in queued] == [8, 4, 0, 9, 5, 1, 10, 6, 2, 11, 7, 3]
@@ -684,17 +687,22 @@ class TestOnePassPerChapter:
             assert (both / name).read_bytes() == (alone / (other or name)).read_bytes(), name
 
     def test_chapter_task_results_beside_records(self):
+        # A chapter whose input is a reject reason gets its task too; the
+        # work function rejects its records.
         records = [SimpleNamespace(chapter_id=c, uid=f"{c}_{i}", duration_s=1.0)
                    for c in ("ch0", "ch1", "ch2") for i in range(2)]
 
         def load(chapter_id):
             return "missing_chapter" if chapter_id == "ch1" else [chapter_id]
 
+        def work(rec, chapter):
+            return pipeline_mod._Reject(rec, chapter) if isinstance(chapter, str) else rec.uid
+
         with ThreadPoolExecutor(max_workers=2) as pool:
             results, estimates = pipeline_mod._by_chapter(
-                records, load, lambda rec, chapter: rec.uid, pool, 2,
-                lambda chapter: chapter[0].upper())
-        assert estimates == {"ch0": "CH0", "ch2": "CH2"}
+                records, load, work, pool, 2,
+                lambda chapter: None if isinstance(chapter, str) else chapter[0].upper())
+        assert estimates == {"ch0": "CH0", "ch1": None, "ch2": "CH2"}
         assert results[:2] == ["ch0_0", "ch0_1"] and results[4:] == ["ch2_0", "ch2_1"]
         assert [r.reason for r in results[2:4]] == ["missing_chapter"] * 2
 
@@ -723,6 +731,133 @@ class TestOnePassPerChapter:
                                          pool, 2, chapter_task)
         gc.collect()  # the traceback's frames and the failed future form cycles
         assert len(inputs) >= 2 and all(ref() is None for ref in inputs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_book_and_audio_opened_together(self, tmp_path, monkeypatch, workers):
+        # Each chapter's book is cleaned and its audio opened before the next
+        # chapter's, by one loader; the estimate reads the audio it opened.
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        calls: list[str] = []
+        clean_, open_pcm_ = textproc.clean_formatting, audiolib.open_pcm
+
+        def noting_clean(text, rules=None):
+            calls.append("clean")
+            return clean_(text, rules)
+
+        def noting_open(path, decoder_cmd=None):
+            calls.append(Path(path).stem)
+            return open_pcm_(path, decoder_cmd)
+
+        monkeypatch.setattr(textproc, "clean_formatting", noting_clean)
+        monkeypatch.setattr(audiolib, "open_pcm", noting_open)
+        config = make_config(root, tmp_path / "out", workers=workers)
+        config.stages = ["text", "audio", "bandwidth"]
+        result = run_pipeline(config)
+        assert [r.records_out for r in result.reports] == [8, 8, 8]
+        chapter_ids = [c.chapter_id for c in read_chapters(root / "chapters.jsonl")]
+        assert calls == [call for c in chapter_ids for call in ("clean", c)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("stages", [["text", "audio", "bandwidth"], ["text", "bandwidth"]],
+                             ids="+".join)
+    def test_chapter_text_rejects_is_never_opened(self, planted_corpus, tmp_path,
+                                                  monkeypatch, stages, workers):
+        opened: list[str] = []
+        open_pcm_ = audiolib.open_pcm
+
+        def noting_open(path, decoder_cmd=None):
+            opened.append(Path(path).stem)
+            return open_pcm_(path, decoder_cmd)
+
+        monkeypatch.setattr(audiolib, "open_pcm", noting_open)
+        config = make_config(planted_corpus, tmp_path / "out", workers=workers)
+        config.stages = stages
+        result = run_pipeline(config)
+        assert result.reports[0].drop_reasons == {"missing_chapter": 2, "missing_book_text": 2}
+        # ch4 is not in the chapters manifest and ch5 has no book text.
+        assert sorted(opened) == ["ch0", "ch1", "ch2", "ch3", "ch6", "ch7"]
+
+    def test_bandwidth_only_estimates_run_at_once(self, tmp_path, monkeypatch):
+        # Each of the four chapters' estimates waits until all four have started.
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+        all_started = threading.Barrier(4, timeout=5)
+        bandwidth_ = bwlib.chapter_bandwidth
+
+        def waiting_bandwidth(*args, **kwargs):
+            all_started.wait()  # BrokenBarrierError when fewer run at once
+            return bandwidth_(*args, **kwargs)
+
+        monkeypatch.setattr(bwlib, "chapter_bandwidth", waiting_bandwidth)
+        config = make_config(root, tmp_path / "out", workers=4)
+        config.stages = ["bandwidth"]
+        assert run_pipeline(config).reports[0].records_out == 4
+
+
+@pytest.fixture(scope="module")
+def planted_corpus(tmp_path_factory):
+    """build_corpus's four chapters, two records each, and one chapter of each
+    chapter-level fault, its records after ch0-ch3's in reverse manifest order.
+
+    ch1's records all start past its end; ch4 is missing from the chapters
+    manifest; ch5 has no book text; ch6's audio file is random bytes; ch7 is
+    shorter than one bandwidth analysis window.
+    """
+    root = build_corpus(tmp_path_factory.mktemp("planted"), n_utts_per_chapter=2)
+    chapters = read_chapters(root / "chapters.jsonl")
+    books = {c.chapter_id: c.book_text_path for c in chapters}
+    (root / "raw" / "ch5.wav").write_bytes((root / "raw" / "ch2.wav").read_bytes())
+    (root / "raw" / "ch6.wav").write_bytes(np.random.default_rng(6).bytes(4096))
+    noise = np.random.default_rng(7).uniform(-0.5, 0.5, 1920)  # 40 ms
+    save_pcm(AudioBuffer(noise, 48000), root / "raw" / "ch7.wav")
+    chapters += [ChapterRecord("ch5", "book0", "spk5", "raw/ch5.wav", 48000),
+                 ChapterRecord("ch6", "book0", "spk6", "raw/ch6.wav", 48000, books["ch3"]),
+                 ChapterRecord("ch7", "book0", "spk7", "raw/ch7.wav", 48000, books["ch0"])]
+    write_chapters(chapters, root / "chapters.jsonl")
+    records = [r.with_fields(offset_s=1000.0) if r.chapter_id == "ch1" else r
+               for r in read_manifest(root / "utterances.jsonl")]
+    planted = [r.with_fields(utterance_id=r.utterance_id.replace(like, new), chapter_id=new,
+                             audio_path=f"raw/{new}.wav")
+               for new, like in [("ch4", "ch0"), ("ch5", "ch2"), ("ch6", "ch3")]
+               for r in records if r.chapter_id == like]
+    planted.append(records[0].with_fields(utterance_id="ch7_0000", chapter_id="ch7",
+                                          audio_path="raw/ch7.wav", duration_s=0.04))
+    write_manifest(records + planted[::-1], root / "utterances.jsonl")
+    return root
+
+
+_CHAPTER_STAGE_SETS = [list(c) for n in (1, 2, 3)
+                       for c in itertools.combinations(("text", "audio", "bandwidth"), n)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stages", _CHAPTER_STAGE_SETS, ids="+".join)
+def test_chapter_stages_as_each_stage_alone(planted_corpus, tmp_path, stages, workers):
+    # A run of several chapter stages writes, for each stage, what a run of
+    # that stage alone writes when fed the previous stage's manifest.
+    combined = tmp_path / "combined"
+    config = make_config(planted_corpus, combined, workers=workers)
+    config.stages = stages
+    reports = run_pipeline(config).reports
+    if len(stages) == 3:  # each planted fault is met
+        assert [r.drop_reasons for r in reports] == [
+            {"missing_chapter": 2, "missing_book_text": 2},
+            {"offset_past_end": 2, "chapter_audio_unreadable:AudioError": 2},
+            {"degenerate_spectrum": 1}]
+    manifest = planted_corpus / "utterances.jsonl"
+    for index, stage in enumerate(stages):
+        alone = tmp_path / f"alone-{stage}"
+        config = make_config(planted_corpus, alone, workers=workers)
+        config.stages = [stage]
+        config.utterances_manifest = str(manifest)
+        assert run_pipeline(config).reports == [reports[index]]
+        manifest = alone / f"manifest.00_{stage}.jsonl"
+        for ours, theirs in [(f"manifest.{index:02d}_{stage}.jsonl", manifest.name),
+                             (f"report.{stage}.json", None), (f"rejects.{stage}.jsonl", None)]:
+            ours, theirs = combined / ours, alone / (theirs or ours)
+            assert ours.exists() == theirs.exists(), ours.name
+            assert not ours.exists() or ours.read_bytes() == theirs.read_bytes(), ours.name
+    if "audio" in stages:
+        assert _tree(combined / "audio") == _tree(tmp_path / "alone-audio" / "audio")
 
 
 def _bandwidth_only_config(root, samples, sr):
@@ -1407,11 +1542,11 @@ FAULTS = [
     pytest.param(["text"], _side_file("rules_path", "rules.txt", None),
                  1, "config error: {path}: unreadable", id="rules-missing"),
     pytest.param(["text"], _side_file("rules_path", "rules.txt", b"\xff\xfe"),
-                 1, "config error: {path}: unreadable", id="rules-not-utf8"),
+                 1, "config error: {path}: not UTF-8 text", id="rules-not-utf8"),
     pytest.param(["text"], _side_file("abbreviations_path", "abbr.txt", None),
                  1, "config error: {path}: unreadable", id="abbreviations-missing"),
     pytest.param(["text"], _side_file("abbreviations_path", "abbr.txt", b"Dr.\n\xff\n"),
-                 1, "config error: {path}: unreadable", id="abbreviations-not-utf8"),
+                 1, "config error: {path}: not UTF-8 text", id="abbreviations-not-utf8"),
     pytest.param(["text"], _UNKNOWN_CHAPTER_KEY,
                  1, "config error: {path}:2: unknown keys: ['book_txt_path']",
                  id="chapter-unknown-key"),
