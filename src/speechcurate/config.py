@@ -7,7 +7,8 @@ from pathlib import Path
 
 import yaml
 
-from .manifest import ConfigError, read_text, schema_of, type_problems
+from .manifest import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_MOST_0, FINITE, ConfigError,
+                       field_problems, must, read_text, schema_of, type_problems)
 
 # Canonical stage execution order; enabled stages always run in this order.
 STAGE_ORDER = ("text", "audio", "bandwidth", "segment", "validate", "speakers")
@@ -27,16 +28,17 @@ class PipelineConfig:
     out_dir: str = "out"
     # stages (subset of STAGE_ORDER)
     stages: list[str] = field(default_factory=lambda: list(STAGE_ORDER))
-    # thresholds, defaults per the published pipeline
-    target_sample_rate_hz: int = 44100
-    trim_threshold_db: float = 50.0
-    max_edge_silence_s: float = 0.5
-    bandwidth_threshold_db: float = -50.0
-    bandwidth_analysis_s: float = 30.0
-    min_pause_s: float = 0.08
-    max_cer_pct: float = 100.0
+    # thresholds, defaults per the published pipeline; the two windows that
+    # become sample counts must be finite
+    target_sample_rate_hz: int = must(ABOVE_0, default=44100)
+    trim_threshold_db: float = must(AT_LEAST_0, default=50.0)
+    max_edge_silence_s: float = must(AT_LEAST_0, FINITE, default=0.5)
+    bandwidth_threshold_db: float = must(AT_MOST_0, default=-50.0)
+    bandwidth_analysis_s: float = must(ABOVE_0, FINITE, default=30.0)
+    min_pause_s: float = must(AT_LEAST_0, default=0.08)
+    max_cer_pct: float = must(AT_LEAST_0, default=100.0)
     # runtime
-    workers: int = 1
+    workers: int = must(AT_LEAST_1, default=1)
     seed: int = 0
     decoder_cmd: str | None = None  # e.g. "ffmpeg -i {input} -f wav -" for MP3 input
     encoder_cmd: str | None = None  # e.g. "flac -s -f -o {output} {input}"
@@ -70,22 +72,12 @@ _SCHEMA = schema_of(PipelineConfig)
 
 
 def validate_config(config: PipelineConfig) -> list[str]:
-    """Empty list iff every invariant holds; messages name field and constraint."""
+    """Empty list iff every invariant holds; messages name field and constraint.
+    A wrong type is listed alone; else each field that fails a condition it
+    declares (manifest.field_problems), in field order, then the stages."""
     if problems := type_problems(vars(config), _SCHEMA):
         return problems
-    for name in ("trim_threshold_db", "max_edge_silence_s", "min_pause_s", "max_cer_pct"):
-        value = getattr(config, name)
-        if value < 0:
-            problems.append(f"{name}: must be >= 0, got {value}")
-    for name in ("target_sample_rate_hz", "bandwidth_analysis_s"):
-        value = getattr(config, name)
-        if value <= 0:
-            problems.append(f"{name}: must be > 0, got {value}")
-    if config.bandwidth_threshold_db > 0:
-        problems.append(
-            f"bandwidth_threshold_db: must be <= 0, got {config.bandwidth_threshold_db}")
-    if config.workers < 1:
-        problems.append(f"workers: must be >= 1, got {config.workers}")
+    problems = field_problems(config)
     if not isinstance(config.stages, list) or not all(
             isinstance(s, str) for s in config.stages):
         problems.append(f"stages: must be a list of stage names, got {config.stages!r}")

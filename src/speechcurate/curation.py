@@ -8,7 +8,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import InvariantError, SubsetSpec, UtteranceRecord, from_typed, read_jsonl, replacing
+from .manifest import (AT_LEAST_0, SubsetSpec, UtteranceRecord, from_typed, must, read_jsonl,
+                       replacing)
 from .segmentation import _splitmix64
 
 logger = logging.getLogger(__name__)
@@ -21,11 +22,7 @@ class CurationError(Exception):
 @dataclass(frozen=True)
 class SpeakerCountRecord:
     utterance_id: str
-    num_speakers: int
-
-    def validate(self) -> None:
-        if self.num_speakers < 0:
-            raise InvariantError("num_speakers", f"must be >= 0, got {self.num_speakers}")
+    num_speakers: int = must(AT_LEAST_0)
 
 
 @dataclass(frozen=True)

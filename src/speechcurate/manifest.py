@@ -10,11 +10,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -31,16 +32,32 @@ class ManifestError(ConfigError):
 
 
 class InvariantError(ManifestError):
-    """A record violates a schema invariant."""
-
-    def __init__(self, field_name: str, message: str):
-        self.field_name = field_name
-        super().__init__(f"{field_name}: {message}")
+    """A value breaks a condition its field declares."""
 
 
 def _round_seconds(x: float) -> float:
     # External interface: decimal seconds, at most 4 fractional digits.
     return float(f"{x:.4f}")
+
+
+# The conditions a field may declare: a test its value must pass, and the
+# message, formatted with the value, when it does not.
+FINITE = (math.isfinite, "must be finite, got {}")
+AT_LEAST_0 = (functools.partial(operator.le, 0), "must be >= 0, got {}")
+ABOVE_0 = (functools.partial(operator.lt, 0), "must be > 0, got {}")
+AT_MOST_0 = (functools.partial(operator.ge, 0), "must be <= 0, got {}")
+AT_LEAST_1 = (functools.partial(operator.le, 1), "must be >= 1, got {}")
+NON_EMPTY = (bool, "must be non-empty")
+
+
+def one_of(values: tuple) -> tuple:
+    """The condition that a value is one of values."""
+    return frozenset(values).__contains__, f"must be one of {values}, got {{!r}}"
+
+
+def must(*conditions, default=MISSING) -> Any:
+    """A dataclass field whose value must pass each of conditions, in order."""
+    return field(default=default, metadata={"must": conditions})
 
 
 # The values a field annotation accepts, and how a message names them.
@@ -68,26 +85,60 @@ def schema_of(cls) -> dict[str, tuple[tuple[type, ...], str]]:
 
 def type_problems(obj: dict, schema: dict) -> list[str]:
     """A message for each value in obj that its field's annotation does not accept.
-    A bool is not a number, and NaN is not a number: it passes every range check."""
+    A bool is not a number, and NaN is not a number."""
     problems = []
     for name, value in obj.items():
         if name in schema:
             accepted, what = schema[name]
-            # NaN is the one accepted value unequal to itself.
-            if not isinstance(value, accepted) or isinstance(value, bool) or value != value:
+            # A value of an accepted type itself, as JSON and YAML give them, skips
+            # the isinstance tests; NaN is the one accepted value unequal to itself.
+            if (type(value) not in accepted and (not isinstance(value, accepted)
+                                                  or isinstance(value, bool))) or value != value:
                 problems.append(f"{name}: must be {what}, got {value!r}")
     return problems
 
 
 @functools.cache
-def _rules_of(cls) -> tuple[dict, tuple[str, ...], str | None, bool]:
+def _conditions_of(cls) -> tuple[tuple[str, bool, Callable, str], ...]:
+    """(name, whether it may be null, test, message) for each condition that a
+    field of the dataclass cls declares through must(), in field order."""
+    return tuple((f.name, f.type.endswith("| None"), test, message)
+                 for f in fields(cls) for test, message in f.metadata.get("must", ()))
+
+
+def field_problems(rec) -> list[str]:
+    """The one check of the conditions fields declare with must(): for each
+    field of the dataclass instance rec that fails one, in field order, the
+    message of the first it fails, as in `num_speakers: must be >= 0, got -1`.
+    A null value of a field that may be null passes. Readers apply the type
+    rule first; a value of the wrong type, in a record made in code, may raise
+    TypeError here."""
+    problems = []
+    failed = None  # the field last named: it is named for its first failure only
+    for name, nullable, test, message in _conditions_of(type(rec)):
+        value = getattr(rec, name)
+        if not (value is None and nullable or test(value) or name == failed):
+            problems.append(f"{name}: {message.format(value)}")
+            failed = name
+    return problems
+
+
+def check(rec) -> None:
+    """InvariantError naming the first field of rec that fails a condition it declares."""
+    if problems := field_problems(rec):
+        raise InvariantError(problems[0])
+
+
+@functools.cache
+def _rules_of(cls) -> tuple[dict, tuple[str, ...], str | None, bool, Callable]:
     """from_typed's rules for a dataclass: (its schema_of, the fields without a
     default, the `dict` field that holds unknown keys or None, whether an
-    unknown key is an error)."""
+    unknown key is an error, its validate() or else check)."""
     required = tuple(f.name for f in fields(cls)
                      if f.default is MISSING and f.default_factory is MISSING)
     bag = next((f.name for f in fields(cls) if f.type == "dict"), None)
-    return schema_of(cls), required, bag, bag is None and len(required) < len(fields(cls))
+    strict = bag is None and len(required) < len(fields(cls))
+    return schema_of(cls), required, bag, strict, getattr(cls, "validate", check)
 
 
 def from_typed(cls: type[T], obj) -> T:
@@ -96,10 +147,12 @@ def from_typed(cls: type[T], obj) -> T:
     has one; else it is an error when some field has a default (a misspelt key
     would leave that field at its default), and ignored when none has. Then every
     value must pass type_problems, every field without a default be present, and
-    the record pass its validate(), if it has one."""
+    the record pass its validate() if cls has one, else check(): either way every
+    condition its fields declare, the first failing field named (an
+    InvariantError)."""
     if not isinstance(obj, dict):
         raise ManifestError(f"must be a JSON object, got {type(obj).__name__}")
-    schema, required, bag, strict = _rules_of(cls)
+    schema, required, bag, strict, validate = _rules_of(cls)
     # The schema's keys, not obj's: cls(**values) matches interned names fastest.
     values = {k: obj[k] for k in schema if k in obj}
     if len(values) < len(obj):
@@ -114,8 +167,7 @@ def from_typed(cls: type[T], obj) -> T:
         if name not in values:
             raise ManifestError(f"missing key {name!r}")
     rec = cls(**values)
-    if hasattr(rec, "validate"):
-        rec.validate()
+    validate(rec)
     return rec
 
 
@@ -128,6 +180,16 @@ def _all_finite(value) -> bool:
     return True
 
 
+def _round_pct(x: float) -> float:
+    return round(float(x), 4)
+
+
+# How UtteranceRecord.to_json_dict writes a field's value, where not as it is.
+_WRITTEN_AS = {"offset_s": _round_seconds, "duration_s": _round_seconds,
+               "trim_lead_s": _round_seconds, "bandwidth_hz": lambda hz: int(round(hz)),
+               "wer_pct": _round_pct, "cer_pct": _round_pct}
+
+
 @dataclass(frozen=True)
 class UtteranceRecord:
     """One manifest row: an audio span plus transcript and quality metadata.
@@ -136,70 +198,38 @@ class UtteranceRecord:
     `extra` and written after them, sorted by key.
     """
 
-    utterance_id: str
+    utterance_id: str = must(NON_EMPTY)
     book_id: str
     chapter_id: str
     speaker_id: str
     audio_path: str
-    offset_s: float
-    duration_s: float
+    offset_s: float = must(FINITE, AT_LEAST_0)
+    duration_s: float = must(FINITE, ABOVE_0)
     # seconds of leading silence the audio stage cut; alignments count from before it
-    trim_lead_s: float | None = None
+    trim_lead_s: float | None = must(FINITE, AT_LEAST_0, default=None)
     text: str | None = None
-    text_source: str | None = None
+    text_source: str | None = must(one_of(TEXT_SOURCES), default=None)
     raw_text: str = ""
-    bandwidth_hz: int | None = None
-    wer_pct: float | None = None
-    cer_pct: float | None = None
-    num_speakers: int | None = None
-    gender: str = "unknown"
+    bandwidth_hz: int | None = must(AT_LEAST_0, default=None)
+    wer_pct: float | None = must(FINITE, AT_LEAST_0, default=None)
+    cer_pct: float | None = must(FINITE, AT_LEAST_0, default=None)
+    num_speakers: int | None = must(AT_LEAST_0, default=None)
+    gender: str = must(one_of(GENDERS), default="unknown")
     extra: dict = field(default_factory=dict, compare=True)
 
     def validate(self) -> None:
-        if not self.utterance_id:
-            raise InvariantError("utterance_id", "must be non-empty")
-        for name in ("offset_s", "duration_s", "trim_lead_s", "wer_pct", "cer_pct"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InvariantError(name, f"must be finite, got {value}")
-        if self.offset_s < 0:
-            raise InvariantError("offset_s", f"must be >= 0, got {self.offset_s}")
-        if not self.duration_s > 0:
-            raise InvariantError("duration_s", f"must be > 0, got {self.duration_s}")
-        if self.trim_lead_s is not None and self.trim_lead_s < 0:
-            raise InvariantError("trim_lead_s", f"must be >= 0, got {self.trim_lead_s}")
-        if self.text_source is not None and self.text_source not in TEXT_SOURCES:
-            raise InvariantError(
-                "text_source", f"must be one of {TEXT_SOURCES}, got {self.text_source!r}"
-            )
-        if self.gender not in GENDERS:
-            raise InvariantError("gender", f"must be one of {GENDERS}, got {self.gender!r}")
-        for name in ("wer_pct", "cer_pct"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise InvariantError(name, f"must be >= 0, got {value}")
-        if self.num_speakers is not None and self.num_speakers < 0:
-            raise InvariantError("num_speakers", f"must be >= 0, got {self.num_speakers}")
-        if self.bandwidth_hz is not None and self.bandwidth_hz < 0:
-            raise InvariantError("bandwidth_hz", f"must be >= 0, got {self.bandwidth_hz}")
+        check(self)
         # Unknown keys are written back as read, and JSON has no NaN or infinity.
         for name, value in self.extra.items():
             if not _all_finite(value):
-                raise InvariantError(name, f"must be finite, got {value}")
+                raise InvariantError(f"{name}: must be finite, got {value}")
 
     def to_json_dict(self) -> dict:
         out: dict = {}
         for name in _UTT_SCHEMA:
             value = getattr(self, name)
-            if value is None:
-                continue  # absent metrics are omitted keys, not null
-            if name in ("offset_s", "duration_s", "trim_lead_s"):
-                value = _round_seconds(value)
-            elif name == "bandwidth_hz":
-                value = int(round(value))
-            elif name in ("wer_pct", "cer_pct"):
-                value = round(float(value), 4)
-            out[name] = value
+            if value is not None:  # absent metrics are omitted keys, not null
+                out[name] = _WRITTEN_AS[name](value) if name in _WRITTEN_AS else value
         for key in sorted(self.extra):
             out[key] = self.extra[key]
         return out
@@ -221,12 +251,10 @@ class ChapterRecord:
     book_id: str
     speaker_id: str
     audio_path: str
-    sample_rate_hz: int
+    sample_rate_hz: int = must(ABOVE_0)
     book_text_path: str | None = None
 
-    def validate(self) -> None:
-        if self.sample_rate_hz <= 0:
-            raise InvariantError("sample_rate_hz", f"must be > 0, got {self.sample_rate_hz}")
+    validate = check
 
     def to_json_dict(self) -> dict:
         return {k: v for k in _CHAPTER_SCHEMA if (v := getattr(self, k)) is not None}
@@ -244,15 +272,11 @@ _CHAPTER_SCHEMA = schema_of(ChapterRecord)
 class SubsetSpec:
     """Declarative filter thresholds defining a dataset subset."""
 
-    min_bandwidth_hz: float = 0.0
-    max_cer_pct: float = math.inf
-    max_num_speakers: int | float = math.inf
+    min_bandwidth_hz: float = must(AT_LEAST_0, default=0.0)
+    max_cer_pct: float = must(AT_LEAST_0, default=math.inf)
+    max_num_speakers: int | float = must(AT_LEAST_0, default=math.inf)
 
-    def validate(self) -> None:
-        for name in ("min_bandwidth_hz", "max_cer_pct", "max_num_speakers"):
-            value = getattr(self, name)
-            if value < 0 or (isinstance(value, float) and math.isnan(value)):
-                raise InvariantError(name, f"must be >= 0, got {value}")
+    validate = check
 
     from_json_dict = classmethod(from_typed)
 

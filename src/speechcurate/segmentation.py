@@ -12,8 +12,8 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .manifest import (ManifestError, UtteranceRecord, _lines, from_typed, read_jsonl,
-                       read_text, schema_of, type_problems)
+from .manifest import (FINITE, ManifestError, UtteranceRecord, _lines, check, from_typed,
+                       must, read_jsonl, read_text)
 
 DEFAULT_MIN_PAUSE_S = 0.08
 
@@ -40,15 +40,18 @@ class _AlignmentLine:
 
 
 @dataclass(frozen=True)
-class _JsonToken:
-    """The keys and types of a token in a JSONL alignments file."""
+class _Token:
+    """A token as an alignments file gives it, JSONL or CTM: the rule both
+    readers build an AlignmentToken through."""
 
     word: str
-    start: float
-    end: float
+    start: float = must(FINITE)
+    end: float = must(FINITE)
 
-
-_TOKEN_SCHEMA = schema_of(_JsonToken)
+    def validate(self) -> None:
+        check(self)
+        if self.start > self.end:
+            raise AlignmentError(f"token {self.word!r} has start > end")
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def load_alignments_jsonl(path: str | Path) -> dict[str, list[AlignmentToken]]:
     """Consolidated alignments: JSONL of {utterance_id, tokens: [...]}."""
     def parse(obj: dict) -> tuple[str, list[AlignmentToken]]:
         line = from_typed(_AlignmentLine, obj)
-        return line.utterance_id, [_token_from_obj(tok) for tok in line.tokens]
+        return line.utterance_id, [_token(tok) for tok in line.tokens]
 
     try:
         return dict(read_jsonl(path, parse, unique="utterance_id"))
@@ -237,26 +240,20 @@ def load_ctm(path: str | Path) -> dict[str, list[AlignmentToken]]:
             continue
         try:
             utt, _channel, start, dur, word = line.split()[:5]
-            start_s, dur_s = float(start), float(dur)
-        except ValueError as exc:
+            start_s = float(start)
+            token = _token({"word": word, "start": start_s, "end": start_s + float(dur)})
+        except ValueError as exc:  # a ManifestError too
             raise AlignmentError(f"{path}:{lineno}: {exc}") from exc
-        tracks.setdefault(utt, []).append(
-            AlignmentToken(word=word, start_s=start_s, end_s=start_s + dur_s)
-        )
+        tracks.setdefault(utt, []).append(token)
     for track in tracks.values():
         track.sort(key=lambda t: t.start_s)
     return tracks
 
 
-def _token_from_obj(obj: dict) -> AlignmentToken:
+def _token(obj) -> AlignmentToken:
+    """The AlignmentToken that a token object holds, if it passes _Token's rule."""
     if not isinstance(obj, dict):
         raise AlignmentError(f"token must be a JSON object, got {obj!r}")
-    if problems := type_problems(obj, _TOKEN_SCHEMA):
-        raise AlignmentError("; ".join(problems))
+    token = from_typed(_Token, obj)
     # float() only widens a JSON integer: the type rule has refused the rest.
-    token = AlignmentToken(
-        word=obj["word"], start_s=float(obj["start"]), end_s=float(obj["end"])
-    )
-    if token.start_s > token.end_s:
-        raise AlignmentError(f"token {token.word!r} has start > end")
-    return token
+    return AlignmentToken(token.word, float(token.start), float(token.end))

@@ -1,15 +1,20 @@
+import dataclasses
 import json
+import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speechcurate import config, curation, manifest, pipeline, segmentation
 from speechcurate.manifest import (
     ChapterRecord,
     InvariantError,
     ManifestError,
     SubsetSpec,
     UtteranceRecord,
+    from_typed,
     read_chapters,
     read_jsonl,
     read_manifest,
@@ -196,6 +201,111 @@ def test_chapter_round_trip(tmp_path):
 def test_subset_spec_negative_threshold_rejected():
     with pytest.raises(InvariantError, match="min_bandwidth_hz"):
         SubsetSpec(min_bandwidth_hz=-1).validate()
+
+
+BIG = sys.float_info.max  # the largest finite number
+INF = math.inf
+
+# A valid value for each field without a default, per class with declared conditions.
+VALID = {
+    UtteranceRecord: {"utterance_id": "u", "book_id": "b", "chapter_id": "c", "speaker_id": "s",
+                      "audio_path": "a.wav", "offset_s": 0.0, "duration_s": 1.0},
+    ChapterRecord: {"chapter_id": "c", "book_id": "b", "speaker_id": "s", "audio_path": "a.wav",
+                    "sample_rate_hz": 48000},
+    SubsetSpec: {},
+    curation.SpeakerCountRecord: {"utterance_id": "u", "num_speakers": 1},
+    segmentation._Token: {"word": "a", "start": 0, "end": BIG},
+    config.PipelineConfig: {},
+}
+
+# One row per condition a field declares: the values on its bound, which
+# pass, a value just past it, and the message that value gives.
+CONDITIONS = [
+    (UtteranceRecord, "utterance_id", ["u"], "", "utterance_id: must be non-empty"),
+    (UtteranceRecord, "offset_s", [BIG], INF, "offset_s: must be finite, got inf"),
+    (UtteranceRecord, "offset_s", [0], -0.0001, "offset_s: must be >= 0, got -0.0001"),
+    (UtteranceRecord, "duration_s", [BIG], INF, "duration_s: must be finite, got inf"),
+    (UtteranceRecord, "duration_s", [0.0001], 0, "duration_s: must be > 0, got 0"),
+    (UtteranceRecord, "trim_lead_s", [BIG, None], INF, "trim_lead_s: must be finite, got inf"),
+    (UtteranceRecord, "trim_lead_s", [0], -0.0001, "trim_lead_s: must be >= 0, got -0.0001"),
+    (UtteranceRecord, "text_source", ["book_match", "predicted_pc", None], "guessed",
+     "text_source: must be one of ('book_match', 'predicted_pc'), got 'guessed'"),
+    (UtteranceRecord, "bandwidth_hz", [0, None], -1, "bandwidth_hz: must be >= 0, got -1"),
+    (UtteranceRecord, "wer_pct", [BIG, None], INF, "wer_pct: must be finite, got inf"),
+    (UtteranceRecord, "wer_pct", [0], -0.0001, "wer_pct: must be >= 0, got -0.0001"),
+    (UtteranceRecord, "cer_pct", [BIG, None], INF, "cer_pct: must be finite, got inf"),
+    (UtteranceRecord, "cer_pct", [0], -0.0001, "cer_pct: must be >= 0, got -0.0001"),
+    (UtteranceRecord, "num_speakers", [0, None], -1, "num_speakers: must be >= 0, got -1"),
+    (UtteranceRecord, "gender", ["m", "f", "unknown"], "x",
+     "gender: must be one of ('m', 'f', 'unknown'), got 'x'"),
+    (ChapterRecord, "sample_rate_hz", [1], 0, "sample_rate_hz: must be > 0, got 0"),
+    (SubsetSpec, "min_bandwidth_hz", [0], -0.0001, "min_bandwidth_hz: must be >= 0, got -0.0001"),
+    (SubsetSpec, "max_cer_pct", [0, INF], -0.0001, "max_cer_pct: must be >= 0, got -0.0001"),
+    (SubsetSpec, "max_num_speakers", [0, INF], -1, "max_num_speakers: must be >= 0, got -1"),
+    (curation.SpeakerCountRecord, "num_speakers", [0], -1, "num_speakers: must be >= 0, got -1"),
+    (segmentation._Token, "start", [BIG], INF, "start: must be finite, got inf"),
+    (segmentation._Token, "end", [BIG], INF, "end: must be finite, got inf"),
+    (config.PipelineConfig, "target_sample_rate_hz", [1], 0,
+     "target_sample_rate_hz: must be > 0, got 0"),
+    (config.PipelineConfig, "trim_threshold_db", [0, INF], -0.0001,
+     "trim_threshold_db: must be >= 0, got -0.0001"),
+    (config.PipelineConfig, "max_edge_silence_s", [0], -0.0001,
+     "max_edge_silence_s: must be >= 0, got -0.0001"),
+    (config.PipelineConfig, "max_edge_silence_s", [BIG], INF,
+     "max_edge_silence_s: must be finite, got inf"),
+    (config.PipelineConfig, "bandwidth_threshold_db", [0, -INF], 1,
+     "bandwidth_threshold_db: must be <= 0, got 1"),
+    (config.PipelineConfig, "bandwidth_analysis_s", [0.0001], 0,
+     "bandwidth_analysis_s: must be > 0, got 0"),
+    (config.PipelineConfig, "bandwidth_analysis_s", [BIG], INF,
+     "bandwidth_analysis_s: must be finite, got inf"),
+    (config.PipelineConfig, "min_pause_s", [0, INF], -0.0001,
+     "min_pause_s: must be >= 0, got -0.0001"),
+    (config.PipelineConfig, "max_cer_pct", [0, INF], -0.0001,
+     "max_cer_pct: must be >= 0, got -0.0001"),
+    (config.PipelineConfig, "workers", [1], 0, "workers: must be >= 1, got 0"),
+]
+
+
+def _problems(cls, name, value) -> list[str]:
+    """What the reader of cls (validate_config, for the config) says of value at name."""
+    obj = {**VALID[cls], name: value}
+    if cls is config.PipelineConfig:
+        return config.validate_config(config.PipelineConfig(**obj))
+    try:
+        from_typed(cls, obj)
+    except ManifestError as exc:
+        return [str(exc)]
+    return []
+
+
+@pytest.mark.parametrize("cls,name,passing,failing,message", [
+    pytest.param(*row, id=f"{row[0].__name__}.{row[1]}:{row[4].split(': ')[1].split(',')[0]}")
+    for row in CONDITIONS])
+def test_declared_condition(cls, name, passing, failing, message):
+    for value in passing:
+        assert _problems(cls, name, value) == []
+    assert _problems(cls, name, failing) == [message]
+
+
+def test_every_declared_condition_has_one_row():
+    declared = set()
+    for module in (manifest, config, curation, pipeline, segmentation):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+                declared.update((cls, f.name, template) for f in dataclasses.fields(cls)
+                                for _, template in f.metadata.get("must", ()))
+    rows = [(cls, name, template) for cls, name, _, failing, message in CONDITIONS
+            for c, n, template in declared
+            if (c, n) == (cls, name) and message == f"{name}: {template.format(failing)}"]
+    assert len(rows) == len(CONDITIONS)
+    assert sorted(rows, key=str) == sorted(declared, key=str)
+
+
+def test_record_error_names_first_failing_field():
+    rec = make_record(offset_s=-1, wer_pct=INF)
+    with pytest.raises(InvariantError, match=r"^offset_s: must be >= 0, got -1$"):
+        rec.validate()
 
 
 def test_subset_spec_unknown_key_rejected():

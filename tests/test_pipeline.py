@@ -1066,6 +1066,9 @@ class TestConfig:
         ({"audio_root": None}, "audio_root: must be a string, got None"),
         ({"alignments_path": 3}, "alignments_path: must be a string or null, got 3"),
         ({"decoder_cmd": 5}, "decoder_cmd: must be a string or null, got 5"),
+        # Seconds that become a sample count must be finite.
+        ({"max_edge_silence_s": float("inf")}, "max_edge_silence_s: must be finite, got inf"),
+        ({"bandwidth_analysis_s": float("inf")}, "bandwidth_analysis_s: must be finite, got inf"),
     ])
     def test_wrong_type_is_config_error(self, corpus, tmp_path, override, message):
         config_path = tmp_path / "config.yaml"
@@ -1467,6 +1470,22 @@ FAULTS = [
                  1, "config error: {path}:2: could not convert", id="ctm-bad-time"),
     pytest.param(["segment"], _side_file("alignments_path", "al.ctm", b"u 1 0.0 0.2 \xff\n"),
                  1, "config error: {path}: not UTF-8 text", id="ctm-not-utf8"),
+    # A token that ends before it starts, or whose time is not finite, is
+    # refused by both readers alike.
+    pytest.param(["segment"], _side_file("alignments_path", "al.ctm", b"u1 1 0.5 -0.2 hello\n"),
+                 1, "config error: {path}:1: token 'hello' has start > end",
+                 id="ctm-negative-duration"),
+    pytest.param(["segment"], _side_file("alignments_path", "al.ctm", b"u1 1 nan 0.2 hello\n"),
+                 1, "config error: {path}:1: start: must be a number, got nan",
+                 id="ctm-nan-time"),
+    pytest.param(["segment"], _side_file("alignments_path", "al.ctm", b"u1 1 0.5 inf hello\n"),
+                 1, "config error: {path}:1: end: must be finite, got inf",
+                 id="ctm-infinite-time"),
+    pytest.param(["segment"], _side_file("alignments_path", "al.jsonl",
+                                         b'{"utterance_id": "u", "tokens": '
+                                         b'[{"word": "a", "start": 0, "end": Infinity}]}\n'),
+                 1, "config error: {path}:1: end: must be finite, got inf",
+                 id="alignments-infinite-time"),
     pytest.param(["validate"], _side_file("asr_hypotheses_path", "h.jsonl", b'{"utterance_id"\n'),
                  1, "config error: {path}:1: malformed JSON", id="hyps-malformed"),
     pytest.param(["validate"], _side_file("asr_hypotheses_path", "h.jsonl",
