@@ -10,6 +10,7 @@ from .audio import (
     resample,
     save_pcm,
     trim_silence,
+    write_kept,
 )
 from .bandwidth import (
     BandwidthEstimate,

@@ -213,11 +213,10 @@ def open_pcm(path: str | Path, decoder_cmd: str | None = None) -> PcmFile:
     return pcm
 
 
-def _read_frames(pcm: PcmFile, start: int, stop: int, mono: bool) -> np.ndarray:
-    """Frames [start, stop) of pcm, clipped to its frames, as float64.
+def _read_bytes(pcm: PcmFile, start: int, stop: int) -> bytes:
+    """The bytes of frames [start, stop) of pcm, clipped to its frames.
 
-    Only those frames' bytes are read. With `mono`, channels are mixed one
-    column at a time.
+    Fewer come back when the file shrank since it was opened.
     """
     block = pcm.channels * pcm.width
     start = max(0, start)
@@ -226,9 +225,20 @@ def _read_frames(pcm: PcmFile, start: int, stop: int, mono: bool) -> np.ndarray:
     raw = b""
     while len(raw) < size:  # one pread returns at most ~2 GiB on Linux
         chunk = os.pread(pcm.fd, size - len(raw), offset + len(raw))
-        if not chunk:  # the file shrank since it was opened
+        if not chunk:
             break
         raw += chunk
+    return raw
+
+
+def _read_frames(pcm: PcmFile, start: int, stop: int, mono: bool) -> np.ndarray:
+    """Frames [start, stop) of pcm, clipped to its frames, as float64.
+
+    Only those frames' bytes are read. With `mono`, channels are mixed one
+    column at a time.
+    """
+    block = pcm.channels * pcm.width
+    raw = _read_bytes(pcm, start, stop)
     frames = len(raw) // block
     raw = raw[:frames * block]
     dtype, zero, scale = pcm.encoding
@@ -268,10 +278,19 @@ def load_pcm(
     but without building the multichannel float64 array.
     """
     pcm = path if isinstance(path, PcmFile) else open_pcm(path, decoder_cmd)
-    rate = pcm.sample_rate_hz
-    start = int(round(offset_s * rate))
-    stop = pcm.num_frames if head_s is None else int(round((offset_s + head_s) * rate))
+    rate, n = pcm.sample_rate_hz, pcm.num_frames
+    start = to_frames(offset_s, rate, n)
+    stop = n if head_s is None else to_frames(offset_s + head_s, rate, n)
     return AudioBuffer(samples=_read_frames(pcm, start, stop, mono), sample_rate_hz=rate)
+
+
+def to_frames(seconds: float, rate: int, limit: int) -> int:
+    """round(seconds * rate) clipped to [0, limit].
+
+    Clipped before the conversion to int, so seconds too large for the
+    product to be finite give the limit, not an OverflowError.
+    """
+    return round(min(max(0.0, seconds * rate), limit))
 
 
 def save_pcm(buf: AudioBuffer, path: str | Path, bit_depth: int = 16) -> None:
@@ -290,20 +309,53 @@ def save_pcm(buf: AudioBuffer, path: str | Path, bit_depth: int = 16) -> None:
         raise AudioError(f"unsupported bit depth {bit_depth}")
     data = np.ascontiguousarray(data)
     channels = 1 if data.ndim == 1 else data.shape[1]
-    rate = buf.sample_rate_hz
-    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * channels * data.itemsize,
-                      channels * data.itemsize, 8 * data.itemsize)
+    _write_wav(path, data.data, tag, channels, buf.sample_rate_hz, data.itemsize)
+
+
+def _write_wav(path: str | Path, data, tag: int, channels: int, rate: int,
+               width: int) -> None:
+    """Write `data`, a bytes-like of frames of `channels` samples of `width`
+    bytes each, as a WAV file with format tag `tag`."""
+    size = memoryview(data).nbytes
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * channels * width,
+                      channels * width, 8 * width)
     fact = b""
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
         # A non-PCM fmt chunk carries cbSize and is followed by the frame count.
         fmt += b"\x00\x00"
-        fact = b"fact" + struct.pack("<II", 4, data.shape[0])
+        fact = b"fact" + struct.pack("<II", 4, size // (channels * width))
     chunks = (b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
-              + b"data" + struct.pack("<I", data.nbytes))
-    riff = b"RIFF" + struct.pack("<I", 4 + len(chunks) + data.nbytes) + b"WAVE"
+              + b"data" + struct.pack("<I", size))
+    riff = b"RIFF" + struct.pack("<I", 4 + len(chunks) + size) + b"WAVE"
     with open(path, "wb") as fh:
         fh.write(riff + chunks)
-        fh.write(data.data)
+        fh.write(data)
+
+
+def write_kept(pcm: PcmFile, first: int, buf: AudioBuffer, path: str | Path) -> None:
+    """Write buf as save_pcm(buf, path) does, where buf is pcm's frames from
+    frame `first` on, mixed down, resampled and sliced.
+
+    When pcm holds 16-bit mono samples at buf's rate, mixdown and resample
+    returned their input, so each sample of buf is k / 32768 for the source's
+    own 16-bit k, and save_pcm would write k back: then the source's bytes
+    of frames [first, first + buf.num_frames) are copied instead, and the
+    file's bytes are the same. `first` is read only then. A copy that cannot
+    read all of those bytes (the file shrank, or a read failed, after pcm
+    was opened) raises AudioError before `path` is opened.
+    """
+    if (pcm.encoding != _ENCODINGS[(_WAVE_FORMAT_PCM, 2)] or pcm.channels != 1
+            or buf.sample_rate_hz != pcm.sample_rate_hz):
+        save_pcm(buf, path)
+        return
+    try:
+        raw = _read_bytes(pcm, first, first + buf.num_frames)
+    except OSError as exc:
+        raise AudioError(f"{pcm.path}: {exc}") from exc
+    if len(raw) != 2 * buf.num_frames:
+        raise AudioError(f"{pcm.path}: {len(raw) // 2} of {buf.num_frames} frames "
+                         f"left from frame {first}")
+    _write_wav(path, raw, _WAVE_FORMAT_PCM, 1, pcm.sample_rate_hz, 2)
 
 
 def mixdown(buf: AudioBuffer) -> AudioBuffer:
@@ -479,7 +531,7 @@ def trim_silence(
             trailing_removed_s=0.0,
             empty_after_trim=True,
         )
-    keep = int(round(max_edge_silence_s * sr))
+    keep = to_frames(max_edge_silence_s, sr, len(x))
     # Refine the frame-level boundaries to sample precision. An active frame
     # always contains a sample >= thresh (RMS <= max |sample|), and the
     # per-sample scan does not depend on the frame grid, so trimming an

@@ -109,7 +109,7 @@ def chapter_bandwidth(
     result is inherited by every utterance of the chapter. A head shorter
     than one analysis window gives a degenerate estimate.
     """
-    head = buf.samples[: int(round(analyze_s * buf.sample_rate_hz))]
+    head = buf.samples[: audiolib.to_frames(analyze_s, buf.sample_rate_hz, buf.num_frames)]
     analyzed_s = len(head) / buf.sample_rate_hz
     # Slice before mixing down: the mean is per frame, so only the analysed
     # head needs mixing. Called through the audio module so that wrappers

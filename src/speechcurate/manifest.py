@@ -40,9 +40,17 @@ def _round_seconds(x: float) -> float:
     return float(f"{x:.4f}")
 
 
+def _finite(value) -> bool:
+    """math.isfinite, where an integer too large for a float is not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # The conditions a field may declare: a test its value must pass, and the
 # message, formatted with the value, when it does not.
-FINITE = (math.isfinite, "must be finite, got {}")
+FINITE = (_finite, "must be finite, got {}")
 AT_LEAST_0 = (functools.partial(operator.le, 0), "must be >= 0, got {}")
 ABOVE_0 = (functools.partial(operator.lt, 0), "must be > 0, got {}")
 AT_MOST_0 = (functools.partial(operator.ge, 0), "must be <= 0, got {}")

@@ -278,7 +278,8 @@ def _audio_step(ctx: _Context):
         audio_out.mkdir(parents=True, exist_ok=True)
 
     def work(rec: UtteranceRecord, pcm: audiolib.PcmFile):
-        if int(round(rec.offset_s * pcm.sample_rate_hz)) >= pcm.num_frames:
+        start = audiolib.to_frames(rec.offset_s, pcm.sample_rate_hz, pcm.num_frames)
+        if start >= pcm.num_frames:
             return _Reject(rec, "offset_past_end")
         # Each worker decodes only its own record's frames.
         try:
@@ -295,17 +296,23 @@ def _audio_step(ctx: _Context):
         duration_s = round(trim.trimmed.duration_s, 4)
         if duration_s == 0:  # nothing kept, or less than the manifest's 0.1 ms
             return _Reject(rec, "empty_after_trim")
+        # The source frame of the first kept sample; write_kept reads it only
+        # where resampling kept the source's rate.
+        first = start + round(trim.leading_removed_s * piece.sample_rate_hz)
         out_path = audio_out / f"{rec.utterance_id}.wav"
-        if not cfg.encoder_cmd:
-            with replacing(out_path) as tmp:
-                audiolib.save_pcm(trim.trimmed, tmp)
-        else:
-            out_path = out_path.with_suffix(".flac")
-            try:
+        try:
+            if not cfg.encoder_cmd:
                 with replacing(out_path) as tmp:
-                    _encode(trim.trimmed, tmp, cfg.encoder_cmd)
-            except (OSError, subprocess.CalledProcessError) as exc:
-                return _Reject(rec, f"encode_failed:{exc.__class__.__name__}")
+                    audiolib.write_kept(pcm, first, trim.trimmed, tmp)
+            else:
+                out_path = out_path.with_suffix(".flac")
+                try:
+                    with replacing(out_path) as tmp:
+                        _encode(pcm, first, trim.trimmed, tmp, cfg.encoder_cmd)
+                except (OSError, subprocess.CalledProcessError) as exc:
+                    return _Reject(rec, f"encode_failed:{exc.__class__.__name__}")
+        except audiolib.AudioError as exc:  # the copy could not read the chapter again
+            return _Reject(rec, _unreadable(exc))
         return rec.with_fields(
             audio_path=str(out_path.relative_to(ctx.out_dir)),
             offset_s=0.0,
@@ -316,11 +323,13 @@ def _audio_step(ctx: _Context):
     return work
 
 
-def _encode(buf: audiolib.AudioBuffer, out_path: Path, encoder_cmd: str) -> None:
-    """Write buf as a WAV beside out_path and run encoder_cmd on it into out_path."""
+def _encode(pcm: audiolib.PcmFile, first: int, buf: audiolib.AudioBuffer, out_path: Path,
+            encoder_cmd: str) -> None:
+    """Write buf (see audio.write_kept) as a WAV beside out_path and run
+    encoder_cmd on it into out_path."""
     wav_path = out_path.with_suffix(".wav")
     try:
-        audiolib.save_pcm(buf, wav_path)
+        audiolib.write_kept(pcm, first, buf, wav_path)
         cmd = [part.format(input=str(wav_path), output=str(out_path))
                for part in shlex.split(encoder_cmd)]
         subprocess.run(cmd, capture_output=True, check=True)

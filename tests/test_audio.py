@@ -232,6 +232,12 @@ def _wav_stream(encoding, channels, frames=800, rate=16000):
         data = x.tobytes()
     else:
         data = rng.bytes(frames * channels * width)
+    return _wav_of(encoding, channels, rate, data)
+
+
+def _wav_of(encoding, channels, rate, data):
+    """A WAV stream of `data`, the frames' bytes in the named encoding."""
+    tag, width = _ENCODINGS[encoding]
     block = channels * width
     fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, 8 * width)
     if tag == 0xFFFE:
@@ -608,6 +614,139 @@ class TestWavWriter:
         x = np.random.default_rng(4).uniform(-1, 1, (2, 500)).T  # Fortran order
         save_pcm(AudioBuffer(x, 8000), tmp_path / "f.wav")
         np.testing.assert_array_equal(wavfile.read(str(tmp_path / "f.wav"))[1], _int16(x))
+
+
+def _enveloped_stream(encoding, channels, rate, frames, seed):
+    """A WAV stream of noise between quiet edges: the middle half is loud and
+    holds a frame of each full-scale value, the quarters either side are
+    80 dB down."""
+    tag, width = _ENCODINGS[encoding]
+    dtype, zero, scale = audiolib._ENCODINGS[(1 if tag == 0xFFFE else tag, width)]
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1e-4, 1e-4, (frames, channels))
+    loud = slice(frames // 4, 3 * frames // 4)
+    x[loud] = rng.uniform(-1, 1, x[loud].shape)
+    x[frames // 2], x[frames // 2 + 1] = -1.0, 1.0
+    if tag == 3:
+        data = x.astype(dtype).tobytes()
+    elif width == 3:  # the low three bytes of each little-endian int32
+        ints = np.clip(np.round(x * 2**23), -(2**23), 2**23 - 1).astype("<i4")
+        data = ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    else:
+        info = np.iinfo(np.dtype(dtype))
+        data = np.clip(np.round(x * scale + zero), info.min, info.max).astype(dtype).tobytes()
+    return _wav_of(encoding, channels, rate, data)
+
+
+class TestKeptWriter:
+    """write_kept writes the bytes save_pcm writes for the kept frames. It
+    copies source bytes only from a 16-bit mono source at the buffer's rate."""
+
+    RATE = 16000
+    FRAMES = 16000
+
+    @staticmethod
+    def _kept(pcm, offset_s, duration_s, edge_s, target_hz):
+        """(first frame, trimmed buffer) of a record, as the audio stage takes them."""
+        piece = resample(load_pcm(pcm, head_s=duration_s, mono=True, offset_s=offset_s),
+                         target_hz)
+        trim = trim_silence(piece, max_edge_silence_s=edge_s)
+        first = round(offset_s * pcm.sample_rate_hz) + round(trim.leading_removed_s * target_hz)
+        return first, trim.trimmed
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("encoding,channels,target_hz,copied", [
+        ("int16", 1, 16000, True),
+        ("extensible", 1, 16000, True),
+        ("uint8", 1, 16000, False),
+        ("int24", 1, 16000, False),
+        ("int32", 1, 16000, False),
+        ("float32", 1, 16000, False),
+        ("float64", 1, 16000, False),
+        ("int16", 2, 16000, False),
+        ("extensible", 2, 16000, False),
+        ("int16", 1, 22050, False),
+        ("int16", 1, 8000, False),
+    ])
+    def test_bytes_equal_save_pcm(self, tmp_path, monkeypatch, encoding, channels,
+                                  target_hz, copied, seed):
+        path = tmp_path / "chapter.wav"
+        path.write_bytes(_enveloped_stream(encoding, channels, self.RATE, self.FRAMES, seed))
+        pcm = open_pcm(path)
+        save_pcm_, saved = audiolib.save_pcm, []
+
+        def recording(buf, out, *args):
+            saved.append(out)
+            save_pcm_(buf, out, *args)
+
+        monkeypatch.setattr(audiolib, "save_pcm", recording)
+        rng = np.random.default_rng(seed)
+        spans = 8
+        for _ in range(spans):
+            # Offsets in the quiet lead, the loud middle and the quiet tail;
+            # durations up to past the end; edges of none, some and more
+            # than the record.
+            offset_s = rng.uniform(0.0, 0.95)
+            duration_s = rng.uniform(0.001, 1.2)
+            edge_s = (0.0, rng.uniform(0.0, 0.3), 10.0)[rng.integers(3)]
+            first, trimmed = self._kept(pcm, offset_s, duration_s, edge_s, target_hz)
+            save_pcm_(trimmed, tmp_path / "saved.wav")
+            audiolib.write_kept(pcm, first, trimmed, tmp_path / "kept.wav")
+            assert ((tmp_path / "kept.wav").read_bytes()
+                    == (tmp_path / "saved.wav").read_bytes()), (offset_s, duration_s, edge_s)
+        assert len(saved) == (0 if copied else spans)
+
+    def test_copy_from_decoder_output(self, tmp_path):
+        path = tmp_path / "chapter.raw"  # not .wav: goes through decoder_cmd
+        path.write_bytes(_enveloped_stream("int16", 1, self.RATE, self.FRAMES, 0))
+        pcm = open_pcm(path, "cat {input}")
+        first, trimmed = self._kept(pcm, 0.1, 0.5, 0.05, self.RATE)
+        assert first > round(0.1 * self.RATE)  # some lead was trimmed
+        save_pcm(trimmed, tmp_path / "saved.wav")
+        audiolib.write_kept(pcm, first, trimmed, tmp_path / "kept.wav")
+        assert (tmp_path / "kept.wav").read_bytes() == (tmp_path / "saved.wav").read_bytes()
+
+    def test_shrunk_source_raises_before_writing(self, tmp_path):
+        path = tmp_path / "chapter.wav"
+        path.write_bytes(_enveloped_stream("int16", 1, self.RATE, self.FRAMES, 0))
+        pcm = open_pcm(path)
+        first, trimmed = self._kept(pcm, 0.0, 1.0, 0.1, self.RATE)
+        # The file loses the last kept frame's second byte after it was read.
+        os.truncate(path, pcm.data_offset + 2 * (first + trimmed.num_frames) - 1)
+        with pytest.raises(AudioError, match="frames left"):
+            audiolib.write_kept(pcm, first, trimmed, tmp_path / "kept.wav")
+        assert not (tmp_path / "kept.wav").exists()
+
+    def test_failed_read_raises_audio_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "chapter.wav"
+        path.write_bytes(_enveloped_stream("int16", 1, self.RATE, self.FRAMES, 0))
+        pcm = open_pcm(path)
+        first, trimmed = self._kept(pcm, 0.0, 1.0, 0.1, self.RATE)
+
+        def failing(fd, size, offset):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(audiolib.os, "pread", failing)
+        with pytest.raises(AudioError) as info:
+            audiolib.write_kept(pcm, first, trimmed, tmp_path / "kept.wav")
+        assert isinstance(info.value.__cause__, OSError)
+        assert not (tmp_path / "kept.wav").exists()
+
+
+class TestToFrames:
+    @pytest.mark.parametrize("seconds,expected", [
+        (0.0, 0), (0.5, 8000), (1.0, 16000), (0.99996, 15999), (1.00003, 16000),
+        (2.0, 16000), (1e308, 16000), (float("inf"), 16000), (-1.0, 0),
+        (-1e308, 0), (1.5 / 16000, 2), (2.5 / 16000, 2),
+    ])
+    def test_rounds_and_clips(self, seconds, expected):
+        # Round half to even, as round() does; then clipped to [0, 16000].
+        assert audiolib.to_frames(seconds, 16000, 16000) == expected
+
+    def test_under_the_limit_rounds_as_before(self):
+        rng = np.random.default_rng(7)
+        for seconds in rng.uniform(0, 100, 1000):
+            assert audiolib.to_frames(seconds, 44100, 10**9) == int(round(seconds * 44100))
 
 
 def _chunk(chunk_id, body):

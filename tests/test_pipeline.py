@@ -1608,6 +1608,9 @@ FAULTS = [
     pytest.param(["audio"], _utterance_1(duration_s=float("inf")),
                  1, "config error: {path}:1: duration_s: must be finite, got inf",
                  id="utterance-duration-infinite"),
+    pytest.param(["audio"], _utterance_1(offset_s=10**400),
+                 1, "config error: {path}:1: offset_s: must be finite, got 1" + "0" * 400,
+                 id="utterance-offset-beyond-float"),
     pytest.param(["audio"], _duplicate_ch1,
                  1, "config error: {path}:5: duplicate chapter_id 'ch1'",
                  id="chapter-duplicate-id"),
@@ -1836,6 +1839,100 @@ def test_stage_without_rejects_removes_stale_rejects(corpus, tmp_path):
 def test_full_run_leaves_no_partial_files(pipeline_out):
     out, _ = pipeline_out
     assert [p for p in out.rglob("*") if ".partial" in p.name] == []
+
+
+def _quiet_edged(root, bit_depth):
+    """Rewrite each chapter WAV under root/raw at bit_depth (16 or 32): its
+    samples 80 dB down in the first and last 0.3 s of each record, then
+    rounded and clipped to 16 bits."""
+    records = read_manifest(root / "utterances.jsonl")
+    for path in (root / "raw").glob("*.wav"):
+        samples = load_pcm(path).samples
+        for rec in records:
+            if rec.audio_path == f"raw/{path.name}":
+                start = round(rec.offset_s * 48000)
+                end = round((rec.offset_s + rec.duration_s) * 48000)
+                samples[start:start + 14400] *= 1e-4
+                samples[end - 14400:end] *= 1e-4
+        samples = np.clip(np.round(samples * 32768.0), -32768, 32767) / 32768.0
+        save_pcm(AudioBuffer(samples, 48000), path, bit_depth=bit_depth)
+    return root
+
+
+class TestKeptCopy:
+    """From 16-bit mono chapters at the target rate the audio step copies each
+    record's kept frames; its files are those a float32 source of the same
+    samples gives through save_pcm."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("encoder", [None, "cp {input} {output}"], ids=["wav", "encoder"])
+    @pytest.mark.parametrize("edge_s", [0.5, 0.1, 0.0])
+    def test_same_files_as_save_pcm(self, tmp_path, monkeypatch, edge_s, encoder, workers):
+        trees = {}
+        for bit_depth in (32, 16):
+            root = _quiet_edged(build_corpus(tmp_path / f"corpus{bit_depth}",
+                                             n_utts_per_chapter=3), bit_depth)
+            config = make_config(root, tmp_path / f"out{bit_depth}", workers=workers)
+            config.stages = ["audio", "bandwidth"]
+            config.target_sample_rate_hz = 48000
+            config.max_edge_silence_s = edge_s
+            config.encoder_cmd = encoder
+            if bit_depth == 16:  # every record takes the copy
+
+                def no_save(*args, **kwargs):
+                    raise AssertionError("save_pcm called")
+
+                monkeypatch.setattr(audiolib, "save_pcm", no_save)
+            result = run_pipeline(config)
+            assert [r.records_out for r in result.reports] == [12, 12]
+            trees[bit_depth] = _tree(tmp_path / f"out{bit_depth}")
+        assert trees[16] == trees[32]
+        if edge_s < 0.3:  # each record's 0.3 s of quiet lead was cut
+            assert all(r.trim_lead_s for r in read_manifest(result.final_manifest))
+
+    def test_shrunk_chapter_rejected_as_unreadable(self, tmp_path, monkeypatch):
+        root = _quiet_edged(build_corpus(tmp_path / "corpus", n_utts_per_chapter=1), 16)
+        load_pcm_ = audiolib.load_pcm
+
+        def load_then_shrink(pcm, *args, **kwargs):
+            piece = load_pcm_(pcm, *args, **kwargs)
+            if pcm.path.stem == "ch1":  # the file loses its frames once they are read
+                os.truncate(pcm.path, pcm.data_offset)
+            return piece
+
+        monkeypatch.setattr(audiolib, "load_pcm", load_then_shrink)
+        config = make_config(root, tmp_path / "out")
+        config.stages = ["audio"]
+        config.target_sample_rate_hz = 48000
+        result = run_pipeline(config)
+        assert result.reports[0].drop_reasons == {"chapter_audio_unreadable:AudioError": 1}
+        assert sorted(p.name for p in (tmp_path / "out" / "audio").iterdir()) == [
+            "ch0_0000.wav", "ch2_0000.wav", "ch3_0000.wav"]
+
+
+# Each planted value's product with a sample rate overflows a float. The run
+# must write what a finite value longer than any chapter gives: a window of
+# the whole audio, or an offset past its end.
+@pytest.mark.parametrize("plant,drops", [
+    (lambda root, config, seconds: setattr(config, "max_edge_silence_s", seconds), {}),
+    (lambda root, config, seconds: setattr(config, "bandwidth_analysis_s", seconds), {}),
+    (lambda root, config, seconds: _utterance_1(duration_s=seconds)(root, config), {}),
+    (lambda root, config, seconds: _utterance_1(offset_s=seconds)(root, config),
+     {"offset_past_end": 1}),
+], ids=["max-edge-silence", "bandwidth-analysis", "utterance-duration", "utterance-offset"])
+def test_huge_seconds_clip_to_the_audio(tmp_path, plant, drops):
+    trees = []
+    for seconds in (1e6, 1e308):
+        root = build_corpus(tmp_path / f"corpus{seconds:g}", n_utts_per_chapter=2)
+        config = make_config(root, tmp_path / f"out{seconds:g}")
+        config.stages = ["audio", "bandwidth"]
+        plant(root, config, seconds)
+        result = run_pipeline(config)
+        assert [r.drop_reasons for r in result.reports] == [drops, {}]
+        # A rejected record is written back with the value it was read with.
+        trees.append({name: data for name, data in _tree(tmp_path / f"out{seconds:g}").items()
+                      if not name.startswith("rejects.")})
+    assert trees[0] == trees[1]
 
 
 class _Killed(BaseException):
