@@ -7,8 +7,8 @@ from pathlib import Path
 
 import yaml
 
-from .manifest import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_MOST_0, FINITE, ConfigError,
-                       field_problems, must, read_text, schema_of, type_problems)
+from .manifest import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_MOST_0, FINITE, IN_FLOAT_RANGE,
+                       ConfigError, field_problems, must, read_text, schema_of, type_problems)
 
 # Canonical stage execution order; enabled stages always run in this order.
 STAGE_ORDER = ("text", "audio", "bandwidth", "segment", "validate", "speakers")
@@ -29,13 +29,14 @@ class PipelineConfig:
     # stages (subset of STAGE_ORDER)
     stages: list[str] = field(default_factory=lambda: list(STAGE_ORDER))
     # thresholds, defaults per the published pipeline; the two windows that
-    # become sample counts must be finite
-    target_sample_rate_hz: int = must(ABOVE_0, default=44100)
-    trim_threshold_db: float = must(AT_LEAST_0, default=50.0)
+    # become sample counts must be finite, and a value a stage turns into a
+    # float must fit in one
+    target_sample_rate_hz: int = must(ABOVE_0, IN_FLOAT_RANGE, default=44100)
+    trim_threshold_db: float = must(AT_LEAST_0, IN_FLOAT_RANGE, default=50.0)
     max_edge_silence_s: float = must(AT_LEAST_0, FINITE, default=0.5)
-    bandwidth_threshold_db: float = must(AT_MOST_0, default=-50.0)
+    bandwidth_threshold_db: float = must(AT_MOST_0, IN_FLOAT_RANGE, default=-50.0)
     bandwidth_analysis_s: float = must(ABOVE_0, FINITE, default=30.0)
-    min_pause_s: float = must(AT_LEAST_0, default=0.08)
+    min_pause_s: float = must(AT_LEAST_0, IN_FLOAT_RANGE, default=0.08)
     max_cer_pct: float = must(AT_LEAST_0, default=100.0)
     # runtime
     workers: int = must(AT_LEAST_1, default=1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .manifest import (AT_LEAST_0, SubsetSpec, UtteranceRecord, from_typed, must, read_jsonl,
@@ -154,7 +154,7 @@ def build_triplets(
             triplets.append(
                 Triplet(
                     context_utterance_id=context_id,
-                    transcript=target.text or target.raw_text,
+                    transcript=target.transcript,
                     target_utterance_id=target.utterance_id,
                     context_duration_s=round(context_dur, 4),
                 )
@@ -279,8 +279,6 @@ def _select_speakers(qualified: dict[str, list[UtteranceRecord]], rng: _Rng) -> 
             selected.append(pools["f"].pop())
     while len(selected) < N_EVAL_SPEAKERS and pools["unknown"]:
         selected.append(pools["unknown"].pop())
-    if len(selected) < N_EVAL_SPEAKERS:
-        raise CurationError("could not assemble a gender-balanced speaker set")
     return sorted(selected)
 
 
@@ -296,19 +294,14 @@ def _stratified_draw(utts: list[UtteranceRecord], k: int, rng: _Rng) -> list[Utt
         cells.setdefault(key, []).append(u)
     for cell in cells.values():
         rng.shuffle(cell)
+    # More utterances than k, so each round over the cells picks at least one.
     picked: list[UtteranceRecord] = []
     order = sorted(cells)
     while len(picked) < k:
-        progressed = False
         for key in order:
-            if len(picked) >= k:
-                break
-            if cells[key]:
+            if len(picked) < k and cells[key]:
                 picked.append(cells[key].pop())
-                progressed = True
-        if not progressed:
-            break
-    return picked[:k]
+    return picked
 
 
 @dataclass
@@ -324,17 +317,15 @@ class StatsReport:
     multi_speaker_hours: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "total_hours": round(self.total_hours, 6),
-            "utterance_count": self.utterance_count,
-            "speaker_count": self.speaker_count,
-            "duration_hist": self.duration_hist,
-            "bandwidth_hist": self.bandwidth_hist,
-            "wer_hist": self.wer_hist,
-            "cer_hist": self.cer_hist,
-            "text_source_counts": self.text_source_counts,
-            "multi_speaker_hours": round(self.multi_speaker_hours, 6),
-        }
+        """The fields in order, the two hour totals rounded to 6 digits."""
+        return {**asdict(self), "total_hours": round(self.total_hours, 6),
+                "multi_speaker_hours": round(self.multi_speaker_hours, 6)}
+
+    def _histograms(self):
+        """(CSV name, table heading, [(bin, count)] in bin order) for each histogram."""
+        for name, csv_name, heading in _HISTOGRAMS:
+            hist = getattr(self, name)
+            yield csv_name, heading, sorted(hist.items(), key=lambda item: _bin_sort_key(item[0]))
 
     def render_table(self) -> str:
         lines = [
@@ -343,31 +334,26 @@ class StatsReport:
             f"{'speakers':<20}{self.speaker_count:>12d}",
             f"{'multi-speaker hours':<20}{self.multi_speaker_hours:>12.2f}",
         ]
-        for name, hist in (
-            ("duration [s]", self.duration_hist),
-            ("bandwidth [Hz]", self.bandwidth_hist),
-            ("WER [%]", self.wer_hist),
-            ("CER [%]", self.cer_hist),
-        ):
-            if not hist:
-                continue
-            lines.append(f"-- {name} --")
-            for bin_label in sorted(hist, key=_bin_sort_key):
-                lines.append(f"{bin_label:<20}{hist[bin_label]:>12d}")
+        for _, heading, bins in self._histograms():
+            if bins:  # an empty histogram has no section
+                lines.append(f"-- {heading} --")
+                for label, count in bins:
+                    lines.append(f"{label:<20}{count:>12d}")
         return "\n".join(lines)
 
     def write_csv(self, path: str | Path) -> None:
         with replacing(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["histogram", "bin", "count"])
-            for name, hist in (
-                ("duration_s", self.duration_hist),
-                ("bandwidth_hz", self.bandwidth_hist),
-                ("wer_pct", self.wer_hist),
-                ("cer_pct", self.cer_hist),
-            ):
-                for bin_label in sorted(hist, key=_bin_sort_key):
-                    writer.writerow([name, bin_label, hist[bin_label]])
+            for csv_name, _, bins in self._histograms():
+                writer.writerows([csv_name, label, count] for label, count in bins)
+
+
+# The histograms of a StatsReport in output order: (field, CSV name, table heading).
+_HISTOGRAMS = (("duration_hist", "duration_s", "duration [s]"),
+               ("bandwidth_hist", "bandwidth_hz", "bandwidth [Hz]"),
+               ("wer_hist", "wer_pct", "WER [%]"),
+               ("cer_hist", "cer_pct", "CER [%]"))
 
 
 def _bin_sort_key(label: str):
@@ -404,9 +390,7 @@ def corpus_stats(records: list[UtteranceRecord]) -> StatsReport:
         if rec.cer_pct is not None:
             _bump(report.cer_hist, _rate_bin(rec.cer_pct))
         if rec.text_source is not None:
-            report.text_source_counts[rec.text_source] = (
-                report.text_source_counts.get(rec.text_source, 0) + 1
-            )
+            _bump(report.text_source_counts, rec.text_source)
         if rec.num_speakers is not None and rec.num_speakers > 1:
             report.multi_speaker_hours += rec.duration_s / 3600.0
     return report

@@ -51,6 +51,9 @@ def _finite(value) -> bool:
 # The conditions a field may declare: a test its value must pass, and the
 # message, formatted with the value, when it does not.
 FINITE = (_finite, "must be finite, got {}")
+# Infinity is within the float range; an integer too large for a float is not.
+IN_FLOAT_RANGE = (lambda value: _finite(value) or abs(value) == math.inf,
+                  "must be within the float range, got {}")
 AT_LEAST_0 = (functools.partial(operator.le, 0), "must be >= 0, got {}")
 ABOVE_0 = (functools.partial(operator.lt, 0), "must be > 0, got {}")
 AT_MOST_0 = (functools.partial(operator.ge, 0), "must be <= 0, got {}")
@@ -244,6 +247,11 @@ class UtteranceRecord:
 
     from_json_dict = classmethod(from_typed)
 
+    @property
+    def transcript(self) -> str:
+        """The record's words: its text where it has one, else its raw_text."""
+        return self.text or self.raw_text
+
     def with_fields(self, **changes) -> "UtteranceRecord":
         return replace(self, **changes)
 
@@ -281,8 +289,8 @@ class SubsetSpec:
     """Declarative filter thresholds defining a dataset subset."""
 
     min_bandwidth_hz: float = must(AT_LEAST_0, default=0.0)
-    max_cer_pct: float = must(AT_LEAST_0, default=math.inf)
-    max_num_speakers: int | float = must(AT_LEAST_0, default=math.inf)
+    max_cer_pct: float = must(AT_LEAST_0, IN_FLOAT_RANGE, default=math.inf)
+    max_num_speakers: int | float = must(AT_LEAST_0, IN_FLOAT_RANGE, default=math.inf)
 
     validate = check
 

@@ -37,7 +37,7 @@ import shlex
 import subprocess
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,14 +80,11 @@ class StageReport:
     extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "records_in": self.records_in,
-            "records_out": self.records_out,
-            "records_dropped": self.records_dropped,
-            "drop_reasons": self.drop_reasons,
-            **({"extras": self.extras} if self.extras else {}),
-        }
+        """The fields in order; extras only when there are any."""
+        out = asdict(self)
+        if not self.extras:
+            del out["extras"]
+        return out
 
 
 @dataclass
@@ -438,13 +435,12 @@ def _stage_segment(records, ctx: _Context):
         track = tracks.get(rec.utterance_id)
         if track is None:
             return _Reject(rec, "missing_alignment")
-        transcript = rec.text if rec.text else rec.raw_text
         if rec.trim_lead_s:  # token times into the trimmed audio's time base
             track = [segmentation.AlignmentToken(t.word, t.start_s - rec.trim_lead_s,
                                                  t.end_s - rec.trim_lead_s) for t in track]
         try:
             pauses = segmentation.find_candidate_pauses(
-                track, transcript, cfg.min_pause_s, ctx.abbreviations
+                track, rec.transcript, cfg.min_pause_s, ctx.abbreviations
             )
             # a cut must land inside the kept audio
             pauses = [p for p in pauses if 0.0 < p.midpoint_s < rec.duration_s]
@@ -471,9 +467,8 @@ def _stage_validate(records, ctx: _Context):
         hyp = hyps.get(rec.utterance_id)
         if hyp is None:
             return _Reject(rec, "missing_hypothesis")
-        ref = rec.text if rec.text else rec.raw_text
         try:
-            stats = textproc.edit_stats(ref, hyp)
+            stats = textproc.edit_stats(rec.transcript, hyp)
         except textproc.TextError:
             return _Reject(rec, "empty_reference")
         rec = rec.with_fields(

@@ -189,7 +189,7 @@ def apply_split(
         )
     pause = decision.candidate_pauses[decision.chosen_index]
     boundary = pause.word_index
-    words = rec.text.split() if rec.text else rec.raw_text.split()
+    words = rec.transcript.split()
     text_a = " ".join(words[: boundary + 1])
     text_b = " ".join(words[boundary + 1:])
     raw_words = rec.raw_text.split()

@@ -101,6 +101,14 @@ class TestBuildSubset:
         with pytest.raises(CurationError, match="validation stage"):
             build_subset(records, SubsetSpec(max_cer_pct=50))
 
+    @pytest.mark.parametrize("missing,spec,stage", [
+        ("bandwidth_hz", SubsetSpec(min_bandwidth_hz=1), "bandwidth stage"),
+        ("num_speakers", SubsetSpec(max_num_speakers=1), "speaker stage"),
+    ])
+    def test_missing_field_names_its_stage(self, missing, spec, stage):
+        with pytest.raises(CurationError, match=f"u1: {missing} missing; run the {stage} first"):
+            build_subset([make_record("u1", **{missing: None})], spec)
+
     def test_order_preserved(self):
         records = [make_record(f"u{i}", bandwidth_hz=20000 - i) for i in range(10)]
         out = build_subset(records, SubsetSpec(min_bandwidth_hz=19995))
@@ -241,6 +249,25 @@ def test_output_checked_before_manifest_is_read(tmp_path, monkeypatch, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "spec.json"]
 
 
+@pytest.mark.parametrize("name", ["max_cer_pct", "max_num_speakers"])
+def test_spec_integer_beyond_float_is_config_error(tmp_path, monkeypatch, name):
+    def unread(path):
+        raise AssertionError("the manifest was read before the spec was checked")
+
+    monkeypatch.setattr(cli, "read_manifest", unread)
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(eval_fixture(), manifest)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({name: 10**400}))
+    result = CliRunner().invoke(main, ["subset", "--manifest", str(manifest), "--spec", str(spec),
+                                       "--out", str(tmp_path / "s.jsonl")])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.output == (
+        f"config error: {spec}: {name}: must be within the float range, got {10**400}\n")
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 def _seen_draw_by_equality(records, rng_seed):
     """The seen-speaker draw as the sampler first wrote it: after the dev draw,
     the records left for the test draw are found by dataclass equality."""
@@ -316,6 +343,20 @@ class TestEvalSplits:
         n_f = len(speakers) - n_m
         assert abs(n_m - n_f) <= 2
 
+    @pytest.mark.parametrize("seed,unknown", [
+        (3, ["s045", "s050", "s051", "s052", "s053", "s054"]),
+        (4, ["s044", "s045", "s048", "s049", "s050", "s055"]),
+    ])
+    def test_unknown_gender_backfills(self, seed, unknown):
+        # 44 qualified speakers are m or f, 12 unknown: every m and f speaker is
+        # selected, then 6 unknown ones fill the set to 50.
+        fixture = [r.with_fields(gender="unknown") if int(r.speaker_id[1:]) >= 44 else r
+                   for r in eval_fixture(n_eligible=56, n_ineligible=4)]
+        plans = sample_eval_splits(fixture, rng_seed=seed)
+        for name in ("dev_seen", "test_seen"):
+            speakers = sorted({uid.split("_")[0] for uid in plans[name].utterance_ids})
+            assert speakers == [f"s{s:03d}" for s in range(44)] + unknown
+
     def test_unseen_pools_pass_through(self):
         fixture = eval_fixture()
         unseen = [make_record(f"unseen_{i}", speaker_id=f"x{i % 5}") for i in range(30)]
@@ -323,6 +364,21 @@ class TestEvalSplits:
                                    unseen_dev=unseen[:15], unseen_test=unseen[15:])
         assert len(plans["dev_unseen"].utterance_ids) == 15
         assert len(plans["test_unseen"].utterance_ids) == 15
+
+    def test_cli_writes_plans(self, tmp_path):
+        fixture = eval_fixture()
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(fixture, manifest)
+        out = tmp_path / "plans.json"
+        result = CliRunner().invoke(main, ["splits", "--manifest", str(manifest),
+                                           "--seed", "7", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == ("dev_seen: 1000 utterances\ntest_seen: 1000 utterances\n"
+                                 "train: 400 utterances\n")
+        plans = sample_eval_splits(fixture, rng_seed=7)
+        assert out.read_text() == json.dumps(
+            {name: list(plan.utterance_ids) for name, plan in plans.items()},
+            indent=2, sort_keys=True) + "\n"
 
     def test_unseen_speaker_overlap_rejected(self):
         # 48 utts per speaker: 40 are held out, so every speaker stays in train
@@ -361,6 +417,92 @@ class TestCorpusStats:
     def test_multi_speaker_hours(self):
         records = [make_record("u1", num_speakers=2, duration_s=3600.0)]
         assert corpus_stats(records).multi_speaker_hours == pytest.approx(1.0)
+
+    STATS_RECORDS = [
+        make_record("u1", duration_s=1.24, bandwidth_hz=13999, wer_pct=0.0, cer_pct=0.5),
+        make_record("u2", speaker_id="s2", duration_s=10.0, bandwidth_hz=4000, wer_pct=12.5,
+                    cer_pct=150.0, num_speakers=2, text_source="predicted_pc"),
+        make_record("u3", speaker_id="s2", duration_s=0.3, bandwidth_hz=None, wer_pct=None,
+                    cer_pct=100.0, text_source=None),
+        make_record("u4", duration_s=2.75, bandwidth_hz=20250, wer_pct=100.0, cer_pct=9.99),
+    ]
+
+    def test_table_bytes(self):
+        assert corpus_stats(self.STATS_RECORDS).render_table() == (
+            "total hours                 0.00\n"
+            "utterances                     4\n"
+            "speakers                       2\n"
+            "multi-speaker hours         0.00\n"
+            "-- duration [s] --\n"
+            "0.0                            1\n"
+            "1.0                            1\n"
+            "2.5                            1\n"
+            "10.0                           1\n"
+            "-- bandwidth [Hz] --\n"
+            "4000                           1\n"
+            "13750                          1\n"
+            "20250                          1\n"
+            "-- WER [%] --\n"
+            "0                              1\n"
+            "12                             1\n"
+            ">=100                          1\n"
+            "-- CER [%] --\n"
+            "0                              1\n"
+            "9                              1\n"
+            ">=100                          2")
+
+    def test_table_omits_empty_histograms(self):
+        records = [make_record("u1", bandwidth_hz=None, wer_pct=None, cer_pct=None)]
+        assert corpus_stats(records).render_table() == (
+            "total hours                 0.00\n"
+            "utterances                     1\n"
+            "speakers                       1\n"
+            "multi-speaker hours         0.00\n"
+            "-- duration [s] --\n"
+            "10.0                           1")
+
+    def test_csv_bytes(self, tmp_path):
+        corpus_stats(self.STATS_RECORDS).write_csv(tmp_path / "hist.csv")
+        assert (tmp_path / "hist.csv").read_bytes() == (
+            b"histogram,bin,count\r\n"
+            b"duration_s,0.0,1\r\nduration_s,1.0,1\r\nduration_s,2.5,1\r\n"
+            b"duration_s,10.0,1\r\n"
+            b"bandwidth_hz,4000,1\r\nbandwidth_hz,13750,1\r\nbandwidth_hz,20250,1\r\n"
+            b"wer_pct,0,1\r\nwer_pct,12,1\r\nwer_pct,>=100,1\r\n"
+            b"cer_pct,0,1\r\ncer_pct,9,1\r\ncer_pct,>=100,2\r\n")
+
+    def test_json_dict(self):
+        payload = corpus_stats(self.STATS_RECORDS).to_json_dict()
+        assert list(payload.items()) == [
+            ("total_hours", 0.003969),
+            ("utterance_count", 4),
+            ("speaker_count", 2),
+            ("duration_hist", {"1.0": 1, "10.0": 1, "0.0": 1, "2.5": 1}),
+            ("bandwidth_hist", {"13750": 1, "4000": 1, "20250": 1}),
+            ("wer_hist", {"0": 1, "12": 1, ">=100": 1}),
+            ("cer_hist", {"0": 1, ">=100": 2, "9": 1}),
+            ("text_source_counts", {"book_match": 2, "predicted_pc": 1}),
+            ("multi_speaker_hours", 0.002778),
+        ]
+        assert [list(v) for v in payload.values() if isinstance(v, dict)] == [
+            ["1.0", "10.0", "0.0", "2.5"], ["13750", "4000", "20250"], ["0", "12", ">=100"],
+            ["0", ">=100", "9"], ["book_match", "predicted_pc"]]
+
+    def test_cli_table_json_and_csv(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(self.STATS_RECORDS, manifest)
+        report = corpus_stats(self.STATS_RECORDS)
+        runner = CliRunner()
+        table = runner.invoke(main, ["stats", "--manifest", str(manifest)])
+        assert table.exit_code == 0, table.output
+        assert table.output == report.render_table() + "\n"
+        as_json = runner.invoke(main, ["stats", "--manifest", str(manifest), "--json",
+                                       "--csv", str(tmp_path / "hist.csv")])
+        assert as_json.exit_code == 0, as_json.output
+        assert as_json.output == json.dumps(report.to_json_dict(), indent=2,
+                                            sort_keys=True) + "\n"
+        report.write_csv(tmp_path / "expected.csv")
+        assert (tmp_path / "hist.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_json_and_csv_outputs(self, tmp_path):
         records = [make_record("u1"), make_record("u2", text_source="predicted_pc")]

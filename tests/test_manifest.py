@@ -205,6 +205,7 @@ def test_subset_spec_negative_threshold_rejected():
 
 BIG = sys.float_info.max  # the largest finite number
 INF = math.inf
+PAST_FLOAT = 2**1024 - 2**970  # the least integer that float() rounds beyond BIG
 
 # A valid value for each field without a default, per class with declared conditions.
 VALID = {
@@ -241,26 +242,38 @@ CONDITIONS = [
     (ChapterRecord, "sample_rate_hz", [1], 0, "sample_rate_hz: must be > 0, got 0"),
     (SubsetSpec, "min_bandwidth_hz", [0], -0.0001, "min_bandwidth_hz: must be >= 0, got -0.0001"),
     (SubsetSpec, "max_cer_pct", [0, INF], -0.0001, "max_cer_pct: must be >= 0, got -0.0001"),
+    (SubsetSpec, "max_cer_pct", [PAST_FLOAT - 1, INF], PAST_FLOAT,
+     f"max_cer_pct: must be within the float range, got {PAST_FLOAT}"),
     (SubsetSpec, "max_num_speakers", [0, INF], -1, "max_num_speakers: must be >= 0, got -1"),
+    (SubsetSpec, "max_num_speakers", [PAST_FLOAT - 1, INF], PAST_FLOAT,
+     f"max_num_speakers: must be within the float range, got {PAST_FLOAT}"),
     (curation.SpeakerCountRecord, "num_speakers", [0], -1, "num_speakers: must be >= 0, got -1"),
     (segmentation._Token, "start", [BIG], INF, "start: must be finite, got inf"),
     (segmentation._Token, "end", [BIG], INF, "end: must be finite, got inf"),
     (config.PipelineConfig, "target_sample_rate_hz", [1], 0,
      "target_sample_rate_hz: must be > 0, got 0"),
+    (config.PipelineConfig, "target_sample_rate_hz", [PAST_FLOAT - 1], PAST_FLOAT,
+     f"target_sample_rate_hz: must be within the float range, got {PAST_FLOAT}"),
     (config.PipelineConfig, "trim_threshold_db", [0, INF], -0.0001,
      "trim_threshold_db: must be >= 0, got -0.0001"),
+    (config.PipelineConfig, "trim_threshold_db", [PAST_FLOAT - 1, INF], PAST_FLOAT,
+     f"trim_threshold_db: must be within the float range, got {PAST_FLOAT}"),
     (config.PipelineConfig, "max_edge_silence_s", [0], -0.0001,
      "max_edge_silence_s: must be >= 0, got -0.0001"),
     (config.PipelineConfig, "max_edge_silence_s", [BIG], INF,
      "max_edge_silence_s: must be finite, got inf"),
     (config.PipelineConfig, "bandwidth_threshold_db", [0, -INF], 1,
      "bandwidth_threshold_db: must be <= 0, got 1"),
+    (config.PipelineConfig, "bandwidth_threshold_db", [1 - PAST_FLOAT, -INF], -PAST_FLOAT,
+     f"bandwidth_threshold_db: must be within the float range, got {-PAST_FLOAT}"),
     (config.PipelineConfig, "bandwidth_analysis_s", [0.0001], 0,
      "bandwidth_analysis_s: must be > 0, got 0"),
     (config.PipelineConfig, "bandwidth_analysis_s", [BIG], INF,
      "bandwidth_analysis_s: must be finite, got inf"),
     (config.PipelineConfig, "min_pause_s", [0, INF], -0.0001,
      "min_pause_s: must be >= 0, got -0.0001"),
+    (config.PipelineConfig, "min_pause_s", [PAST_FLOAT - 1, INF], PAST_FLOAT,
+     f"min_pause_s: must be within the float range, got {PAST_FLOAT}"),
     (config.PipelineConfig, "max_cer_pct", [0, INF], -0.0001,
      "max_cer_pct: must be >= 0, got -0.0001"),
     (config.PipelineConfig, "workers", [1], 0, "workers: must be >= 1, got 0"),

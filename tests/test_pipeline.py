@@ -21,6 +21,7 @@ from click.testing import CliRunner
 from scipy.io import wavfile
 
 from speechcurate import audio as audiolib
+from speechcurate import cli as cli_mod
 from speechcurate import bandwidth as bwlib
 from speechcurate import pipeline as pipeline_mod
 from speechcurate import textproc
@@ -39,7 +40,9 @@ from speechcurate.manifest import (
 from speechcurate.pipeline import (
     EXIT_PARTIAL,
     ConfigError,
+    PipelineResult,
     StageError,
+    StageReport,
     run_pipeline,
 )
 
@@ -1069,6 +1072,12 @@ class TestConfig:
         # Seconds that become a sample count must be finite.
         ({"max_edge_silence_s": float("inf")}, "max_edge_silence_s: must be finite, got inf"),
         ({"bandwidth_analysis_s": float("inf")}, "bandwidth_analysis_s: must be finite, got inf"),
+        # An integer beyond the float range is no number a stage can compute with.
+        *(pytest.param({name: value},
+                       f"{name}: must be within the float range, got {value}", id=f"{name}-huge")
+          for name, value in (("trim_threshold_db", 10**400), ("min_pause_s", 10**400),
+                              ("target_sample_rate_hz", 10**400),
+                              ("bandwidth_threshold_db", -10**400))),
     ])
     def test_wrong_type_is_config_error(self, corpus, tmp_path, override, message):
         config_path = tmp_path / "config.yaml"
@@ -1147,6 +1156,26 @@ class TestCli:
         assert stats.exit_code == 0
         payload = json.loads(stats.output)
         assert payload["utterance_count"] == len(read_manifest(final[0]))
+
+    @pytest.mark.parametrize("args,expected", [
+        ([], {"stages": list(pipeline_mod.STAGE_ORDER), "seed": 0, "workers": 1}),
+        (["--stages", " validate, text,", "--seed", "7", "--workers", "2"],
+         {"stages": ["validate", "text"], "seed": 7, "workers": 2}),
+    ], ids=["config", "overrides"])
+    def test_run_options_override_config(self, corpus, tmp_path, monkeypatch, args, expected):
+        seen = []
+
+        def fake_run(config):
+            seen.append(config)
+            return PipelineResult(exit_code=0, reports=[], final_manifest=None)
+
+        monkeypatch.setattr(cli_mod, "run_pipeline", fake_run)
+        config_path = tmp_path / "config.yaml"
+        make_config(corpus, tmp_path / "out").to_yaml(config_path)
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path), *args])
+        assert result.exit_code == 0, result.output
+        (config,) = seen
+        assert {k: getattr(config, k) for k in expected} == expected
 
     def test_run_config_error_exit_code(self, tmp_path):
         config_path = tmp_path / "bad.yaml"
@@ -1394,6 +1423,16 @@ def _rewrite_line(name, index, change):
     return plant
 
 
+def _drop_line(name, index):
+    """Remove line `index` (from 0) of the corpus file `name`."""
+    def plant(root, config):
+        path = root / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:index] + lines[index + 1:]))
+        return path
+    return plant
+
+
 def _chapter_ch1(**values):
     """Set values on ch1's line of the chapters manifest (line 2)."""
     return _rewrite_line("chapters.jsonl", 1, lambda obj: obj.update(values))
@@ -1623,6 +1662,18 @@ FAULTS = [
     pytest.param(["audio"], _drop_ch1, 3, {"missing_chapter": 2}, id="audio-unknown-chapter"),
     pytest.param(["bandwidth"], _drop_ch1, 3, {"missing_chapter": 2},
                  id="bandwidth-unknown-chapter"),
+    pytest.param(["segment"], _drop_line("alignments.jsonl", 0), 3, {"missing_alignment": 1},
+                 id="segment-missing-alignment"),
+    pytest.param(["segment"], _rewrite_line("alignments.jsonl", 0,
+                                            lambda obj: obj["tokens"].pop()),
+                 3, {"alignment_mismatch:transcript has 8 words but alignment has 7 tokens": 1},
+                 id="segment-alignment-mismatch"),
+    # Hypotheses are keyed by the ids after the split, so the four records
+    # that segment would split (ch*_0000) have none.
+    pytest.param(["validate"], _rewrite_line("utterances.jsonl", 1,
+                                             lambda obj: obj.update(raw_text="")),
+                 3, {"empty_reference": 1, "missing_hypothesis": 4},
+                 id="validate-empty-reference"),
 ]
 
 
@@ -1640,6 +1691,9 @@ def test_malformed_input_is_named(tmp_path, stages, plant, exit_code, expected):
     if isinstance(expected, dict):
         report = json.loads((tmp_path / "out" / f"report.{stages[0]}.json").read_text())
         assert report["drop_reasons"] == expected
+        lines = (tmp_path / "out" / f"rejects.{stages[0]}.jsonl").read_text().splitlines()
+        reasons = [json.loads(line)["reject_reason"] for line in lines]
+        assert {r: reasons.count(r) for r in reasons} == expected
     else:
         assert expected.format(path=path) in result.output
 
@@ -1794,6 +1848,18 @@ def test_invalid_stage_output_is_config_error(corpus, tmp_path, monkeypatch):
     config.stages = ["speakers"]
     with pytest.raises(ConfigError, match="duration_s: must be > 0, got 0"):
         run_pipeline(config)
+
+
+@pytest.mark.parametrize("extras,expected", [
+    ({}, {"stage": "segment", "records_in": 5, "records_out": 6, "records_dropped": 1,
+          "drop_reasons": {"missing_alignment": 1}}),
+    ({"split_parents": 2}, {"stage": "segment", "records_in": 5, "records_out": 6,
+                            "records_dropped": 1, "drop_reasons": {"missing_alignment": 1},
+                            "extras": {"split_parents": 2}}),
+], ids=["no-extras", "extras"])
+def test_stage_report_json_dict(extras, expected):
+    report = StageReport("segment", 5, 6, 1, {"missing_alignment": 1}, extras)
+    assert list(report.to_json_dict().items()) == list(expected.items())
 
 
 def test_reject_lines_name_their_reason(tmp_path):

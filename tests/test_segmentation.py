@@ -137,6 +137,18 @@ class TestApplySplit:
         assert b.raw_text == "c d"
         assert f"{a.text} {b.text}" == rec.text
 
+    def test_raw_text_of_another_word_count_is_stripped_from_text(self):
+        # raw_text has a word more than text, so it cannot be cut at the same
+        # word: each child's raw_text is its text with punctuation stripped.
+        rec = make_record(text="It ended. Then more", raw_text="it ended then more now")
+        track = track_for([("it", 0.0, 2.0), ("ended", 2.5, 7.0),
+                           ("then", 7.2, 9.0), ("more", 9.5, 15.0)])
+        decision = choose_split(
+            find_candidate_pauses(track, rec.text, abbreviations=ABBREVS), 0)
+        a, b = apply_split(rec, decision, track)
+        assert (a.text, a.raw_text) == ("It ended.", "it ended")
+        assert (b.text, b.raw_text) == ("Then more", "then more")
+
     def test_metrics_cleared_and_metadata_copied(self):
         rec = make_record(bandwidth_hz=14000, num_speakers=1)
         track = track_for([("it", 0.0, 2.0), ("ended", 2.5, 7.0),
