@@ -16,8 +16,8 @@ import click
 
 from . import curation
 from .config import STAGE_ORDER, PipelineConfig
-from .manifest import (ConfigError, SubsetSpec, read_manifest, read_text, replacing,
-                       write_manifest, writing)
+from .manifest import (INPUT_FAULTS, ConfigError, SubsetSpec, input_error, read_manifest,
+                       read_text, replacing, write_manifest, writing)
 from .pipeline import EXIT_CONFIG_ERROR, EXIT_STAGE_FAILURE, StageError, run_pipeline
 
 
@@ -123,8 +123,8 @@ def subset(manifest_path, spec_path, out_path):
     text = read_text(spec_path)
     try:
         spec = SubsetSpec.from_json_dict(json.loads(text))
-    except ValueError as exc:
-        raise ConfigError(f"{spec_path}: {exc}") from exc
+    except INPUT_FAULTS as exc:
+        raise input_error(exc, spec_path) from exc
     records = read_manifest(manifest_path)
     kept = curation.build_subset(records, spec)
     with writing(out_path):

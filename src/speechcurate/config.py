@@ -8,7 +8,8 @@ from pathlib import Path
 import yaml
 
 from .manifest import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_MOST_0, FINITE, IN_FLOAT_RANGE,
-                       ConfigError, field_problems, must, read_text, schema_of, type_problems)
+                       INPUT_FAULTS, ConfigError, field_problems, input_error, must, read_text,
+                       schema_of, type_problems)
 
 # Canonical stage execution order; enabled stages always run in this order.
 STAGE_ORDER = ("text", "audio", "bandwidth", "segment", "validate", "speakers")
@@ -55,6 +56,8 @@ class PipelineConfig:
             data = yaml.safe_load(text) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
+        except INPUT_FAULTS as exc:  # a number too long to convert, nesting too deep
+            raise input_error(exc, path) from exc
         if not isinstance(data, dict):
             raise ConfigError(
                 f"{path}: must be a mapping of config keys, got {type(data).__name__}")

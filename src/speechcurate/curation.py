@@ -101,18 +101,12 @@ def build_subset(records: list[UtteranceRecord], spec: SubsetSpec) -> list[Utter
     return out
 
 
-def _pick_context(
-    candidates: list[UtteranceRecord], target_id: str
-) -> tuple[str, float] | None:
-    pool = [c for c in candidates if c.utterance_id != target_id]
-    if not pool:
-        return None
-    near = [c for c in pool if 4.5 <= c.duration_s <= 5.5]
-    if near:
-        best = min(near, key=lambda c: (abs(c.duration_s - 5.0), c.utterance_id))
-        return best.utterance_id, best.duration_s
-    best = max(pool, key=lambda c: (c.duration_s, c.utterance_id))
-    return best.utterance_id, min(5.0, best.duration_s)
+def _ranked_contexts(group: list[UtteranceRecord]) -> list[UtteranceRecord]:
+    """The group's context candidates, best first: those within 4.5-5.5 s,
+    closest to 5 s first, then every one, longest first; ties by id."""
+    near = sorted((c for c in group if 4.5 <= c.duration_s <= 5.5),
+                  key=lambda c: (abs(c.duration_s - 5.0), c.utterance_id))
+    return near + sorted(group, key=lambda c: (c.duration_s, c.utterance_id), reverse=True)
 
 
 def build_triplets(
@@ -135,16 +129,18 @@ def build_triplets(
     skipped = {"cer": 0, "similarity": 0, "missing_similarity": 0, "no_context": 0}
     for speaker_id in sorted(by_speaker):
         group = by_speaker[speaker_id]
+        ranked = _ranked_contexts(group)  # once per speaker, not once per target
         for target in group:
             if target.cer_pct is not None and target.cer_pct > max_cer_pct:
                 skipped["cer"] += 1
                 continue
-            picked = _pick_context(group, target.utterance_id)
-            if picked is None:
+            # The best-ranked candidate other than the target. One beyond 5.5 s
+            # ranks after every one within 4.5-5.5 s, and is cropped to 5 s.
+            context = next((c for c in ranked if c.utterance_id != target.utterance_id), None)
+            if context is None:
                 skipped["no_context"] += 1
                 continue
-            context_id, context_dur = picked
-            sim = sims.get((context_id, target.utterance_id))
+            sim = sims.get((context.utterance_id, target.utterance_id))
             if sim is None:
                 skipped["missing_similarity"] += 1
                 continue
@@ -153,10 +149,11 @@ def build_triplets(
                 continue
             triplets.append(
                 Triplet(
-                    context_utterance_id=context_id,
+                    context_utterance_id=context.utterance_id,
                     transcript=target.transcript,
                     target_utterance_id=target.utterance_id,
-                    context_duration_s=round(context_dur, 4),
+                    context_duration_s=(round(context.duration_s, 4)
+                                        if context.duration_s <= 5.5 else 5.0),
                 )
             )
     return triplets, skipped

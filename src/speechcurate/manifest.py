@@ -28,7 +28,7 @@ class ConfigError(ValueError):
 
 
 class ManifestError(ConfigError):
-    """Manifest could not be read or written."""
+    """An input file could not be read, or a manifest written."""
 
 
 class InvariantError(ManifestError):
@@ -302,28 +302,48 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
+# The faults met while reading an input file that are the file's own: it is
+# missing or unreadable (OSError); not UTF-8 text, malformed JSON, a number too
+# long to convert or a value a parser refuses (ValueError, ConfigError among
+# them); a missing key (KeyError); a value of a wrong type (TypeError); or
+# nesting too deep to read (RecursionError). Every reader catches these.
+INPUT_FAULTS = (OSError, KeyError, TypeError, ValueError, RecursionError)
+
+# How input_error words a fault, by its class: the first that matches.
+_FAULT_WORDS = ((UnicodeDecodeError, "not UTF-8 text: "),
+                (json.JSONDecodeError, "malformed JSON: "),
+                (OSError, "unreadable: "), (KeyError, "missing key "))
+
+
+def input_error(exc: Exception, where: str | Path) -> ManifestError:
+    """The one ManifestError for a fault of INPUT_FAULTS met while reading an
+    input file: `where` (the file, or `file:line`), the word for the fault's
+    kind, then its message. A ManifestError (an InvariantError, say) keeps its
+    class."""
+    word = next((word for cls, word in _FAULT_WORDS if isinstance(exc, cls)), "")
+    cls = type(exc) if isinstance(exc, ManifestError) else ManifestError
+    return cls(f"{where}: {word}{exc}")
+
+
 def read_text(path: str | Path) -> str:
-    """The whole of a UTF-8 text file; a fault is a ConfigError naming the file."""
+    """The whole of a UTF-8 text file; a fault is a ManifestError naming the file."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    except OSError as exc:  # missing, a directory, no permission
-        raise ConfigError(f"{path}: unreadable: {exc}") from exc
+    except INPUT_FAULTS as exc:
+        raise input_error(exc, path) from exc
 
 
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) for each non-blank line of a UTF-8 file."""
+    """(line number, stripped line) for each non-blank line of a UTF-8 file; a
+    fault of the file is a ManifestError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:
                     yield lineno, line
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
-    except OSError as exc:  # missing, a directory, no permission
-        raise ManifestError(f"{path}: unreadable: {exc}") from exc
+    except INPUT_FAULTS as exc:
+        raise input_error(exc, path) from exc
 
 
 def read_jsonl(
@@ -332,27 +352,24 @@ def read_jsonl(
     """parse(obj) for each JSON object line of a UTF-8 JSONL file, in order.
 
     With `unique`, two lines with the same value of that key are an error.
-    Every error is a ManifestError naming the file and line, including a
-    KeyError, TypeError, ValueError or ManifestError raised by parse.
+    Every error is a ManifestError naming the file and line (input_error),
+    including a fault of INPUT_FAULTS raised by parse.
     """
     out: list[T] = []
     seen: set = set()
     for lineno, line in _lines(path):
+        # One except clause, not a context manager per line: a clean line costs nothing.
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ManifestError(f"{path}:{lineno}: not a JSON object")
-        try:
+            if not isinstance(obj, dict):
+                raise ManifestError("not a JSON object")
             out.append(parse(obj))
             if unique is not None:
                 if obj[unique] in seen:
                     raise ManifestError(f"duplicate {unique} {obj[unique]!r}")
                 seen.add(obj[unique])
-        except (KeyError, TypeError, ValueError, ManifestError) as exc:
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ManifestError(f"{path}:{lineno}: {detail}") from exc
+        except INPUT_FAULTS as exc:
+            raise input_error(exc, f"{path}:{lineno}") from exc
     return out
 
 

@@ -203,10 +203,10 @@ def _by_chapter(records, load, work, pool: ThreadPoolExecutor, window: int,
     chapter's end. A chapter's records are queued longest `duration_s` first;
     with `work` None none are queued, and their results stay None. With
     `chapter_task`, chapter_task(chapter_input) is queued once for each
-    chapter, ahead of its records. A chapter's input is dropped only once its
-    task and records are collected. Returns (results, {chapter_id:
-    chapter_task's result, or None without one}), results in input-record
-    order.
+    chapter, ahead of its records. Only the queued tasks hold a chapter's
+    input, each until it has run, so a collected chapter's input is held by
+    nothing. Returns (results, {chapter_id: chapter_task's result, or None
+    without one}), results in input-record order.
     On a worker's error, the tasks still queued are left for the pool's owner
     to cancel.
     """
@@ -216,28 +216,22 @@ def _by_chapter(records, load, work, pool: ThreadPoolExecutor, window: int,
     results: list = [None] * len(records)
     chapter_results: dict = {}
 
-    def run(rec, held: list):
-        return work(rec, held[0])
-
-    def run_chapter(held: list):
-        return chapter_task(held[0])
-
-    def collect(chapter_id: str, task, futures: dict, held: list):
+    def collect(chapter_id: str, task, futures: dict):
         chapter_results[chapter_id] = task.result() if task else None
         for i, future in futures.items():
             results[i] = future.result()
-        held.clear()  # the tasks that ran keep only this emptied list
 
-    pending: deque = deque()  # (chapter_id, task, {index: future}, [input]) per chapter
+    pending: deque = deque()  # (chapter_id, task, {index: future}) per chapter
     for chapter_id in sorted(groups):
         if len(pending) == window:
             collect(*pending.popleft())
-        held = [load(chapter_id)]
-        task = pool.submit(run_chapter, held) if chapter_task else None
+        chapter_input = load(chapter_id)
+        task = pool.submit(chapter_task, chapter_input) if chapter_task else None
         # Longest records first, so that short ones fill the last gaps.
         order = sorted(groups[chapter_id], key=lambda i: -records[i].duration_s)
-        futures = {i: pool.submit(run, records[i], held) for i in order if work}
-        pending.append((chapter_id, task, futures, held))
+        futures = {i: pool.submit(work, records[i], chapter_input) for i in order if work}
+        del chapter_input  # now only the queued tasks hold it, each until it has run
+        pending.append((chapter_id, task, futures))
     while pending:
         collect(*pending.popleft())
     return results, chapter_results

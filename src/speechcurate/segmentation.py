@@ -12,8 +12,8 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .manifest import (FINITE, ManifestError, UtteranceRecord, _lines, check, from_typed,
-                       must, read_jsonl, read_text)
+from .manifest import (FINITE, INPUT_FAULTS, ManifestError, UtteranceRecord, _lines, check,
+                       from_typed, input_error, must, read_jsonl, read_text)
 
 DEFAULT_MIN_PAUSE_S = 0.08
 
@@ -226,10 +226,7 @@ def load_alignments_jsonl(path: str | Path) -> dict[str, list[AlignmentToken]]:
         line = from_typed(_AlignmentLine, obj)
         return line.utterance_id, [_token(tok) for tok in line.tokens]
 
-    try:
-        return dict(read_jsonl(path, parse, unique="utterance_id"))
-    except ManifestError as exc:
-        raise AlignmentError(str(exc)) from exc
+    return dict(read_jsonl(path, parse, unique="utterance_id"))
 
 
 def load_ctm(path: str | Path) -> dict[str, list[AlignmentToken]]:
@@ -242,8 +239,8 @@ def load_ctm(path: str | Path) -> dict[str, list[AlignmentToken]]:
             utt, _channel, start, dur, word = line.split()[:5]
             start_s = float(start)
             token = _token({"word": word, "start": start_s, "end": start_s + float(dur)})
-        except ValueError as exc:  # a ManifestError too
-            raise AlignmentError(f"{path}:{lineno}: {exc}") from exc
+        except INPUT_FAULTS as exc:
+            raise input_error(exc, f"{path}:{lineno}") from exc
         tracks.setdefault(utt, []).append(token)
     for track in tracks.values():
         track.sort(key=lambda t: t.start_s)

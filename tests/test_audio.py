@@ -64,6 +64,12 @@ class TestLoadSave:
         loaded = load_pcm(path)
         assert np.max(np.abs(loaded.samples - buf.samples)) <= 1e-6
 
+    def test_unsupported_bit_depth_writes_nothing(self, tmp_path):
+        path = tmp_path / "x.wav"
+        with pytest.raises(AudioError, match="unsupported bit depth 24"):
+            save_pcm(AudioBuffer(np.zeros(100), 16000), path, bit_depth=24)
+        assert not path.exists()
+
     def test_truncated_file_errors(self, tmp_path):
         path = tmp_path / "broken.wav"
         path.write_bytes(b"RIFF\x00\x00\x00\x00WAVE")
@@ -438,6 +444,11 @@ class TestResample:
         with pytest.raises(AudioError):
             resample(buf, 44100)
 
+    @pytest.mark.parametrize("target_hz", [0, -16000])
+    def test_rate_not_above_zero_rejected(self, target_hz):
+        with pytest.raises(AudioError, match=f"target rate must be > 0, got {target_hz}"):
+            resample(AudioBuffer(np.zeros(100), 48000), target_hz)
+
 
 def silence_tone_silence(lead_s, tone_s, tail_s, sr=16000):
     return np.concatenate([
@@ -449,6 +460,10 @@ def silence_tone_silence(lead_s, tone_s, tail_s, sr=16000):
 
 class TestTrimSilence:
     HOP = 0.0125
+
+    def test_stereo_rejected(self):
+        with pytest.raises(AudioError, match="trim_silence expects a mono buffer"):
+            trim_silence(AudioBuffer(np.zeros((100, 2)), 16000))
 
     def test_trims_long_edges(self):
         sr = 16000
@@ -769,6 +784,21 @@ class TestWavReader:
     def _fmt16(self, channels):
         return struct.pack("<HHIIHH", 1, channels, self.RATE, self.RATE * 2 * channels,
                            2 * channels, 16)
+
+    @pytest.mark.parametrize("fmt,message", [
+        (struct.pack("<HHIIH", 1, 1, 16000, 32000, 2), "fmt chunk shorter than 16 bytes"),
+        # WAVE_FORMAT_EXTENSIBLE without the 24 bytes that carry its SubFormat.
+        (struct.pack("<HHIIHH", 0xFFFE, 1, 16000, 32000, 2, 16),
+         "WAVE_FORMAT_EXTENSIBLE without a known SubFormat"),
+        # A SubFormat GUID that is not the KSDATAFORMAT_SUBTYPE_* pattern.
+        (struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 32000, 2, 16, 22, 16, 0x4)
+         + struct.pack("<H", 1) + b"\x01" * 14, "WAVE_FORMAT_EXTENSIBLE without a known SubFormat"),
+    ], ids=["short", "extensible-short", "extensible-unknown-guid"])
+    def test_bad_fmt_chunk_named(self, tmp_path, fmt, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(_riff(_chunk(b"fmt ", fmt), _chunk(b"data", b"\x00" * 8)))
+        with pytest.raises(AudioError, match=message):
+            load_pcm(path)
 
     def test_extensible(self, tmp_path):
         ints = self._pcm16()

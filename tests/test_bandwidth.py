@@ -48,6 +48,11 @@ class TestMeanPowerSpectrum:
         spec = mean_power_spectrum(buf)
         assert np.all(spec.psd == 0.0)
 
+    def test_stereo_errors(self):
+        buf = AudioBuffer(np.zeros((8192, 2)), 44100)
+        with pytest.raises(BandwidthError, match="expects a mono buffer"):
+            mean_power_spectrum(buf)
+
     def test_too_short_errors(self):
         buf = AudioBuffer(np.zeros(100), 44100)
         with pytest.raises(BandwidthError, match="shorter"):

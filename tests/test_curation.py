@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -179,6 +180,62 @@ class TestTriplets:
         triplets, _ = build_triplets(records, sims)
         tgt = [t for t in triplets if t.target_utterance_id == "tgt"][0]
         assert tgt.context_duration_s == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_per_target_scan(self, seed):
+        # The reference is the earlier algorithm, which scanned the speaker's
+        # utterances again for each target.
+        def pick_context(candidates, target_id):
+            pool = [c for c in candidates if c.utterance_id != target_id]
+            if not pool:
+                return None
+            near = [c for c in pool if 4.5 <= c.duration_s <= 5.5]
+            if near:
+                best = min(near, key=lambda c: (abs(c.duration_s - 5.0), c.utterance_id))
+                return best.utterance_id, best.duration_s
+            best = max(pool, key=lambda c: (c.duration_s, c.utterance_id))
+            return best.utterance_id, min(5.0, best.duration_s)
+
+        def reference(records, sims):
+            by_speaker = {}
+            for rec in records:
+                by_speaker.setdefault(rec.speaker_id, []).append(rec)
+            triplets = []
+            skipped = {"cer": 0, "similarity": 0, "missing_similarity": 0, "no_context": 0}
+            for speaker_id in sorted(by_speaker):
+                group = by_speaker[speaker_id]
+                for target in group:
+                    if target.cer_pct is not None and target.cer_pct > 3.0:
+                        skipped["cer"] += 1
+                        continue
+                    picked = pick_context(group, target.utterance_id)
+                    if picked is None:
+                        skipped["no_context"] += 1
+                        continue
+                    context_id, context_dur = picked
+                    sim = sims.get((context_id, target.utterance_id))
+                    if sim is None:
+                        skipped["missing_similarity"] += 1
+                        continue
+                    if sim < 0.6:
+                        skipped["similarity"] += 1
+                        continue
+                    triplets.append(curation.Triplet(context_id, target.transcript,
+                                                     target.utterance_id, round(context_dur, 4)))
+            return triplets, skipped
+
+        rng = random.Random(seed)
+        # The edges of the near window, values just outside it, and ties.
+        durations = [4.4999, 4.5, 4.75, 5.0, 5.25, 5.5, 5.5001, 0.5, 3.0, 7.0, 12.0]
+        for _ in range(750):
+            ids = [f"u{rng.randrange(12)}" for _ in range(rng.randrange(1, 9))]
+            records = [make_record(uid, speaker_id=f"s{rng.randrange(2)}",
+                                   duration_s=rng.choice(durations + [rng.uniform(0.1, 9)]),
+                                   cer_pct=rng.choice([None, 1.0, 5.0]))
+                       for uid in ids]  # an id may repeat
+            sims = {(a, b): rng.choice([0.3, 0.9]) for a in ids for b in ids
+                    if rng.random() < 0.8}
+            assert build_triplets(records, sims) == reference(records, sims)
 
     def test_same_speaker_distinct_ids(self):
         records = [make_record(f"u{i}", speaker_id=f"s{i % 3}", duration_s=5.0)

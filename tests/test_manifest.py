@@ -351,12 +351,42 @@ def test_chapter_legacy_bandwidth_key_accepted(tmp_path):
     pytest.param('{"a": null}\n', ":1: int\\(\\) argument", id="TypeError"),
     pytest.param('{"a": 1}\n{"a": 2\n', ":2: malformed JSON", id="malformed"),
     pytest.param('[1]\n', ":1: not a JSON object", id="not-object"),
+    # Python converts no integer string of more than 4300 digits.
+    pytest.param('{"a": 1}\n{"a": 1' + "0" * 5000 + "}\n", ":2: Exceeds the limit",
+                 id="long-number"),
+    # Too deep for the JSON parser, or, where it parses, for int().
+    pytest.param('{"a": ' + "[" * 5000 + "]" * 5000 + "}\n", ":1: ", id="deep"),
 ])
 def test_read_jsonl_errors_name_file_and_line(tmp_path, content, message):
     path = tmp_path / "x.jsonl"
     path.write_text(content)
     with pytest.raises(ManifestError, match=f"x.jsonl{message}"):
         read_jsonl(path, lambda obj: int(obj["a"]))
+
+
+@pytest.mark.parametrize("exc,where,cls,message", [
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), "f", ManifestError,
+     "f: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
+    (json.JSONDecodeError("Expecting value", "x", 0), "f:3", ManifestError,
+     "f:3: malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+    (FileNotFoundError(2, "No such file or directory"), "f", ManifestError,
+     "f: unreadable: [Errno 2] No such file or directory"),
+    (KeyError("a"), "f:3", ManifestError, "f:3: missing key 'a'"),
+    (RecursionError("maximum recursion depth exceeded"), "f:3", ManifestError,
+     "f:3: maximum recursion depth exceeded"),
+    (TypeError("bad type"), "f:3", ManifestError, "f:3: bad type"),
+    (ValueError("Exceeds the limit"), "f:3", ManifestError, "f:3: Exceeds the limit"),
+    (InvariantError("x: must be finite, got inf"), "f:3", InvariantError,
+     "f:3: x: must be finite, got inf"),
+    (segmentation.AlignmentError("token 'a' has start > end"), "f:3",
+     segmentation.AlignmentError, "f:3: token 'a' has start > end"),
+], ids=["not-utf8", "malformed-json", "unreadable", "missing-key", "recursion", "type",
+        "value", "invariant-kept", "alignment-kept"])
+def test_input_error_names_where_and_kind(exc, where, cls, message):
+    assert isinstance(exc, manifest.INPUT_FAULTS)
+    error = manifest.input_error(exc, where)
+    assert type(error) is cls
+    assert str(error).startswith(message)
 
 
 def test_read_jsonl_parses_in_order(tmp_path):

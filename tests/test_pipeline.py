@@ -1078,6 +1078,7 @@ class TestConfig:
           for name, value in (("trim_threshold_db", 10**400), ("min_pause_s", 10**400),
                               ("target_sample_rate_hz", 10**400),
                               ("bandwidth_threshold_db", -10**400))),
+        ({"stages": ["audio", "trim", "asr"]}, "stages: unknown stage names ['trim', 'asr']"),
     ])
     def test_wrong_type_is_config_error(self, corpus, tmp_path, override, message):
         config_path = tmp_path / "config.yaml"
@@ -1299,6 +1300,42 @@ class TestCli:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"config error: {bad}:1: {message}" in result.output
 
+    # A number too long for int() and nesting too deep to read end as config
+    # errors naming the file, in whichever layer meets them first: the JSON or
+    # YAML parser, or a check of the parsed value. 5,000 levels are too deep
+    # for each layer on every supported Python; on some a 700-deep line parses.
+    @pytest.mark.parametrize("command,name,content,located", [
+        ("stats", "m.jsonl", lambda line: line.replace('"offset_s": 0.0',
+                                                       '"offset_s": 1' + "0" * 5000), True),
+        ("stats", "m.jsonl", lambda line: f'{line[:-1]}, "deep": {"[" * 5000}{"]" * 5000}}}',
+         True),
+        ("run", "config.yaml", lambda _: "trim_threshold_db: 1" + "0" * 5000, False),
+        ("run", "config.yaml", lambda _: f"seed: {'[' * 5000}{']' * 5000}", False),
+        ("run", "config.yaml", lambda _: "seed: 2020-13-45", False),
+        ("subset", "spec.json", lambda _: '{"max_cer_pct": 1' + "0" * 5000 + "}", False),
+        ("subset", "spec.json", lambda _: "[" * 5000 + "]" * 5000, False),
+    ], ids=["manifest-long-number", "manifest-deep", "config-long-number", "config-deep",
+            "config-bad-date", "spec-long-number", "spec-deep"])
+    def test_unreadable_value_is_config_error(self, tmp_path, command, name, content, located):
+        line = json.dumps(UtteranceRecord("u1", "b", "c", "s", "a.wav", 0.0, 1.0).to_json_dict())
+        manifest_path = tmp_path / "m.jsonl"
+        manifest_path.write_text(line + "\n")
+        bad = tmp_path / name
+        text = content(line) + "\n"
+        if name == "config.yaml":
+            text = f"out_dir: {tmp_path / 'out'}\n" + text
+        bad.write_text(text)
+        args = {"stats": ["stats", "--manifest", str(manifest_path)],
+                "run": ["run", "--config", str(bad)],
+                "subset": ["subset", "--manifest", str(manifest_path), "--spec", str(bad),
+                           "--out", str(tmp_path / "out")]}[command]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"config error: {bad}{':1' if located else ''}: " in result.output
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"m.jsonl", name})
+
     def test_missing_utterances_manifest_is_config_error(self, corpus, tmp_path):
         config = make_config(corpus, tmp_path / "out")
         config.utterances_manifest = str(tmp_path / "absent.jsonl")
@@ -1507,6 +1544,12 @@ FAULTS = [
     pytest.param(["segment"], _side_file("alignments_path", "al.ctm",
                                          b"u 1 0.0 0.2 a\nu 1 zero 0.2 b\n"),
                  1, "config error: {path}:2: could not convert", id="ctm-bad-time"),
+    pytest.param(["segment"], _side_file("alignments_path", "al.ctm", b"u 1 0.0 0.2\n"),
+                 1, "config error: {path}:1: not enough values to unpack", id="ctm-short-line"),
+    pytest.param(["segment"], _side_file("alignments_path", "al.jsonl",
+                                         b'{"utterance_id": "u", "tokens": [5]}\n'),
+                 1, "config error: {path}:1: token must be a JSON object, got 5",
+                 id="alignments-token-not-an-object"),
     pytest.param(["segment"], _side_file("alignments_path", "al.ctm", b"u 1 0.0 0.2 \xff\n"),
                  1, "config error: {path}: not UTF-8 text", id="ctm-not-utf8"),
     # A token that ends before it starts, or whose time is not finite, is

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
-from speechcurate.manifest import UtteranceRecord
+from speechcurate.manifest import InvariantError, ManifestError, UtteranceRecord
 from speechcurate.segmentation import (
     AlignmentError,
     AlignmentToken,
     Pause,
+    _exact_partition,
     apply_split,
     choose_split,
     find_candidate_pauses,
@@ -64,6 +67,14 @@ class TestFindCandidatePauses:
     def test_no_period_no_candidates(self):
         track = track_for([("a", 0.0, 0.2), ("b", 1.0, 1.2)])
         assert find_candidate_pauses(track, "a b", abbreviations=ABBREVS) == []
+
+    def test_default_abbreviations_when_none_given(self):
+        track = track_for([("mr", 0.0, 0.3), ("smith", 0.6, 1.0), ("left", 1.1, 1.6),
+                           ("then", 2.0, 2.4)])
+        transcript = "Mr. Smith left. Then"
+        pauses = find_candidate_pauses(track, transcript)
+        assert pauses == find_candidate_pauses(track, transcript, abbreviations=ABBREVS)
+        assert pauses == [Pause(1.6, 2.0, 2)]
 
     def test_token_count_mismatch(self):
         track = track_for([("a", 0.0, 0.2)])
@@ -163,6 +174,27 @@ class TestApplySplit:
             assert child.num_speakers == 1
             assert child.speaker_id == rec.speaker_id
 
+    def test_partition_fix_up(self):
+        # The first part plus the parent minus it is not the parent here, so
+        # the loop has to move the first part.
+        assert 1.1107 + (6.0505 - 1.1107) != 6.0505
+        a, b = _exact_partition(6.0505, 1.1107)
+        assert a + b == 6.0505
+        assert a == pytest.approx(1.1107, abs=1e-12) and b == pytest.approx(4.9398, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_partition_sums_exactly(self, seed):
+        rng = random.Random(seed)
+        fixed = 0
+        for _ in range(2000):
+            total = round(rng.uniform(0.1, 3600), 4)
+            first = round(rng.uniform(0.0001, total - 0.0001), 4)
+            a, b = _exact_partition(total, first)
+            assert a + b == total
+            assert abs(a - first) <= 1e-9 * total
+            fixed += first + (total - first) != total
+        assert fixed  # some cuts need the fix-up loop
+
     def test_split_point_out_of_range(self):
         rec = make_record(duration_s=5.0)
         from speechcurate.segmentation import SplitDecision
@@ -199,6 +231,36 @@ class TestReaders:
         tracks = load_ctm(path)
         assert [t.word for t in tracks["u1"]] == ["hello", "world"]
         assert tracks["u1"][1].end_s == pytest.approx(1.0)
+
+    def test_ctm_comment_lines_skipped(self, tmp_path):
+        path = tmp_path / "all.ctm"
+        path.write_text(";; a comment\nu1 1 0.00 0.50 hello\n;; another\n")
+        assert load_ctm(path) == {"u1": [AlignmentToken("hello", 0.0, 0.5)]}
+
+    # A fault a reader raises as a ManifestError keeps its class and gains
+    # the file and line; any other fault is a ManifestError.
+    @pytest.mark.parametrize("name,content,cls,message", [
+        ("bad.ctm", "u1 1 0.5 -0.2 hello\n", AlignmentError, "token 'hello' has start > end"),
+        ("bad.ctm", "u1 1 0.5 inf hello\n", InvariantError, "end: must be finite, got inf"),
+        ("bad.ctm", "u1 1 0.5\n", ManifestError, "not enough values to unpack"),
+        ("bad.ctm", "u1 1 zero 0.2 a\n", ManifestError, "could not convert"),
+        ("bad.jsonl", '{"utterance_id": "u1", "tokens": [{"word": "a", "start": 1, "end": 0}]}\n',
+         AlignmentError, "token 'a' has start > end"),
+        ("bad.jsonl", '{"utterance_id": "u1"\n', ManifestError, "malformed JSON: "),
+        ("bad.jsonl", '{"utterance_id": "u1"}\n', ManifestError, "missing key 'tokens'"),
+        ("bad.jsonl", '{"utterance_id": "u1", "tokens": [5]}\n', AlignmentError,
+         "token must be a JSON object, got 5"),
+    ], ids=["ctm-start-after-end", "ctm-infinite", "ctm-short-line", "ctm-bad-time",
+            "jsonl-start-after-end", "jsonl-malformed", "jsonl-missing-key",
+            "jsonl-token-not-an-object"])
+    def test_fault_keeps_its_class(self, tmp_path, name, content, cls, message):
+        path = tmp_path / name
+        path.write_text(content)
+        load = load_ctm if name.endswith(".ctm") else load_alignments_jsonl
+        with pytest.raises(ManifestError) as info:
+            load(path)
+        assert type(info.value) is cls
+        assert str(info.value).startswith(f"{path}:1: {message}")
 
     def test_bad_token_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
