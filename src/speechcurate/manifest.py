@@ -259,6 +259,19 @@ class UtteranceRecord:
 _UTT_SCHEMA = schema_of(UtteranceRecord)
 
 
+def as_written(rec: UtteranceRecord) -> UtteranceRecord:
+    """rec with each value as its manifest line holds it (_WRITTEN_AS, the
+    rule to_json_dict writes with); rec itself when that changes nothing.
+    A changed record is validated again: a `duration_s` of 0.00004 is 0.0 as
+    written, which no manifest can hold (an InvariantError)."""
+    changes = {name: rule(value) for name, rule in _WRITTEN_AS.items()
+               if (value := getattr(rec, name)) is not None and rule(value) != value}
+    if changes:
+        rec = rec.with_fields(**changes)
+        rec.validate()
+    return rec
+
+
 @dataclass(frozen=True)
 class ChapterRecord:
     """One source audiobook chapter: the unit of audio decoding and bandwidth estimation."""

@@ -6,23 +6,28 @@ quarantined into a rejects manifest, each line naming its `reject_reason`.
 The segment stage shifts alignment times by the `trim_lead_s` the audio stage
 stamps. Worker results are re-sorted by utterance_id before writing, so the
 worker count never affects output bytes.
+Each record read is first given its values as a stage manifest would hold
+them (manifest.as_written), so a run and a chain of one-stage runs over each
+other's manifests write the same bytes.
 The text, audio and bandwidth stages run as one chapter pass before the
 first stage's outputs are written, when any of them is enabled. The pass
-reads the chapters manifest and starts one pool of `workers` threads on the
-calling thread, at every worker count. Chapters are loaded in chapter order
-on the calling thread, each once: its cleaned book text when text runs, and
-its opened audio when audio runs and text has not rejected it. The next
-chapter loads while the last one's records run, and at most
-min(2, workers) chapters are alive at once. The opened audio is one
-descriptor, of the WAV file or of decoder output spooled to a temporary
-file, from which each worker preads only its own record's frames. Each
-record runs the text step, then the audio step, on one worker, and stops at
-its first reject. A chapter's bandwidth estimate is one more task, queued
-ahead of its records: on the audio the chapter holds, so it is opened and
-decoded once, or, without audio, on the chapter it opens itself. A
-bandwidth-only run loads nothing on the calling thread, so up to `workers`
-estimates run at once. The calling thread stamps the estimates. Each
-stage's version of a record is kept until its manifest is written, and
+opens with one set-up block on the calling thread: it reads the chapters
+manifest, then the predicted-PC map when text runs with one, makes `audio`
+under out_dir when audio runs, and starts one pool of `workers` threads, at
+every worker count. Chapters are loaded in chapter order on the calling
+thread, each once: its cleaned book text when text runs, and its opened
+audio when audio runs and text has not rejected it. The next chapter loads
+while the last one's records run, and at most min(2, workers) chapters are
+alive at once. The opened audio is one descriptor, of the WAV file or of
+decoder output spooled to a temporary file, from which each worker preads
+only its own record's frames. Each record runs the text step, then the audio
+step, each a plain function of (record, its chapter's input, ctx), on one
+worker, and stops at its first reject. A chapter's bandwidth estimate is one
+more task, queued ahead of its records: on the audio the chapter holds, so
+it is opened and decoded once, or, without audio, on the chapter it opens
+itself. A bandwidth-only run loads nothing on the calling thread, so up to
+`workers` estimates run at once. The calling thread stamps the estimates.
+Each stage's version of a record is kept until its manifest is written, and
 nothing decoded outlives the pass. Segment and validate run on the calling
 thread: their per-record work is pure Python, which holds the interpreter
 lock.
@@ -49,6 +54,7 @@ from .manifest import (
     ChapterRecord,
     ConfigError,
     UtteranceRecord,
+    as_written,
     from_typed,
     read_chapters,
     read_jsonl,
@@ -103,6 +109,8 @@ class _Context:
         self.abbreviations = (segmentation.load_abbreviations(config.abbreviations_path)
                               if config.abbreviations_path
                               else segmentation.load_default_abbreviations())
+        # {utterance_id: predicted text}, read when the chapter pass starts
+        self.predicted: dict[str, str] = {}
 
     def open_book(self, chapter: ChapterRecord) -> tuple | str:
         """The chapter's cleaned book text and its strip_pc_map, or a reject reason."""
@@ -237,81 +245,65 @@ def _by_chapter(records, load, work, pool: ThreadPoolExecutor, window: int,
     return results, chapter_results
 
 
-# _text_step(ctx) and _audio_step(ctx) return a per-record step, which maps
-# (record, its chapter's input) to the record it keeps or a _Reject. A stage
-# function of _STAGE_FNS maps (records, ctx) -> (kept, rejects, extras), where
-# rejects is a list of _Reject; its per-record worker returns the records it
-# keeps (two after a split) or a _Reject.
+# A per-record step maps (record, its chapter's input, ctx) to the record it
+# keeps or a _Reject. A stage function of _STAGE_FNS maps (records, ctx) ->
+# (kept, rejects, extras), where rejects is a list of _Reject; its per-record
+# worker returns the records it keeps (two after a split) or a _Reject.
 
 
-def _text_step(ctx: _Context):
-    predicted = {}
-    if ctx.config.predicted_pc_path:
-        path = _side_input(ctx, "text", "predicted_pc_path", "predicted PC")
-        predicted = _load_jsonl_map(path, _PredictedText, "text")
-
-    def work(rec: UtteranceRecord, book):
-        chapter_text, chapter_norm = book
-        match = textproc.match_transcript(rec.raw_text, chapter_text, chapter_norm)
-        if match.matched:
-            text = textproc.normalize_spoken(match.restored_text, ctx.rules)
-            return rec.with_fields(text=text, text_source="book_match")
-        text = predicted.get(rec.utterance_id, rec.raw_text)
-        return rec.with_fields(text=text, text_source="predicted_pc")
-
-    return work
+def _text_step(rec: UtteranceRecord, book: tuple, ctx: _Context):
+    chapter_text, chapter_norm = book
+    match = textproc.match_transcript(rec.raw_text, chapter_text, chapter_norm)
+    if match.matched:
+        text = textproc.normalize_spoken(match.restored_text, ctx.rules)
+        return rec.with_fields(text=text, text_source="book_match")
+    text = ctx.predicted.get(rec.utterance_id, rec.raw_text)
+    return rec.with_fields(text=text, text_source="predicted_pc")
 
 
-def _audio_step(ctx: _Context):
+def _audio_step(rec: UtteranceRecord, pcm: audiolib.PcmFile, ctx: _Context):
     cfg = ctx.config
-    audio_out = ctx.out_dir / "audio"
-    with writing(audio_out):
-        audio_out.mkdir(parents=True, exist_ok=True)
-
-    def work(rec: UtteranceRecord, pcm: audiolib.PcmFile):
-        start = audiolib.to_frames(rec.offset_s, pcm.sample_rate_hz, pcm.num_frames)
-        if start >= pcm.num_frames:
-            return _Reject(rec, "offset_past_end")
-        # Each worker decodes only its own record's frames.
-        try:
-            piece = audiolib.load_pcm(pcm, head_s=rec.duration_s, mono=True,
-                                      offset_s=rec.offset_s)
-        except OSError as exc:  # the file went away after the chapter was opened
-            return _Reject(rec, _unreadable(exc))
-        piece = audiolib.resample(piece, cfg.target_sample_rate_hz)
-        trim = audiolib.trim_silence(
-            piece,
-            threshold_db=cfg.trim_threshold_db,
-            max_edge_silence_s=cfg.max_edge_silence_s,
-        )
-        duration_s = round(trim.trimmed.duration_s, 4)
-        if duration_s == 0:  # nothing kept, or less than the manifest's 0.1 ms
-            return _Reject(rec, "empty_after_trim")
-        # The source frame of the first kept sample; write_kept reads it only
-        # where resampling kept the source's rate.
-        first = start + round(trim.leading_removed_s * piece.sample_rate_hz)
-        out_path = audio_out / f"{rec.utterance_id}.wav"
-        try:
-            if not cfg.encoder_cmd:
+    start = audiolib.to_frames(rec.offset_s, pcm.sample_rate_hz, pcm.num_frames)
+    if start >= pcm.num_frames:
+        return _Reject(rec, "offset_past_end")
+    # Each worker decodes only its own record's frames.
+    try:
+        piece = audiolib.load_pcm(pcm, head_s=rec.duration_s, mono=True,
+                                  offset_s=rec.offset_s)
+    except OSError as exc:  # the file went away after the chapter was opened
+        return _Reject(rec, _unreadable(exc))
+    piece = audiolib.resample(piece, cfg.target_sample_rate_hz)
+    trim = audiolib.trim_silence(
+        piece,
+        threshold_db=cfg.trim_threshold_db,
+        max_edge_silence_s=cfg.max_edge_silence_s,
+    )
+    duration_s = round(trim.trimmed.duration_s, 4)
+    if duration_s == 0:  # nothing kept, or less than the manifest's 0.1 ms
+        return _Reject(rec, "empty_after_trim")
+    # The source frame of the first kept sample; write_kept reads it only
+    # where resampling kept the source's rate.
+    first = start + round(trim.leading_removed_s * piece.sample_rate_hz)
+    out_path = ctx.out_dir / "audio" / f"{rec.utterance_id}.wav"
+    try:
+        if not cfg.encoder_cmd:
+            with replacing(out_path) as tmp:
+                audiolib.write_kept(pcm, first, trim.trimmed, tmp)
+        else:
+            out_path = out_path.with_suffix(".flac")
+            try:
                 with replacing(out_path) as tmp:
-                    audiolib.write_kept(pcm, first, trim.trimmed, tmp)
-            else:
-                out_path = out_path.with_suffix(".flac")
-                try:
-                    with replacing(out_path) as tmp:
-                        _encode(pcm, first, trim.trimmed, tmp, cfg.encoder_cmd)
-                except (OSError, subprocess.CalledProcessError) as exc:
-                    return _Reject(rec, f"encode_failed:{exc.__class__.__name__}")
-        except audiolib.AudioError as exc:  # the copy could not read the chapter again
-            return _Reject(rec, _unreadable(exc))
-        return rec.with_fields(
-            audio_path=str(out_path.relative_to(ctx.out_dir)),
-            offset_s=0.0,
-            duration_s=duration_s,
-            trim_lead_s=round(trim.leading_removed_s, 4) or None,
-        )
-
-    return work
+                    _encode(pcm, first, trim.trimmed, tmp, cfg.encoder_cmd)
+            except (OSError, subprocess.CalledProcessError) as exc:
+                return _Reject(rec, f"encode_failed:{exc.__class__.__name__}")
+    except audiolib.AudioError as exc:  # the copy could not read the chapter again
+        return _Reject(rec, _unreadable(exc))
+    return rec.with_fields(
+        audio_path=str(out_path.relative_to(ctx.out_dir)),
+        offset_s=0.0,
+        duration_s=duration_s,
+        trim_lead_s=round(trim.leading_removed_s, 4) or None,
+    )
 
 
 def _encode(pcm: audiolib.PcmFile, first: int, buf: audiolib.AudioBuffer, out_path: Path,
@@ -328,29 +320,16 @@ def _encode(pcm: audiolib.PcmFile, first: int, buf: audiolib.AudioBuffer, out_pa
         wav_path.unlink(missing_ok=True)
 
 
-def _chapter_bandwidth(pcm: audiolib.PcmFile, cfg: PipelineConfig) -> int | str:
-    """The opened chapter's bandwidth in Hz, or the reason its records are rejected."""
-    # Only the analysed head is decoded.
-    try:
-        head = audiolib.load_pcm(pcm, head_s=cfg.bandwidth_analysis_s, mono=True)
-    except OSError as exc:
-        return _unreadable(exc)
-    est = bwlib.chapter_bandwidth(
-        head,
-        cfg.target_sample_rate_hz,
-        cfg.bandwidth_analysis_s,
-        cfg.bandwidth_threshold_db,
-    )
-    return "degenerate_spectrum" if est.degenerate else int(round(est.f_max_hz))
-
-
 def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
     """{stage: (kept, rejects, extras)} of the enabled text, audio and bandwidth stages.
 
-    They run as one _by_chapter pass. For each chapter the loader opens, in
-    stage order, what each enabled per-record step reads (the cleaned book
-    text for text, the PcmFile for audio), stopping at the first that rejects
-    the chapter. Each record runs those steps on one worker and stops at its
+    They run as one _by_chapter pass. The set-up block comes first: it reads
+    the chapters manifest, then the text step's predicted-PC map, then makes
+    the audio step's `audio` directory, and starts the pool. For each chapter
+    the loader opens, in stage order, what each enabled per-record step reads
+    (the cleaned book text for text, the PcmFile for audio), stopping at the
+    first that rejects the chapter. Each record runs those steps, plain
+    functions of (record, chapter input, ctx), on one worker and stops at its
     first _Reject. The bandwidth estimate is the chapter's one task, on the
     PcmFile the audio step holds, or on the chapter it opens itself without
     audio. The calling thread then stamps each record the last step kept.
@@ -362,10 +341,21 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
     if not path.exists():
         raise StageError(f"stage 'setup': chapters manifest not found: {path}")
     chapters = {c.chapter_id: c for c in read_chapters(path)}
+    if "text" in cfg.stages and cfg.predicted_pc_path:
+        path = _side_input(ctx, "text", "predicted_pc_path", "predicted PC")
+        ctx.predicted = _load_jsonl_map(path, _PredictedText, "text")
+    if "audio" in cfg.stages:
+        with writing(ctx.out_dir / "audio"):
+            (ctx.out_dir / "audio").mkdir(parents=True, exist_ok=True)
     # (stage, per-record step, open(chapter) -> the step's chapter input or a reason)
-    steps = [(stage, make(ctx), open_input) for stage, make, open_input in
+    steps = [(stage, step, open_input) for stage, step, open_input in
              (("text", _text_step, ctx.open_book), ("audio", _audio_step, ctx.open_chapter))
              if stage in cfg.stages]
+    # A chapter's input can be a whole decoded chapter, so at most two are
+    # held; a bandwidth-only loader holds none, so `workers` estimates run.
+    window = min(2, cfg.workers) if steps else cfg.workers
+    # One pool for the run, so each worker keeps its grown malloc arena.
+    pool = ThreadPoolExecutor(max_workers=cfg.workers)
 
     def load(chapter_id: str) -> list:
         # The chapter, then each step's input; after a reject reason, that reason.
@@ -377,23 +367,27 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
     def work(rec: UtteranceRecord, inputs: list) -> tuple:
         chain = ()  # each step's record or _Reject, up to the first _Reject
         for (_, step, _), data in zip(steps, inputs[1:]):
-            rec = _Reject(rec, data) if isinstance(data, str) else step(rec, data)
+            rec = _Reject(rec, data) if isinstance(data, str) else step(rec, data, ctx)
             chain += (rec,)
             if isinstance(rec, _Reject):
                 break
         return chain
 
     def estimate(inputs: list) -> int | str:
+        """The chapter's bandwidth in Hz, or the reason its records are rejected."""
         pcm = inputs[-1]  # the audio step's PcmFile, or a reject reason
         if not isinstance(pcm, (str, audiolib.PcmFile)):  # without audio
             pcm = ctx.open_chapter(inputs[0])
-        return pcm if isinstance(pcm, str) else _chapter_bandwidth(pcm, cfg)
+        if isinstance(pcm, str):
+            return pcm
+        try:  # only the analysed head is decoded
+            head = audiolib.load_pcm(pcm, head_s=cfg.bandwidth_analysis_s, mono=True)
+        except OSError as exc:
+            return _unreadable(exc)
+        est = bwlib.chapter_bandwidth(head, cfg.target_sample_rate_hz,
+                                      cfg.bandwidth_analysis_s, cfg.bandwidth_threshold_db)
+        return "degenerate_spectrum" if est.degenerate else int(round(est.f_max_hz))
 
-    # A chapter's input can be a whole decoded chapter, so at most two are
-    # held; a bandwidth-only loader holds none, so `workers` estimates run.
-    window = min(2, cfg.workers) if steps else cfg.workers
-    # One pool for the run, so each worker keeps its grown malloc arena.
-    pool = ThreadPoolExecutor(max_workers=cfg.workers)
     try:
         results, estimates = _by_chapter(records, load, work if steps else None, pool,
                                          window, estimate if "bandwidth" in cfg.stages else None)
@@ -535,7 +529,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     with writing(ctx.out_dir):
         ctx.out_dir.mkdir(parents=True, exist_ok=True)
     enabled = [s for s in STAGE_ORDER if s in config.stages]
-    records = read_manifest(config.utterances_manifest)
+    # Each stage sees a value as a stage manifest would hold it, so a run
+    # and a chain of one-stage runs over its manifests agree.
+    records = [as_written(rec) for rec in read_manifest(config.utterances_manifest)]
     chapter_stages = (_chapter_stages(records, ctx)
                       if not {"text", "audio", "bandwidth"}.isdisjoint(enabled) else {})
     reports: list[StageReport] = []

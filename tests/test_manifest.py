@@ -14,6 +14,7 @@ from speechcurate.manifest import (
     ManifestError,
     SubsetSpec,
     UtteranceRecord,
+    as_written,
     from_typed,
     read_chapters,
     read_jsonl,
@@ -186,6 +187,23 @@ def test_round_trip_property(tmp_path_factory, offset, duration, wer):
     path = tmp_path_factory.mktemp("m") / "p.jsonl"
     write_manifest([rec], path)
     assert read_manifest(path) == [rec]
+
+
+def test_as_written_holds_what_a_manifest_line_holds(tmp_path):
+    rec = make_record(offset_s=4e-05, duration_s=1.23456, trim_lead_s=0.00012,
+                      wer_pct=12.345678, cer_pct=None)
+    written = as_written(rec)
+    assert (written.offset_s, written.duration_s, written.trim_lead_s,
+            written.wer_pct, written.cer_pct) == (0.0, 1.2346, 0.0001, 12.3457, None)
+    path = tmp_path / "p.jsonl"
+    write_manifest([rec], path)
+    assert read_manifest(path) == [written]
+    # Nothing to round: the record itself comes back.
+    assert as_written(written) is written
+    assert as_written(make_record()) == make_record()
+    # A value no manifest can hold as written is an error.
+    with pytest.raises(InvariantError, match=r"^duration_s: must be > 0, got 0.0$"):
+        as_written(make_record(duration_s=4e-05))
 
 
 def test_chapter_round_trip(tmp_path):

@@ -6,6 +6,10 @@ import json
 import os
 import platform
 import re
+import signal
+import struct
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -1690,6 +1694,9 @@ FAULTS = [
     pytest.param(["audio"], _utterance_1(duration_s=float("inf")),
                  1, "config error: {path}:1: duration_s: must be finite, got inf",
                  id="utterance-duration-infinite"),
+    # 0.00004 s is 0.0 at a manifest's 4 decimals, which no stage may run on.
+    pytest.param(["audio"], _utterance_1(duration_s=4e-05),
+                 1, "duration_s: must be > 0, got 0.0", id="utterance-duration-below-precision"),
     pytest.param(["audio"], _utterance_1(offset_s=10**400),
                  1, "config error: {path}:1: offset_s: must be finite, got 1" + "0" * 400,
                  id="utterance-offset-beyond-float"),
@@ -1872,6 +1879,29 @@ def test_record_below_manifest_precision_is_empty_after_trim(tmp_path):
     report = json.loads((out / "report.audio.json").read_text())
     assert report["drop_reasons"] == {"empty_after_trim": 1}
     assert list((out / "audio").iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_run_cuts_as_a_chain_of_one_stage_runs(tmp_path, workers):
+    # An offset with more than 4 decimals is cut where the text manifest puts
+    # it, whether the audio stage runs after text in one run or over its manifest.
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
+    lines = (root / "utterances.jsonl").read_text().splitlines(keepends=True)
+    first = {**json.loads(lines[0]), "offset_s": 4e-05}
+    (root / "utterances.jsonl").write_text(json.dumps(first) + "\n" + "".join(lines[1:]))
+    config = make_config(root, tmp_path / "one", workers=workers)
+    config.stages = ["text", "audio"]
+    run_pipeline(config)
+    chain = tmp_path / "chain"
+    for stage, manifest in (("text", root / "utterances.jsonl"),
+                            ("audio", chain / "manifest.00_text.jsonl")):
+        config = make_config(root, chain, workers=workers)
+        config.stages, config.utterances_manifest = [stage], str(manifest)
+        run_pipeline(config)
+    one, chained = _tree(tmp_path / "one"), _tree(chain)
+    assert chained.pop("manifest.00_audio.jsonl") == one.pop("manifest.01_audio.jsonl")
+    assert "audio/ch0_0000.wav" in one
+    assert chained == one
 
 
 def test_config_error_is_defined_once():
@@ -2071,6 +2101,53 @@ def test_killed_audio_write_leaves_no_file(tmp_path, monkeypatch, encoder):
     with pytest.raises(_Killed):
         run_pipeline(config)
     assert list((tmp_path / "out" / "audio").iterdir()) == []
+
+
+@pytest.mark.parametrize("hook", ["decoder", "encoder"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_killed_run_leaves_no_truncated_output(tmp_path, workers, hook):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
+    _decoded_copies(root, {"ch0", "ch1", "ch2", "ch3"})
+    # A decoder or encoder whose second call (mkdir is atomic, so exactly one
+    # call of any run is that call) kills the run that called it, as SIGKILL
+    # does, the encoder once it has written part of its output; any other call
+    # passes its input through.
+    script = tmp_path / "killer.sh"
+    script.write_text(
+        f"if mkdir {tmp_path}/called 2>/dev/null || ! mkdir {tmp_path}/killed 2>/dev/null; then\n"
+        '  if [ $# = 1 ]; then exec cat "$1"; else exec cp "$1" "$2"; fi\n'
+        "fi\n"
+        'head -c 44 "$1" > "${2:-/dev/null}"; kill -9 $PPID; exit 1\n')
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline_mod.__file__).parents[1])}
+
+    def run(out):
+        config = make_config(root, out, workers=workers)
+        config.decoder_cmd = f"sh {script} {{input}}" if hook == "decoder" else "cat {input}"
+        if hook == "encoder":
+            config.encoder_cmd = f"sh {script} {{input}} {{output}}"
+        config.to_yaml(tmp_path / "config.yaml")
+        return subprocess.run([sys.executable, "-m", "speechcurate.cli", "run", "--config",
+                               str(tmp_path / "config.yaml")], env=env,
+                              capture_output=True).returncode
+
+    out = tmp_path / "out"
+    assert run(out) == -signal.SIGKILL
+    left = [p for p in out.rglob("*") if p.is_file()]
+    assert not [p for p in left if p.name.startswith(("manifest.", "rejects.", "report."))]
+    assert all(".partial" in p.name for p in left if p.name.startswith("."))
+    finals = [p for p in left if not p.name.startswith(".")]
+    # With one worker the first chapter is done before the second is decoded.
+    assert finals or not (workers == 1 and hook == "decoder")
+    for path in finals:  # each a whole WAV: it holds the data its header declares
+        pcm = audiolib.open_pcm(path)
+        (size,) = struct.unpack("<I", path.read_bytes()[pcm.data_offset - 4:pcm.data_offset])
+        assert size == pcm.num_frames * pcm.channels * pcm.width, path.name
+        assert path.stat().st_size == pcm.data_offset + size, path.name
+        del pcm
+    # Run again into the same out_dir: as if no run had been killed there.
+    assert run(out) == run(tmp_path / "fresh") == 0
+    assert _tree(out) == _tree(tmp_path / "fresh")
+    assert not [name for name in _tree(out) if ".partial" in name]
 
 
 def test_encoder_output_replaces_into_place(tmp_path):
