@@ -105,8 +105,7 @@ def stats(manifest_path, as_json, csv_path):
     records = read_manifest(manifest_path)
     report = curation.corpus_stats(records)
     if csv_path:
-        with writing(csv_path):
-            report.write_csv(csv_path)
+        report.write_csv(csv_path)
     if as_json:
         click.echo(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     else:
@@ -127,8 +126,7 @@ def subset(manifest_path, spec_path, out_path):
         raise input_error(exc, spec_path) from exc
     records = read_manifest(manifest_path)
     kept = curation.build_subset(records, spec)
-    with writing(out_path):
-        write_manifest(kept, out_path)
+    write_manifest(kept, out_path)
     click.echo(f"kept {len(kept)} of {len(records)} records")
 
 
@@ -142,7 +140,7 @@ def splits(manifest_path, seed, out_path):
     records = read_manifest(manifest_path)
     plans = curation.sample_eval_splits(records, rng_seed=seed)
     payload = {name: list(plan.utterance_ids) for name, plan in plans.items()}
-    with writing(out_path), replacing(out_path) as tmp:
+    with replacing(out_path) as tmp:
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for name in sorted(payload):
         click.echo(f"{name}: {len(payload[name])} utterances")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shlex
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -13,6 +14,24 @@ from .manifest import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_MOST_0, FINITE, IN_FL
 
 # Canonical stage execution order; enabled stages always run in this order.
 STAGE_ORDER = ("text", "audio", "bandwidth", "segment", "validate", "speakers")
+
+
+def _command(*placeholders: str) -> tuple:
+    """The condition that a value is a command its stage can run: shlex splits
+    it into at least one word, and each word formats, as the stage formats
+    it, with no placeholder but these."""
+    def runnable(cmd: str) -> bool:
+        try:
+            words = shlex.split(cmd)
+            for word in words:
+                word.format(**dict.fromkeys(placeholders, "x"))
+        except (ValueError, LookupError, AttributeError, TypeError):
+            return False
+        return bool(words)
+
+    # "{{input}}": the message is formatted with the value, which gives "{input}".
+    names = " and ".join(f"{{{{{name}}}}}" for name in placeholders)
+    return runnable, f"must be a command using no placeholder but {names}, got {{!r}}"
 
 
 @dataclass
@@ -42,8 +61,10 @@ class PipelineConfig:
     # runtime
     workers: int = must(AT_LEAST_1, default=1)
     seed: int = 0
-    decoder_cmd: str | None = None  # e.g. "ffmpeg -i {input} -f wav -" for MP3 input
-    encoder_cmd: str | None = None  # e.g. "flac -s -f -o {output} {input}"
+    # e.g. "ffmpeg -i {input} -f wav -" for MP3 input
+    decoder_cmd: str | None = must(_command("input"), default=None)
+    # e.g. "flac -s -f -o {output} {input}"
+    encoder_cmd: str | None = must(_command("input", "output"), default=None)
     abbreviations_path: str | None = None
     rules_path: str | None = None
 

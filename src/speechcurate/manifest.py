@@ -399,7 +399,7 @@ def read_chapters(path: str | Path) -> list[ChapterRecord]:
 def writing(path: str | Path) -> Iterator[None]:
     """An OSError raised while making or writing the output `path` is a
     ConfigError naming it: a file in a directory's place, a directory in a
-    file's place, a missing directory."""
+    file's place, a missing directory, a full disk."""
     try:
         yield
     except OSError as exc:
@@ -411,19 +411,22 @@ def replacing(path: str | Path) -> Iterator[Path]:
     """Yield `.{stem}.partial{suffix}` beside `path`; move it onto `path` on a clean exit.
 
     A failed or interrupted write leaves `path` as it was and removes the
-    temporary file. The move runs under writing(path), so a directory at
-    `path` is a ConfigError; an OSError of the body is raised as it is. The
-    temporary file keeps the suffix, from which encoders such as ffmpeg pick
-    the format.
+    temporary file. The body, the move and the removal run under
+    writing(path): this is the one place where a fault of writing an output
+    becomes a ConfigError naming it, whatever the fault (a directory at
+    `path` or at the temporary name, a full disk) and wherever it is met.
+    A body that must keep a fault of its own apart raises it as something
+    other than an OSError. The temporary file keeps the suffix, from which
+    encoders such as ffmpeg pick the format.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.stem}.partial{path.suffix}")
-    try:
-        yield tmp
-        with writing(path):
+    with writing(path):
+        try:
+            yield tmp
             os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def write_manifest(

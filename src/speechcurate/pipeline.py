@@ -53,9 +53,12 @@ from .config import STAGE_ORDER, PipelineConfig, validate_config
 from .manifest import (
     ChapterRecord,
     ConfigError,
+    InvariantError,
     UtteranceRecord,
+    _round_seconds,
     as_written,
     from_typed,
+    input_error,
     read_chapters,
     read_jsonl,
     read_manifest,
@@ -284,38 +287,43 @@ def _audio_step(rec: UtteranceRecord, pcm: audiolib.PcmFile, ctx: _Context):
     # The source frame of the first kept sample; write_kept reads it only
     # where resampling kept the source's rate.
     first = start + round(trim.leading_removed_s * piece.sample_rate_hz)
-    out_path = ctx.out_dir / "audio" / f"{rec.utterance_id}.wav"
+    path = ctx.out_dir / "audio" / f"{rec.utterance_id}{'.flac' if cfg.encoder_cmd else '.wav'}"
     try:
-        if not cfg.encoder_cmd:
-            with replacing(out_path) as tmp:
+        with replacing(path) as tmp:
+            if cfg.encoder_cmd:
+                _encode(pcm, first, trim.trimmed, tmp, cfg.encoder_cmd)
+            else:
                 audiolib.write_kept(pcm, first, trim.trimmed, tmp)
-        else:
-            out_path = out_path.with_suffix(".flac")
-            try:
-                with replacing(out_path) as tmp:
-                    _encode(pcm, first, trim.trimmed, tmp, cfg.encoder_cmd)
-            except (OSError, subprocess.CalledProcessError) as exc:
-                return _Reject(rec, f"encode_failed:{exc.__class__.__name__}")
     except audiolib.AudioError as exc:  # the copy could not read the chapter again
         return _Reject(rec, _unreadable(exc))
+    except _EncoderFailed as exc:
+        return _Reject(rec, f"encode_failed:{exc}")
     return rec.with_fields(
-        audio_path=str(out_path.relative_to(ctx.out_dir)),
+        audio_path=str(path.relative_to(ctx.out_dir)),
         offset_s=0.0,
         duration_s=duration_s,
         trim_lead_s=round(trim.leading_removed_s, 4) or None,
     )
 
 
+class _EncoderFailed(Exception):
+    """encoder_cmd could not start or exited non-zero; the message is that fault's class."""
+
+
 def _encode(pcm: audiolib.PcmFile, first: int, buf: audiolib.AudioBuffer, out_path: Path,
             encoder_cmd: str) -> None:
     """Write buf (see audio.write_kept) as a WAV beside out_path and run
-    encoder_cmd on it into out_path."""
+    encoder_cmd on it into out_path. A fault of writing the WAV is an
+    OSError; a fault of the encoder's own is an _EncoderFailed."""
     wav_path = out_path.with_suffix(".wav")
     try:
         audiolib.write_kept(pcm, first, buf, wav_path)
         cmd = [part.format(input=str(wav_path), output=str(out_path))
                for part in shlex.split(encoder_cmd)]
-        subprocess.run(cmd, capture_output=True, check=True)
+        try:
+            subprocess.run(cmd, capture_output=True, check=True)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            raise _EncoderFailed(exc.__class__.__name__) from exc
     finally:
         wav_path.unlink(missing_ok=True)
 
@@ -430,8 +438,9 @@ def _stage_segment(records, ctx: _Context):
             pauses = segmentation.find_candidate_pauses(
                 track, rec.transcript, cfg.min_pause_s, ctx.abbreviations
             )
-            # a cut must land inside the kept audio
-            pauses = [p for p in pauses if 0.0 < p.midpoint_s < rec.duration_s]
+            # a cut must leave both children more than 0.0 s as a manifest writes them
+            pauses = [p for p in pauses if _round_seconds(p.midpoint_s) > 0
+                      and _round_seconds(rec.duration_s - p.midpoint_s) > 0]
             decision = segmentation.choose_split(
                 pauses, segmentation.utterance_seed(rec.utterance_id, cfg.seed)
             )
@@ -512,8 +521,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     or an output location: an invalid config, a bad utterances or chapters
     manifest or an out_dir that cannot be made, before any stage runs; a bad
     side input, when its stage starts (text, audio and bandwidth start
-    together, before any stage's outputs are written); an output that cannot
-    be written, such as a name a directory holds; and a stage's output record
+    together, before any stage's outputs are written); any fault while an
+    output is written (manifest.replacing), such as a full disk or a name a
+    directory holds; a value of an utterance that is invalid as a manifest
+    writes it, naming the file and the record; and a stage's output record
     that fails its validate(). Raises StageError when an enabled stage lacks
     its chapters manifest or side input. The worker pool is shut down before
     this returns or raises.
@@ -531,7 +542,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     enabled = [s for s in STAGE_ORDER if s in config.stages]
     # Each stage sees a value as a stage manifest would hold it, so a run
     # and a chain of one-stage runs over its manifests agree.
-    records = [as_written(rec) for rec in read_manifest(config.utterances_manifest)]
+    records = read_manifest(config.utterances_manifest)
+    for i, rec in enumerate(records):
+        try:
+            records[i] = as_written(rec)
+        except InvariantError as exc:  # a value that is invalid as written
+            raise input_error(exc, f"{config.utterances_manifest}: {rec.utterance_id!r}") from exc
     chapter_stages = (_chapter_stages(records, ctx)
                       if not {"text", "audio", "bandwidth"}.isdisjoint(enabled) else {})
     reports: list[StageReport] = []

@@ -295,6 +295,14 @@ CONDITIONS = [
     (config.PipelineConfig, "max_cer_pct", [0, INF], -0.0001,
      "max_cer_pct: must be >= 0, got -0.0001"),
     (config.PipelineConfig, "workers", [1], 0, "workers: must be >= 1, got 0"),
+    (config.PipelineConfig, "decoder_cmd",
+     [None, "cat {input}", "sh -c 'exec cat \"$0\"' {input}"], "cat {input} {output}",
+     "decoder_cmd: must be a command using no placeholder but {input}, "
+     "got 'cat {input} {output}'"),
+    (config.PipelineConfig, "encoder_cmd",
+     [None, "flac -s -f -o {output} {input}", "cp {input} x"], "cp {input} {out}",
+     "encoder_cmd: must be a command using no placeholder but {input} and {output}, "
+     "got 'cp {input} {out}'"),
 ]
 
 

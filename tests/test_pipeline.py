@@ -52,6 +52,7 @@ from speechcurate.pipeline import (
 
 from conftest import lowpassed_noise
 from corpus_harness import build_corpus, make_config
+from test_curation import eval_fixture
 
 
 @pytest.fixture(scope="module")
@@ -1083,6 +1084,17 @@ class TestConfig:
                               ("target_sample_rate_hz", 10**400),
                               ("bandwidth_threshold_db", -10**400))),
         ({"stages": ["audio", "trim", "asr"]}, "stages: unknown stage names ['trim', 'asr']"),
+        # A command must split into words and use only the placeholders its stage fills.
+        *(pytest.param({key: cmd}, f"{key}: must be a command using no placeholder but "
+                       f"{names}, got {cmd!r}", id=f"{key}-{case}")
+          for key, names, case, cmd in (
+              ("decoder_cmd", "{input}", "output", "cat {input} {output}"),
+              ("decoder_cmd", "{input}", "positional", "cat {}"),
+              ("decoder_cmd", "{input}", "open-quote", "cat '{input}"),
+              ("decoder_cmd", "{input}", "open-brace", "cat {input"),
+              ("decoder_cmd", "{input}", "empty", ""),
+              ("encoder_cmd", "{input} and {output}", "unknown", "cp {input} {out}"),
+              ("encoder_cmd", "{input} and {output}", "blank", "  "))),
     ])
     def test_wrong_type_is_config_error(self, corpus, tmp_path, override, message):
         config_path = tmp_path / "config.yaml"
@@ -1696,7 +1708,8 @@ FAULTS = [
                  id="utterance-duration-infinite"),
     # 0.00004 s is 0.0 at a manifest's 4 decimals, which no stage may run on.
     pytest.param(["audio"], _utterance_1(duration_s=4e-05),
-                 1, "duration_s: must be > 0, got 0.0", id="utterance-duration-below-precision"),
+                 1, "config error: {path}: 'ch0_0000': duration_s: must be > 0, got 0.0",
+                 id="utterance-duration-below-precision"),
     pytest.param(["audio"], _utterance_1(offset_s=10**400),
                  1, "config error: {path}:1: offset_s: must be finite, got 1" + "0" * 400,
                  id="utterance-offset-beyond-float"),
@@ -1798,6 +1811,27 @@ def test_split_never_writes_a_taken_id(tmp_path):
     assert json.loads(rejects)["utterance_id"] == "u1"
 
 
+@pytest.mark.parametrize("trim_lead_s,words", [
+    # After the 0.04 s shift the pause runs from -0.04 to 0.04001: its midpoint,
+    # 0.000005 s, would give u1_a 0.0 s as written.
+    (0.04, [("Hello.", 0.0, 0.0), ("World.", 0.08001, 1.9)]),
+    # The midpoint 1.99996 s would give u1_b 0.00004 s: 0.0 s as written.
+    (None, [("Hello.", 0.0, 1.95992), ("World.", 2.04, 2.1)]),
+], ids=["near-start", "near-end"])
+def test_split_never_writes_a_child_of_no_duration(tmp_path, trim_lead_s, words):
+    rec = UtteranceRecord("u1", "b1", "c1", "s1", "a.wav", 0.0, 2.0, trim_lead_s=trim_lead_s,
+                          raw_text="hello world", text="Hello. World.")
+    write_manifest([rec], tmp_path / "utts.jsonl")
+    tokens = [{"word": w, "start": s, "end": e} for w, s, e in words]
+    (tmp_path / "al.jsonl").write_text(json.dumps({"utterance_id": "u1", "tokens": tokens}) + "\n")
+    config = PipelineConfig(utterances_manifest=str(tmp_path / "utts.jsonl"),
+                            alignments_path=str(tmp_path / "al.jsonl"),
+                            out_dir=str(tmp_path / "out"), stages=["segment"])
+    result = run_pipeline(config)
+    assert result.exit_code == 0
+    assert read_manifest(result.final_manifest) == [rec]
+
+
 def _file_at(*parts):
     """Make the file out_dir/parts... and return its path."""
     def plant(out):
@@ -1857,6 +1891,90 @@ def test_directory_at_encoder_output_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match=re.escape(f"{flac}: cannot write: Is a directory")):
         run_pipeline(config)
     assert [p for p in tmp_path.rglob("*") if ".partial" in p.name] == []
+
+
+def _running(stages, encoder=None):
+    """The arguments of a `run` of stages over a corpus, writing into out."""
+    def args(tmp_path, out, final):
+        config = make_config(build_corpus(tmp_path / "corpus", n_utts_per_chapter=1), out,
+                             workers=2)
+        config.stages = stages
+        config.encoder_cmd = encoder
+        config.to_yaml(tmp_path / "config.yaml")
+        return ["run", "--config", str(tmp_path / "config.yaml")]
+    return args
+
+
+def _curating(command, option):
+    """The arguments of a curation command writing out/final through option."""
+    def args(tmp_path, out, final):
+        write_manifest(eval_fixture(), tmp_path / "m.jsonl")
+        (tmp_path / "spec.json").write_text("{}")
+        spec = ["--spec", str(tmp_path / "spec.json")] if command == "subset" else []
+        return [command, "--manifest", str(tmp_path / "m.jsonl"), *spec, option, str(out / final)]
+    return args
+
+
+_HAS_DEV_FULL = os.path.exists("/dev/full")
+
+
+# A fault planted at the temporary name an output is written to: a directory
+# there, or a symlink there to /dev/full, where every write fails for want of space.
+@pytest.mark.parametrize("kind,strerror", [
+    pytest.param("directory", "Is a directory", id="directory"),
+    pytest.param("full", "No space left on device", id="full",
+                 marks=pytest.mark.skipif(not _HAS_DEV_FULL, reason="no /dev/full")),
+])
+@pytest.mark.parametrize("args,final,partial", [
+    (_running(["text"]), "manifest.00_text.jsonl", ".manifest.00_text.partial.jsonl"),
+    # Every record lacks a hypothesis here, so the rejects file is written.
+    (_running(["validate"]), "rejects.validate.jsonl", ".rejects.validate.partial.jsonl"),
+    (_running(["text"]), "report.text.json", ".report.text.partial.json"),
+    (_running(["audio"]), "audio/ch0_0000.wav", "audio/.ch0_0000.partial.wav"),
+    # The WAV written for the encoder is named after the FLAC's temporary name.
+    (_running(["audio"], "cp {input} {output}"), "audio/ch0_0000.flac",
+     "audio/.ch0_0000.partial.wav"),
+    (_curating("stats", "--csv"), "stats.csv", ".stats.partial.csv"),
+    (_curating("subset", "--out"), "subset.jsonl", ".subset.partial.jsonl"),
+    (_curating("splits", "--out"), "plans.json", ".plans.partial.json"),
+], ids=["stage-manifest", "rejects", "report", "wav", "encoder-wav", "stats-csv", "subset",
+        "splits"])
+def test_output_that_cannot_be_written_is_config_error(tmp_path, args, final, partial, kind,
+                                                       strerror):
+    out = tmp_path / "out"
+    argv = args(tmp_path, out, final)
+    (out / final).parent.mkdir(parents=True)
+    (out / final).write_text("old\n")
+    if kind == "directory":
+        (out / partial).mkdir()
+    else:
+        (out / partial).symlink_to("/dev/full")
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert f"config error: {out / final}: cannot write: {strerror}" in result.output
+    assert "Traceback" not in result.output
+    assert (out / final).read_text() == "old\n"
+    left = [p for p in tmp_path.rglob("*") if ".partial" in p.name]
+    assert left == ([out / partial] if kind == "directory" else [])
+
+
+@pytest.mark.skipif(not _HAS_DEV_FULL, reason="no /dev/full")
+def test_full_disk_at_encoder_output_is_the_encoders_fault(tmp_path):
+    # The encoder writes the FLAC itself, so a fault there is one of the
+    # encoder's own: the record is rejected and the run goes on.
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+    config = make_config(root, tmp_path / "out")
+    config.stages = ["audio"]
+    config.encoder_cmd = "cp {input} {output}"
+    audio = tmp_path / "out" / "audio"
+    audio.mkdir(parents=True)
+    (audio / ".ch0_0000.partial.flac").symlink_to("/dev/full")
+    result = run_pipeline(config)
+    assert result.exit_code == EXIT_PARTIAL
+    assert result.reports[0].drop_reasons == {"encode_failed:CalledProcessError": 1}
+    assert sorted(p.name for p in audio.iterdir()) == ["ch1_0000.flac", "ch2_0000.flac",
+                                                      "ch3_0000.flac"]
 
 
 def test_record_below_manifest_precision_is_empty_after_trim(tmp_path):
