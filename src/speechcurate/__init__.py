@@ -40,7 +40,7 @@ from .manifest import (
 )
 from .segmentation import (
     AlignmentToken,
-    SplitDecision,
+    Pause,
     apply_split,
     choose_split,
     find_candidate_pauses,

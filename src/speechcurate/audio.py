@@ -50,7 +50,6 @@ class TrimResult:
     trimmed: AudioBuffer
     leading_removed_s: float
     trailing_removed_s: float
-    empty_after_trim: bool = False
 
 
 _WAVE_FORMAT_PCM = 0x0001
@@ -529,7 +528,6 @@ def trim_silence(
             trimmed=AudioBuffer(samples=x[:0], sample_rate_hz=sr),
             leading_removed_s=buf.duration_s,
             trailing_removed_s=0.0,
-            empty_after_trim=True,
         )
     keep = to_frames(max_edge_silence_s, sr, len(x))
     # Refine the frame-level boundaries to sample precision. An active frame

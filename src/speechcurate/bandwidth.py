@@ -8,7 +8,7 @@ the original Nyquist falls far below that threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class PowerSpectrum:
 @dataclass(frozen=True)
 class BandwidthEstimate:
     f_max_hz: float
-    peak_power: float
-    threshold_db: float = DEFAULT_THRESHOLD_DB
-    analyzed_s: float = DEFAULT_ANALYSIS_S
     degenerate: bool = False
 
 
@@ -88,13 +85,10 @@ def estimate_bandwidth(
     """Highest bin whose power is within threshold_db of the spectral peak."""
     peak = float(spec.psd.max()) if len(spec.psd) else 0.0
     if peak <= 0.0:
-        return BandwidthEstimate(
-            f_max_hz=0.0, peak_power=0.0, threshold_db=threshold_db, degenerate=True
-        )
+        return BandwidthEstimate(f_max_hz=0.0, degenerate=True)
     admitted = np.nonzero(spec.psd >= peak * 10.0 ** (threshold_db / 10.0))[0]
     f_max = float(admitted[-1] * spec.bin_hz)
-    return BandwidthEstimate(f_max_hz=min(f_max, spec.nyquist_hz),
-                             peak_power=peak, threshold_db=threshold_db)
+    return BandwidthEstimate(f_max_hz=min(f_max, spec.nyquist_hz))
 
 
 def chapter_bandwidth(
@@ -110,7 +104,6 @@ def chapter_bandwidth(
     than one analysis window gives a degenerate estimate.
     """
     head = buf.samples[: audiolib.to_frames(analyze_s, buf.sample_rate_hz, buf.num_frames)]
-    analyzed_s = len(head) / buf.sample_rate_hz
     # Slice before mixing down: the mean is per frame, so only the analysed
     # head needs mixing. Called through the audio module so that wrappers
     # installed there (the benchmark's tracer) see these calls.
@@ -119,7 +112,5 @@ def chapter_bandwidth(
     try:
         spec = mean_power_spectrum(head_buf)
     except BandwidthError:
-        return BandwidthEstimate(f_max_hz=0.0, peak_power=0.0, threshold_db=threshold_db,
-                                 analyzed_s=analyzed_s, degenerate=True)
-    est = estimate_bandwidth(spec, threshold_db=threshold_db)
-    return replace(est, analyzed_s=analyzed_s)
+        return BandwidthEstimate(f_max_hz=0.0, degenerate=True)
+    return estimate_bandwidth(spec, threshold_db=threshold_db)

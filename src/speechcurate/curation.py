@@ -3,16 +3,12 @@
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .manifest import (AT_LEAST_0, SubsetSpec, UtteranceRecord, from_typed, must, read_jsonl,
-                       replacing)
+from .manifest import AT_LEAST_0, SubsetSpec, UtteranceRecord, must, replacing
 from .segmentation import _splitmix64
-
-logger = logging.getLogger(__name__)
 
 
 class CurationError(Exception):
@@ -35,38 +31,16 @@ class Triplet:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    split_name: str  # train | dev_seen | test_seen | dev_unseen | test_unseen
+    split_name: str  # train | dev_seen | test_seen
     utterance_ids: tuple[str, ...]
 
 
-def load_speaker_counts(path: str | Path) -> list[SpeakerCountRecord]:
-    return read_jsonl(path, lambda obj: from_typed(SpeakerCountRecord, obj),
-                      unique="utterance_id")
-
-
 def apply_speaker_counts(
-    records: list[UtteranceRecord], counts: list[SpeakerCountRecord]
+    records: list[UtteranceRecord], counts: dict[str, int]
 ) -> list[UtteranceRecord]:
-    """Stamp diarization speaker counts onto records by utterance_id."""
-    by_id: dict[str, int] = {}
-    for c in counts:
-        if c.utterance_id in by_id:
-            raise CurationError(f"duplicate speaker count for {c.utterance_id!r}")
-        by_id[c.utterance_id] = c.num_speakers
-    if not by_id:
-        logger.warning("speaker count input is empty; records left unchanged")
-        return list(records)
-    out = []
-    missing = 0
-    for rec in records:
-        if rec.utterance_id in by_id:
-            out.append(rec.with_fields(num_speakers=by_id[rec.utterance_id]))
-        else:
-            missing += 1
-            out.append(rec)
-    if missing:
-        logger.warning("no speaker count for %d of %d utterances", missing, len(records))
-    return out
+    """Stamp {utterance_id: speaker count} onto records; a record without one is kept as is."""
+    return [rec.with_fields(num_speakers=counts[rec.utterance_id])
+            if rec.utterance_id in counts else rec for rec in records]
 
 
 def build_subset(records: list[UtteranceRecord], spec: SubsetSpec) -> list[UtteranceRecord]:
@@ -196,8 +170,6 @@ UTTERANCES_PER_SPEAKER_PER_SPLIT = 20
 def sample_eval_splits(
     records: list[UtteranceRecord],
     rng_seed: int = 0,
-    unseen_dev: list[UtteranceRecord] | None = None,
-    unseen_test: list[UtteranceRecord] | None = None,
 ) -> dict[str, SplitPlan]:
     """Sample seen-speaker dev/test plans of 1000 utterances each.
 
@@ -240,20 +212,11 @@ def sample_eval_splits(
 
     held_out = set(dev_ids) | set(test_ids)
     train_ids = [r.utterance_id for r in records if r.utterance_id not in held_out]
-    train_speakers = {r.speaker_id for r in records if r.utterance_id not in held_out}
-    plans = {
+    return {
         "train": SplitPlan("train", tuple(train_ids)),
         "dev_seen": SplitPlan("dev_seen", tuple(dev_ids)),
         "test_seen": SplitPlan("test_seen", tuple(test_ids)),
     }
-    for name, pool in (("dev_unseen", unseen_dev), ("test_unseen", unseen_test)):
-        if pool is None:
-            continue
-        overlap = {r.speaker_id for r in pool} & train_speakers
-        if overlap:
-            raise CurationError(f"{name} shares speakers with train: {sorted(overlap)[:5]}")
-        plans[name] = SplitPlan(name, tuple(r.utterance_id for r in pool))
-    return plans
 
 
 def _select_speakers(qualified: dict[str, list[UtteranceRecord]], rng: _Rng) -> list[str]:

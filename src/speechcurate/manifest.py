@@ -59,6 +59,10 @@ ABOVE_0 = (functools.partial(operator.lt, 0), "must be > 0, got {}")
 AT_MOST_0 = (functools.partial(operator.ge, 0), "must be <= 0, got {}")
 AT_LEAST_1 = (functools.partial(operator.le, 1), "must be >= 1, got {}")
 NON_EMPTY = (bool, "must be non-empty")
+# An utterance id names out_dir/audio/<id>.wav, so it must be one file name
+# there; no leading "." also rules out ".." and replacing's temporary names.
+FILE_NAME = (lambda value: "/" not in value and "\0" not in value and not value.startswith("."),
+             "must be a file name: no '/', no NUL and no leading '.', got {!r}")
 
 
 def one_of(values: tuple) -> tuple:
@@ -209,7 +213,7 @@ class UtteranceRecord:
     `extra` and written after them, sorted by key.
     """
 
-    utterance_id: str = must(NON_EMPTY)
+    utterance_id: str = must(NON_EMPTY, FILE_NAME)
     book_id: str
     chapter_id: str
     speaker_id: str

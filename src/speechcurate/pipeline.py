@@ -9,35 +9,21 @@ worker count never affects output bytes.
 Each record read is first given its values as a stage manifest would hold
 them (manifest.as_written), so a run and a chain of one-stage runs over each
 other's manifests write the same bytes.
-The text, audio and bandwidth stages run as one chapter pass before the
-first stage's outputs are written, when any of them is enabled. The pass
-opens with one set-up block on the calling thread: it reads the chapters
-manifest, then the predicted-PC map when text runs with one, makes `audio`
-under out_dir when audio runs, and starts one pool of `workers` threads, at
-every worker count. Chapters are loaded in chapter order on the calling
-thread, each once: its cleaned book text when text runs, and its opened
-audio when audio runs and text has not rejected it. The next chapter loads
-while the last one's records run, and at most min(2, workers) chapters are
-alive at once. The opened audio is one descriptor, of the WAV file or of
-decoder output spooled to a temporary file, from which each worker preads
-only its own record's frames. Each record runs the text step, then the audio
-step, each a plain function of (record, its chapter's input, ctx), on one
-worker, and stops at its first reject. A chapter's bandwidth estimate is one
-more task, queued ahead of its records: on the audio the chapter holds, so
-it is opened and decoded once, or, without audio, on the chapter it opens
-itself. A bandwidth-only run loads nothing on the calling thread, so up to
-`workers` estimates run at once. The calling thread stamps the estimates.
-Each stage's version of a record is kept until its manifest is written, and
-nothing decoded outlives the pass. Segment and validate run on the calling
-thread: their per-record work is pure Python, which holds the interpreter
-lock.
+The text, audio and bandwidth stages run as one chapter pass on one pool of
+`workers` threads (_chapter_stages), before the first stage's outputs are
+written. Each stage's version of a record is kept until its manifest is
+written, and nothing decoded outlives the pass. Segment and validate run on
+the calling thread: their per-record work is pure Python, which holds the
+interpreter lock.
 """
 
 from __future__ import annotations
 
 import ctypes
+import errno
 import json
 import logging
+import os
 import shlex
 import subprocess
 from collections import deque
@@ -190,7 +176,7 @@ class _PredictedText:
     text: str
 
 
-def _load_jsonl_map(path: str | Path, cls, value: str) -> dict[str, str]:
+def _load_jsonl_map(path: str | Path, cls, value: str) -> dict:
     """{utterance_id: line.value} over a JSONL file of cls lines."""
     lines = read_jsonl(path, lambda obj: from_typed(cls, obj), unique="utterance_id")
     return {line.utterance_id: getattr(line, value) for line in lines}
@@ -313,8 +299,10 @@ class _EncoderFailed(Exception):
 def _encode(pcm: audiolib.PcmFile, first: int, buf: audiolib.AudioBuffer, out_path: Path,
             encoder_cmd: str) -> None:
     """Write buf (see audio.write_kept) as a WAV beside out_path and run
-    encoder_cmd on it into out_path. A fault of writing the WAV is an
-    OSError; a fault of the encoder's own is an _EncoderFailed."""
+    encoder_cmd on it into out_path. A fault of writing the WAV, or an
+    encoder that leaves no regular file at out_path (a directory there, say,
+    which replacing would move into place), is an OSError; a fault of the
+    encoder's own is an _EncoderFailed."""
     wav_path = out_path.with_suffix(".wav")
     try:
         audiolib.write_kept(pcm, first, buf, wav_path)
@@ -324,6 +312,9 @@ def _encode(pcm: audiolib.PcmFile, first: int, buf: audiolib.AudioBuffer, out_pa
             subprocess.run(cmd, capture_output=True, check=True)
         except (OSError, subprocess.CalledProcessError) as exc:
             raise _EncoderFailed(exc.__class__.__name__) from exc
+        if not out_path.is_file():
+            code = errno.EISDIR if out_path.is_dir() else errno.ENOENT
+            raise OSError(code, os.strerror(code))
     finally:
         wav_path.unlink(missing_ok=True)
 
@@ -441,10 +432,10 @@ def _stage_segment(records, ctx: _Context):
             # a cut must leave both children more than 0.0 s as a manifest writes them
             pauses = [p for p in pauses if _round_seconds(p.midpoint_s) > 0
                       and _round_seconds(rec.duration_s - p.midpoint_s) > 0]
-            decision = segmentation.choose_split(
+            pause = segmentation.choose_split(
                 pauses, segmentation.utterance_seed(rec.utterance_id, cfg.seed)
             )
-            children = segmentation.apply_split(rec, decision, track)
+            children = segmentation.apply_split(rec, pause)
         except segmentation.AlignmentError as exc:
             return _Reject(rec, f"alignment_mismatch:{exc}")
         # A child named like an input record would write its id twice.
@@ -480,10 +471,11 @@ def _stage_validate(records, ctx: _Context):
 
 def _stage_speakers(records, ctx: _Context):
     path = _side_input(ctx, "speakers", "speaker_counts_path", "speaker counts")
-    counts = curation.load_speaker_counts(path)
+    counts = _load_jsonl_map(path, curation.SpeakerCountRecord, "num_speakers")
+    missing = sum(rec.utterance_id not in counts for rec in records)
+    if missing:
+        logger.warning("no speaker count for %d of %d utterances", missing, len(records))
     tagged = curation.apply_speaker_counts(records, counts)
-    counted = {c.utterance_id for c in counts}
-    missing = sum(rec.utterance_id not in counted for rec in tagged)
     return tagged, [], ({"no_speaker_count": missing} if missing else {})
 
 

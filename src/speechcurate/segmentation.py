@@ -69,13 +69,6 @@ class Pause:
         return (self.gap_start_s + self.gap_end_s) / 2.0
 
 
-@dataclass(frozen=True)
-class SplitDecision:
-    split_point_s: float | None
-    candidate_pauses: tuple[Pause, ...]
-    chosen_index: int | None
-
-
 def load_default_abbreviations() -> frozenset[str]:
     return load_abbreviations(Path(__file__).parent / "data" / "abbreviations.txt")
 
@@ -140,20 +133,13 @@ def utterance_seed(utterance_id: str, global_seed: int = 0) -> int:
     return int.from_bytes(digest, "big") ^ (global_seed & 0xFFFFFFFFFFFFFFFF)
 
 
-def choose_split(pauses: list[Pause], rng_seed: int = 0) -> SplitDecision:
-    """Pick the longest pause; break exact-duration ties pseudo-randomly."""
-    candidates = tuple(pauses)
-    if not candidates:
-        return SplitDecision(None, candidates, None)
-    longest = max(p.duration_s for p in candidates)
-    maximal = [i for i, p in enumerate(candidates) if p.duration_s == longest]
-    pick = maximal[_splitmix64(rng_seed) % len(maximal)]
-    chosen = candidates[pick]
-    return SplitDecision(
-        split_point_s=chosen.midpoint_s,
-        candidate_pauses=candidates,
-        chosen_index=pick,
-    )
+def choose_split(pauses: list[Pause], rng_seed: int = 0) -> Pause | None:
+    """The longest pause, exact-duration ties broken pseudo-randomly; None without one."""
+    if not pauses:
+        return None
+    longest = max(p.duration_s for p in pauses)
+    maximal = [p for p in pauses if p.duration_s == longest]
+    return maximal[_splitmix64(rng_seed) % len(maximal)]
 
 
 def _exact_partition(total: float, first: float) -> tuple[float, float]:
@@ -169,25 +155,20 @@ def _exact_partition(total: float, first: float) -> tuple[float, float]:
     raise ArithmeticError(f"could not partition {total} at {first}")
 
 
-def apply_split(
-    rec: UtteranceRecord,
-    decision: SplitDecision,
-    track: list[AlignmentToken],
-) -> list[UtteranceRecord]:
-    """Split a record in two at the decided point; identity when no split.
+def apply_split(rec: UtteranceRecord, pause: Pause | None) -> list[UtteranceRecord]:
+    """Split a record in two at the pause's midpoint; identity when pause is None.
 
-    Children get ids suffixed _a/_b, transcripts partitioned at the period
-    boundary, inherited metadata copied, and WER/CER cleared for
+    Children get ids suffixed _a/_b, transcripts partitioned after the
+    pause's word, inherited metadata copied, and WER/CER cleared for
     recomputation.
     """
-    if decision.split_point_s is None:
+    if pause is None:
         return [rec]
-    sp = decision.split_point_s
+    sp = pause.midpoint_s
     if not 0.0 < sp < rec.duration_s:
         raise AlignmentError(
             f"{rec.utterance_id}: split point {sp} outside (0, {rec.duration_s})"
         )
-    pause = decision.candidate_pauses[decision.chosen_index]
     boundary = pause.word_index
     words = rec.transcript.split()
     text_a = " ".join(words[: boundary + 1])

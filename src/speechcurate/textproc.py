@@ -62,9 +62,7 @@ def strip_pc(text: str) -> str:
 @dataclass(frozen=True)
 class TranscriptMatch:
     matched: bool
-    book_span: tuple[int, int] | None = None
     restored_text: str | None = None
-    multiple_occurrences: bool = False
 
 
 def match_transcript(
@@ -72,7 +70,7 @@ def match_transcript(
     chapter_text: str,
     chapter_norm: tuple[str, list[int]] | None = None,
 ) -> TranscriptMatch:
-    """Find the transcript as a word-boundary substring of the chapter text.
+    """Find the transcript's first occurrence as a word-boundary substring of the chapter.
 
     On success returns the original punctuated slice of the chapter, expanded
     over punctuation attached to the edge words. On failure the caller tags
@@ -90,7 +88,6 @@ def match_transcript(
     pos = hay.find(needle)
     if pos < 0:
         return TranscriptMatch(matched=False)
-    multiple = hay.find(needle, pos + 1) >= 0
     n_start, n_end = pos, pos + len(query)  # span in norm
     o_start = omap[n_start]
     o_end = omap[n_end - 1] + 1
@@ -101,12 +98,7 @@ def match_transcript(
     while o_end < len(chapter_text) and not chapter_text[o_end].isspace() \
             and _is_punct(chapter_text[o_end]):
         o_end += 1
-    return TranscriptMatch(
-        matched=True,
-        book_span=(o_start, o_end),
-        restored_text=chapter_text[o_start:o_end],
-        multiple_occurrences=multiple,
-    )
+    return TranscriptMatch(matched=True, restored_text=chapter_text[o_start:o_end])
 
 
 @dataclass(frozen=True)
@@ -169,15 +161,11 @@ def clean_formatting(text: str, rules: NormalizationRules | None = None) -> str:
 _WORD_CORE_RE = re.compile(r"^(\W*)(.*?)(\W*)$", re.DOTALL)
 
 
-def normalize_spoken(
-    text: str,
-    rules: NormalizationRules | None = None,
-    flagged: list[str] | None = None,
-) -> str:
+def normalize_spoken(text: str, rules: NormalizationRules | None = None) -> str:
     """Expand abbreviations to spoken forms, preserving capitalization.
 
     Tokens containing digits or symbols with no covering rule pass through
-    unchanged and are appended to `flagged` when a list is supplied.
+    unchanged.
     """
     rules = rules or default_rules()
     out_tokens = []
@@ -196,8 +184,6 @@ def normalize_spoken(
                 expansion = expansion[:1].upper() + expansion[1:]
             out_tokens.append(prefix + expansion + suffix)
             continue
-        if flagged is not None and core and not core.replace("-", "").isalpha():
-            flagged.append(token)
         out_tokens.append(token)
     return " ".join(out_tokens)
 

@@ -206,8 +206,7 @@ def _segmentation_fixture(n=200):
 def _segment_one(case, seed=0):
     rec, tokens, _ = case
     pauses = find_candidate_pauses(tokens, rec.text, abbreviations=ABBREVS)
-    decision = choose_split(pauses, utterance_seed(rec.utterance_id, seed))
-    return apply_split(rec, decision, tokens)
+    return apply_split(rec, choose_split(pauses, utterance_seed(rec.utterance_id, seed)))
 
 
 def test_criterion_4_segmentation_trace():

@@ -469,7 +469,6 @@ class TestTrimSilence:
         sr = 16000
         buf = AudioBuffer(silence_tone_silence(2.0, 1.0, 2.0, sr), sr)
         result = trim_silence(buf)
-        assert not result.empty_after_trim
         assert result.trimmed.duration_s == pytest.approx(2.0, abs=2 * self.HOP)
         assert result.leading_removed_s == pytest.approx(1.5, abs=2 * self.HOP)
         assert result.trailing_removed_s == pytest.approx(1.5, abs=2 * self.HOP)
@@ -492,7 +491,6 @@ class TestTrimSilence:
                                       (with_nan, 50.0)]:
             buf = AudioBuffer(samples, 16000)
             result = trim_silence(buf, threshold_db=threshold_db)
-            assert result.empty_after_trim
             assert result.trimmed.num_frames == 0
             assert result.leading_removed_s == buf.duration_s
             assert result.trailing_removed_s == 0.0

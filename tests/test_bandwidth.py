@@ -115,22 +115,22 @@ class TestEstimateBandwidth:
 class TestChapterBandwidth:
     def test_analyzes_first_30s_only(self):
         sr = 22050
-        # 30 s of wideband noise then 30 s of silence; head-only analysis
+        # 30 s of 10 kHz noise then 30 s of full-band noise: the tail, whose
+        # estimate is higher, changes nothing
         head = lowpassed_noise(10000, 30.0, sr, seed=2)
-        tail = np.zeros(sr * 30)
+        tail = lowpassed_noise(sr / 2, 30.0, sr, seed=5)
         est = chapter_bandwidth(AudioBuffer(np.concatenate([head, tail]), sr), sr)
-        assert est.analyzed_s == pytest.approx(30.0)
-        assert est.f_max_hz > 9000
+        assert est == chapter_bandwidth(AudioBuffer(head, sr), sr)
+        assert 9000 < est.f_max_hz < chapter_bandwidth(AudioBuffer(tail, sr), sr).f_max_hz
 
     def test_short_file_uses_all(self):
         sr = 22050
-        est = chapter_bandwidth(AudioBuffer(lowpassed_noise(8000, 10.0, sr, seed=3), sr), sr)
-        assert est.analyzed_s == pytest.approx(10.0)
+        buf = AudioBuffer(lowpassed_noise(8000, 10.0, sr, seed=3), sr)
+        assert chapter_bandwidth(buf, sr) == estimate_bandwidth(mean_power_spectrum(buf))
 
     def test_shorter_than_one_window_degenerate(self):
         est = chapter_bandwidth(AudioBuffer(sine(1000, 1000 / 44100, 44100), 44100), 44100)
         assert est.degenerate
-        assert est.analyzed_s == pytest.approx(1000 / 44100)
 
     def test_utterances_inherit_estimate(self):
         sr = 44100

@@ -13,11 +13,11 @@ from speechcurate.curation import (
     build_subset,
     build_triplets,
     corpus_stats,
-    load_speaker_counts,
     sample_eval_splits,
 )
 from speechcurate.cli import main
-from speechcurate.manifest import SubsetSpec, UtteranceRecord, write_manifest
+from speechcurate.manifest import ManifestError, SubsetSpec, UtteranceRecord, write_manifest
+from speechcurate.pipeline import _load_jsonl_map
 
 
 def make_record(utterance_id, speaker_id="s1", duration_s=10.0, bandwidth_hz=14000,
@@ -46,29 +46,36 @@ def make_record(utterance_id, speaker_id="s1", duration_s=10.0, bandwidth_hz=140
 class TestSpeakerCounts:
     def test_single_speaker_tagged(self):
         records = [make_record("u1", num_speakers=None)]
-        out = apply_speaker_counts(records, [SpeakerCountRecord("u1", 1)])
+        out = apply_speaker_counts(records, {"u1": 1})
         assert out[0].num_speakers == 1
 
     def test_multi_speaker_retained_but_gated(self):
         records = [make_record("u1", num_speakers=None)]
-        out = apply_speaker_counts(records, [SpeakerCountRecord("u1", 2)])
+        out = apply_speaker_counts(records, {"u1": 2})
         assert out[0].num_speakers == 2
         gated = build_subset(out, SubsetSpec(max_num_speakers=1))
         assert gated == []
 
     def test_empty_counts_leaves_unchanged(self):
         records = [make_record("u1", num_speakers=None)]
-        assert apply_speaker_counts(records, []) == records
+        assert apply_speaker_counts(records, {}) == records
 
-    def test_duplicate_counts_rejected(self):
-        with pytest.raises(CurationError, match="duplicate"):
-            apply_speaker_counts([], [SpeakerCountRecord("u1", 1),
-                                      SpeakerCountRecord("u1", 2)])
+    def test_record_without_count_unchanged(self):
+        records = [make_record("u1", num_speakers=None), make_record("u2", num_speakers=None)]
+        assert apply_speaker_counts(records, {"u2": 3}) == [
+            records[0], records[1].with_fields(num_speakers=3)]
+
+    def test_duplicate_counts_rejected(self, tmp_path):
+        path = tmp_path / "counts.jsonl"
+        path.write_text('{"utterance_id": "u1", "num_speakers": 1}\n'
+                        '{"utterance_id": "u1", "num_speakers": 2}\n')
+        with pytest.raises(ManifestError, match=":2: duplicate utterance_id 'u1'"):
+            _load_jsonl_map(path, SpeakerCountRecord, "num_speakers")
 
     def test_jsonl_loader(self, tmp_path):
         path = tmp_path / "counts.jsonl"
         path.write_text('{"utterance_id": "u1", "num_speakers": 2}\n')
-        assert load_speaker_counts(path) == [SpeakerCountRecord("u1", 2)]
+        assert _load_jsonl_map(path, SpeakerCountRecord, "num_speakers") == {"u1": 2}
 
 
 class TestBuildSubset:
@@ -414,14 +421,6 @@ class TestEvalSplits:
             speakers = sorted({uid.split("_")[0] for uid in plans[name].utterance_ids})
             assert speakers == [f"s{s:03d}" for s in range(44)] + unknown
 
-    def test_unseen_pools_pass_through(self):
-        fixture = eval_fixture()
-        unseen = [make_record(f"unseen_{i}", speaker_id=f"x{i % 5}") for i in range(30)]
-        plans = sample_eval_splits(fixture, rng_seed=2,
-                                   unseen_dev=unseen[:15], unseen_test=unseen[15:])
-        assert len(plans["dev_unseen"].utterance_ids) == 15
-        assert len(plans["test_unseen"].utterance_ids) == 15
-
     def test_cli_writes_plans(self, tmp_path):
         fixture = eval_fixture()
         manifest = tmp_path / "m.jsonl"
@@ -436,13 +435,6 @@ class TestEvalSplits:
         assert out.read_text() == json.dumps(
             {name: list(plan.utterance_ids) for name, plan in plans.items()},
             indent=2, sort_keys=True) + "\n"
-
-    def test_unseen_speaker_overlap_rejected(self):
-        # 48 utts per speaker: 40 are held out, so every speaker stays in train
-        fixture = eval_fixture(utts_per_speaker=48)
-        bad = [make_record("clash", speaker_id="s000")]
-        with pytest.raises(CurationError, match="shares speakers"):
-            sample_eval_splits(fixture, rng_seed=2, unseen_dev=bad)
 
 
 class TestCorpusStats:

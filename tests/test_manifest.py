@@ -241,6 +241,8 @@ VALID = {
 # pass, a value just past it, and the message that value gives.
 CONDITIONS = [
     (UtteranceRecord, "utterance_id", ["u"], "", "utterance_id: must be non-empty"),
+    (UtteranceRecord, "utterance_id", ["u", "u.v", "u..v", "u\\v", "u_a"], "../escape",
+     "utterance_id: must be a file name: no '/', no NUL and no leading '.', got '../escape'"),
     (UtteranceRecord, "offset_s", [BIG], INF, "offset_s: must be finite, got inf"),
     (UtteranceRecord, "offset_s", [0], -0.0001, "offset_s: must be >= 0, got -0.0001"),
     (UtteranceRecord, "duration_s", [BIG], INF, "duration_s: must be finite, got inf"),

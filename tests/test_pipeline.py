@@ -1710,6 +1710,16 @@ FAULTS = [
     pytest.param(["audio"], _utterance_1(duration_s=4e-05),
                  1, "config error: {path}: 'ch0_0000': duration_s: must be > 0, got 0.0",
                  id="utterance-duration-below-precision"),
+    # An id names the record's file under out_dir/audio.
+    pytest.param(["audio"], _utterance_1(utterance_id="../../escape"),
+                 1, "config error: {path}:1: utterance_id: must be a file name: no '/', no NUL "
+                 "and no leading '.', got '../../escape'", id="utterance-id-escapes"),
+    pytest.param(["audio"], _utterance_1(utterance_id="a\0b"),
+                 1, "config error: {path}:1: utterance_id: must be a file name: ",
+                 id="utterance-id-nul"),
+    pytest.param(["audio"], _utterance_1(utterance_id="a/b"),
+                 1, "config error: {path}:1: utterance_id: must be a file name: ",
+                 id="utterance-id-slash"),
     pytest.param(["audio"], _utterance_1(offset_s=10**400),
                  1, "config error: {path}:1: offset_s: must be finite, got 1" + "0" * 400,
                  id="utterance-offset-beyond-float"),
@@ -1891,6 +1901,24 @@ def test_directory_at_encoder_output_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match=re.escape(f"{flac}: cannot write: Is a directory")):
         run_pipeline(config)
     assert [p for p in tmp_path.rglob("*") if ".partial" in p.name] == []
+
+
+def test_directory_at_encoder_temporary_name_is_config_error(tmp_path):
+    # cp copies into a directory at its output name and exits 0; that
+    # directory must not be moved into place as the FLAC.
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+    config = make_config(root, tmp_path / "out")
+    config.stages = ["audio"]
+    config.encoder_cmd = "cp {input} {output}"
+    config.to_yaml(tmp_path / "config.yaml")
+    audio = tmp_path / "out" / "audio"
+    (audio / ".ch0_0000.partial.flac").mkdir(parents=True)
+    result = CliRunner().invoke(main, ["run", "--config", str(tmp_path / "config.yaml")])
+    assert result.exit_code == 1, result.output
+    assert f"config error: {audio / 'ch0_0000.flac'}: cannot write: Is a directory" \
+        in result.output
+    assert "Traceback" not in result.output
+    assert not (audio / "ch0_0000.flac").exists()
 
 
 def _running(stages, encoder=None):

@@ -89,46 +89,50 @@ class TestFindCandidatePauses:
 
 class TestChooseSplit:
     def test_empty_no_split(self):
-        decision = choose_split([], rng_seed=1)
-        assert decision.split_point_s is None
-        assert decision.chosen_index is None
+        assert choose_split([], rng_seed=1) is None
 
     def test_longest_wins(self):
         pauses = [Pause(1.0, 1.1, 0), Pause(5.0, 5.3, 3)]
-        decision = choose_split(pauses, rng_seed=1)
-        assert decision.chosen_index == 1
-        assert decision.split_point_s == pytest.approx(5.15)
+        pause = choose_split(pauses, rng_seed=1)
+        assert pause is pauses[1]
+        assert pause.midpoint_s == pytest.approx(5.15)
 
     def test_tie_break_deterministic(self):
         pauses = [Pause(1.0, 1.25, 0), Pause(5.0, 5.25, 3)]
         seed = utterance_seed("some_utt", 42)
-        picks = {choose_split(pauses, seed).chosen_index for _ in range(10)}
+        picks = {choose_split(pauses, seed) for _ in range(10)}
         assert len(picks) == 1
 
     def test_tie_break_depends_on_seed(self):
         pauses = [Pause(1.0, 1.25, 0), Pause(5.0, 5.25, 3)]
-        picks = {choose_split(pauses, utterance_seed(f"utt{i}", 0)).chosen_index
-                 for i in range(64)}
-        assert picks == {0, 1}  # both sides reachable over many utterances
+        picks = {choose_split(pauses, utterance_seed(f"utt{i}", 0)) for i in range(64)}
+        assert picks == set(pauses)  # both sides reachable over many utterances
+
+    def test_tie_break_picks_are_fixed(self):
+        # The pause each seed picks among three tied ones and a shorter one:
+        # the same picks give the same cuts, run after run and release after release.
+        pauses = [Pause(0.0, 0.25, 0), Pause(1.0, 1.1, 1), Pause(2.0, 2.25, 2),
+                  Pause(3.0, 3.25, 3)]
+        picks = [choose_split(pauses, seed).word_index for seed in range(16)]
+        assert picks == [2, 3, 2, 0, 2, 3, 3, 0, 2, 2, 2, 0, 0, 2, 3, 3]
 
     def test_midpoint(self):
-        decision = choose_split([Pause(2.0, 2.5, 1)], rng_seed=0)
-        assert decision.split_point_s == pytest.approx(2.25)
+        pause = choose_split([Pause(2.0, 2.5, 1)], rng_seed=0)
+        assert pause.midpoint_s == pytest.approx(2.25)
 
 
 class TestApplySplit:
     def test_no_split_identity(self):
         rec = make_record()
-        decision = choose_split([], 0)
-        assert apply_split(rec, decision, []) == [rec]
+        assert apply_split(rec, choose_split([], 0)) == [rec]
 
     def test_two_children_partition_duration(self):
         rec = make_record(duration_s=15.0)
         track = track_for([("it", 0.0, 2.0), ("ended", 2.5, 7.0),
                            ("then", 7.2, 9.0), ("more", 9.5, 15.0)])
-        decision = choose_split(
+        pause = choose_split(
             find_candidate_pauses(track, rec.text, abbreviations=ABBREVS), 7)
-        a, b = apply_split(rec, decision, track)
+        a, b = apply_split(rec, pause)
         assert a.utterance_id == "ch1_0001_a"
         assert b.utterance_id == "ch1_0001_b"
         assert a.duration_s == pytest.approx(7.1)
@@ -139,9 +143,9 @@ class TestApplySplit:
         rec = make_record(text="A b. C d", raw_text="a b c d")
         track = track_for([("a", 0.0, 1.0), ("b", 1.0, 2.0),
                            ("c", 3.0, 4.0), ("d", 4.0, 5.0)])
-        decision = choose_split(
+        pause = choose_split(
             find_candidate_pauses(track, rec.text, abbreviations=ABBREVS), 0)
-        a, b = apply_split(rec, decision, track)
+        a, b = apply_split(rec, pause)
         assert a.text == "A b."
         assert b.text == "C d"
         assert a.raw_text == "a b"
@@ -154,9 +158,9 @@ class TestApplySplit:
         rec = make_record(text="It ended. Then more", raw_text="it ended then more now")
         track = track_for([("it", 0.0, 2.0), ("ended", 2.5, 7.0),
                            ("then", 7.2, 9.0), ("more", 9.5, 15.0)])
-        decision = choose_split(
+        pause = choose_split(
             find_candidate_pauses(track, rec.text, abbreviations=ABBREVS), 0)
-        a, b = apply_split(rec, decision, track)
+        a, b = apply_split(rec, pause)
         assert (a.text, a.raw_text) == ("It ended.", "it ended")
         assert (b.text, b.raw_text) == ("Then more", "then more")
 
@@ -164,9 +168,9 @@ class TestApplySplit:
         rec = make_record(bandwidth_hz=14000, num_speakers=1)
         track = track_for([("it", 0.0, 2.0), ("ended", 2.5, 7.0),
                            ("then", 7.2, 9.0), ("more", 9.5, 15.0)])
-        decision = choose_split(
+        pause = choose_split(
             find_candidate_pauses(track, rec.text, abbreviations=ABBREVS), 0)
-        a, b = apply_split(rec, decision, track)
+        a, b = apply_split(rec, pause)
         for child in (a, b):
             assert child.wer_pct is None
             assert child.cer_pct is None
@@ -197,19 +201,16 @@ class TestApplySplit:
 
     def test_split_point_out_of_range(self):
         rec = make_record(duration_s=5.0)
-        from speechcurate.segmentation import SplitDecision
-
-        decision = SplitDecision(7.0, (Pause(6.9, 7.1, 1),), 0)
         with pytest.raises(AlignmentError, match="outside"):
-            apply_split(rec, decision, [])
+            apply_split(rec, Pause(6.9, 7.1, 1))
 
     def test_children_within_parent_span(self):
         rec = make_record(duration_s=12.0, offset_s=3.0)
         track = track_for([("it", 0.0, 2.0), ("ended", 2.5, 5.0),
                            ("then", 5.5, 9.0), ("more", 9.5, 12.0)])
-        decision = choose_split(
+        pause = choose_split(
             find_candidate_pauses(track, rec.text, abbreviations=ABBREVS), 0)
-        a, b = apply_split(rec, decision, track)
+        a, b = apply_split(rec, pause)
         assert a.offset_s >= rec.offset_s
         assert b.offset_s + b.duration_s <= rec.offset_s + rec.duration_s + 1e-12
 
