@@ -125,10 +125,14 @@ class _Context:
         return pcm
 
 
-# glibc's mallopt parameter: bytes of freed memory an arena keeps at its top.
+# glibc's mallopt parameters: bytes of freed memory an arena keeps at its
+# top, and the size from which a block is mmapped instead.
 _M_TOP_PAD = -2
+_M_MMAP_THRESHOLD = -3
 # About six float64 arrays of a 20 s record at 48 kHz, with room to spare.
 _TOP_PAD_BYTES = 64 << 20
+# glibc's own ceiling for the threshold on 64-bit systems.
+_MMAP_THRESHOLD_BYTES = 32 << 20
 
 
 def _keep_freed_heap() -> None:
@@ -136,11 +140,16 @@ def _keep_freed_heap() -> None:
 
     Without it glibc hands a record's multi-MB temporaries back to the kernel
     when they are freed, and the next record faults them in again, zeroed.
-    The setting is process-wide and permanent (glibc has no getter to restore
-    it from); where mallopt is missing this does nothing.
+    Setting M_TOP_PAD stops glibc from raising its mmap threshold as mmapped
+    blocks are freed, which would leave every block over 128 KiB mmapped
+    and faulted in again; so the threshold is set too, to _MMAP_THRESHOLD_BYTES.
+    The settings are process-wide and permanent (glibc has no getter to
+    restore them from); where mallopt is missing this does nothing.
     """
     try:
-        ctypes.CDLL(None).mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     except (AttributeError, OSError):
         pass
 
@@ -158,6 +167,15 @@ def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
     if not path.exists():
         raise StageError(f"stage {stage!r}: {what} file not found: {path}")
     return path
+
+
+# The required side input of each stage after the chapter stages: its config
+# key and what it holds.
+_SIDE_INPUTS = {
+    "segment": ("alignments_path", "alignments"),
+    "validate": ("asr_hypotheses_path", "ASR hypotheses"),
+    "speakers": ("speaker_counts_path", "speaker counts"),
+}
 
 
 @dataclass(frozen=True)
@@ -187,23 +205,23 @@ class _Reject(NamedTuple):
     reason: str
 
 
-def _by_chapter(records, load, work, pool: ThreadPoolExecutor, window: int,
-                chapter_task=None):
+def _by_chapter(records, load, work, pool: ThreadPoolExecutor, chapter_task=None):
     """Map work(rec, chapter_input) over records on `pool`, streamed chapter by chapter.
 
     Chapters are loaded on the calling thread in sorted order: load(chapter_id)
     returns the chapter's input. The pool runs every chapter's records. Once
-    `window` chapters are queued, the oldest one's results are collected, and
-    its input dropped, before the next is loaded. So at most `window` chapter
-    inputs are alive; with a window of two or more, the next chapter is
-    loaded while the queued ones run and the pool does not drain at a
-    chapter's end. A chapter's records are queued longest `duration_s` first;
-    with `work` None none are queued, and their results stay None. With
-    `chapter_task`, chapter_task(chapter_input) is queued once for each
-    chapter, ahead of its records. Only the queued tasks hold a chapter's
-    input, each until it has run, so a collected chapter's input is held by
-    nothing. Returns (results, {chapter_id: chapter_task's result, or None
-    without one}), results in input-record order.
+    two chapters are queued, the older one's results are collected, and its
+    input dropped, before the next is loaded. So at most two chapter inputs
+    are alive, at any worker count: the chapter whose records run, and the
+    next, loaded while they run, so the pool does not drain at a chapter's
+    end. A chapter's records are queued longest `duration_s` first; with
+    `work` None none are queued, their results stay None, and every
+    chapter's task is queued at once, so `load` should then hold nothing
+    large. With `chapter_task`, chapter_task(chapter_input) is queued once
+    for each chapter, ahead of its records. Only the queued tasks hold a
+    chapter's input, each until it has run, so a collected chapter's input
+    is held by nothing. Returns (results, {chapter_id: chapter_task's
+    result, or None without one}), results in input-record order.
     On a worker's error, the tasks still queued are left for the pool's owner
     to cancel.
     """
@@ -220,7 +238,7 @@ def _by_chapter(records, load, work, pool: ThreadPoolExecutor, window: int,
 
     pending: deque = deque()  # (chapter_id, task, {index: future}) per chapter
     for chapter_id in sorted(groups):
-        if len(pending) == window:
+        if work and len(pending) == 2:
             collect(*pending.popleft())
         chapter_input = load(chapter_id)
         task = pool.submit(chapter_task, chapter_input) if chapter_task else None
@@ -350,9 +368,6 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
     steps = [(stage, step, open_input) for stage, step, open_input in
              (("text", _text_step, ctx.open_book), ("audio", _audio_step, ctx.open_chapter))
              if stage in cfg.stages]
-    # A chapter's input can be a whole decoded chapter, so at most two are
-    # held; a bandwidth-only loader holds none, so `workers` estimates run.
-    window = min(2, cfg.workers) if steps else cfg.workers
     # One pool for the run, so each worker keeps its grown malloc arena.
     pool = ThreadPoolExecutor(max_workers=cfg.workers)
 
@@ -389,7 +404,7 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
 
     try:
         results, estimates = _by_chapter(records, load, work if steps else None, pool,
-                                         window, estimate if "bandwidth" in cfg.stages else None)
+                                         estimate if "bandwidth" in cfg.stages else None)
     finally:
         # Not the executor's __exit__: that would run every queued task first.
         pool.shutdown(wait=True, cancel_futures=True)
@@ -411,7 +426,7 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
 
 def _stage_segment(records, ctx: _Context):
     cfg = ctx.config
-    path = _side_input(ctx, "segment", "alignments_path", "alignments")
+    path = _side_input(ctx, "segment", *_SIDE_INPUTS["segment"])
     if path.suffix == ".ctm":
         tracks = segmentation.load_ctm(path)
     else:
@@ -448,7 +463,7 @@ def _stage_segment(records, ctx: _Context):
 
 def _stage_validate(records, ctx: _Context):
     cfg = ctx.config
-    path = _side_input(ctx, "validate", "asr_hypotheses_path", "ASR hypotheses")
+    path = _side_input(ctx, "validate", *_SIDE_INPUTS["validate"])
     hyps = _load_jsonl_map(path, _Hypothesis, "hyp_text")
 
     def work(rec: UtteranceRecord):
@@ -470,7 +485,7 @@ def _stage_validate(records, ctx: _Context):
 
 
 def _stage_speakers(records, ctx: _Context):
-    path = _side_input(ctx, "speakers", "speaker_counts_path", "speaker counts")
+    path = _side_input(ctx, "speakers", *_SIDE_INPUTS["speakers"])
     counts = _load_jsonl_map(path, curation.SpeakerCountRecord, "num_speakers")
     missing = sum(rec.utterance_id not in counts for rec in records)
     if missing:
@@ -511,18 +526,21 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     Inputs are never mutated.
     Raises ConfigError, a ValueError, for every fault of the config, an input
     or an output location: an invalid config, a bad utterances or chapters
-    manifest or an out_dir that cannot be made, before any stage runs; a bad
+    manifest, an utterance_id too long for its audio file's name when audio
+    runs, or an out_dir that cannot be made, before any stage runs; a bad
     side input, when its stage starts (text, audio and bandwidth start
     together, before any stage's outputs are written); any fault while an
     output is written (manifest.replacing), such as a full disk or a name a
     directory holds; a value of an utterance that is invalid as a manifest
     writes it, naming the file and the record; and a stage's output record
     that fails its validate(). Raises StageError when an enabled stage lacks
-    its chapters manifest or side input. The worker pool is shut down before
-    this returns or raises.
+    its chapters manifest or side input; a side input of segment, validate or
+    speakers is looked for before any stage runs. The worker pool is shut
+    down before this returns or raises.
     Before the first stage, glibc's allocator is told to keep up to 64 MiB of
-    freed memory per arena, so each record reuses the pages the last one
-    freed; the setting stays for the life of the process.
+    freed memory per arena and to mmap only blocks over 32 MiB, so each
+    record reuses the pages the last one freed; the settings stay for the
+    life of the process.
     """
     problems = validate_config(config)
     if problems:
@@ -535,11 +553,20 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # Each stage sees a value as a stage manifest would hold it, so a run
     # and a chain of one-stage runs over its manifests agree.
     records = read_manifest(config.utterances_manifest)
+    # The longest name the audio step writes: replacing's temporary name.
+    audio_name = ".{}.partial" + (".flac" if config.encoder_cmd else ".wav")
+    name_max = os.pathconf(ctx.out_dir, "PC_NAME_MAX") if "audio" in enabled else 0
     for i, rec in enumerate(records):
         try:
             records[i] = as_written(rec)
+            if 0 < name_max < (n := len(os.fsencode(audio_name.format(rec.utterance_id)))):
+                raise InvariantError(f"utterance_id: too long: its audio's temporary name is"
+                                     f" {n} bytes, over {ctx.out_dir}'s limit of {name_max}")
         except InvariantError as exc:  # a value that is invalid as written
             raise input_error(exc, f"{config.utterances_manifest}: {rec.utterance_id!r}") from exc
+    for stage in enabled:  # looked for now, read when its stage starts
+        if stage in _SIDE_INPUTS:
+            _side_input(ctx, stage, *_SIDE_INPUTS[stage])
     chapter_stages = (_chapter_stages(records, ctx)
                       if not {"text", "audio", "bandwidth"}.isdisjoint(enabled) else {})
     reports: list[StageReport] = []

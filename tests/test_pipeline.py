@@ -299,9 +299,8 @@ class TestChapterStreaming:
     def test_one_decoded_chapter_alive(self, tmp_path, monkeypatch, workers):
         # ch0 and ch2 go through decoder_cmd, so their opened audio is a
         # temporary file of the decoded stream; ch1 and ch3 are read in place.
-        # With one worker a chapter is dropped before the next one opens; with
-        # more, at most two chapters are open, whatever the worker count.
-        held = min(2, workers)
+        # At most two chapters are open, whatever the worker count.
+        held = 2
         root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
         _decoded_copies(root, ("ch0", "ch2"))
         records = read_manifest(root / "utterances.jsonl")
@@ -352,8 +351,35 @@ class TestChapterStreaming:
             return True
 
         with ThreadPoolExecutor(max_workers=2) as pool:
-            out, _ = pipeline_mod._by_chapter(records, lambda c: [c], work, pool, 2)
+            out, _ = pipeline_mod._by_chapter(records, lambda c: [c], work, pool)
         assert out == [True] * 4
+
+    def test_next_chapter_opens_while_one_worker_runs(self, tmp_path, monkeypatch):
+        # The first record to run, one of ch0's, waits until ch1 has been
+        # opened: with one worker too, the calling thread opens (decodes) the
+        # next chapter while the worker runs the last one's records.
+        root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        ch1_opened = threading.Event()
+        waited: list[tuple] = []
+        open_pcm_, load_pcm_ = audiolib.open_pcm, audiolib.load_pcm
+
+        def noting_open(path, decoder_cmd=None):
+            pcm = open_pcm_(path, decoder_cmd)
+            if Path(path).stem == "ch1":
+                ch1_opened.set()
+            return pcm
+
+        def waiting_load(pcm, *args, **kwargs):
+            if not waited:
+                waited.append((pcm.path.stem, ch1_opened.wait(timeout=5)))
+            return load_pcm_(pcm, *args, **kwargs)
+
+        monkeypatch.setattr(audiolib, "open_pcm", noting_open)
+        monkeypatch.setattr(audiolib, "load_pcm", waiting_load)
+        config = make_config(root, tmp_path / "out", workers=1)
+        config.stages = ["audio"]
+        assert run_pipeline(config).reports[0].records_out == 8
+        assert waited == [("ch0", True)]
 
     def test_one_pool_per_run(self, corpus, tmp_path, monkeypatch):
         pools, queued = [], []
@@ -377,7 +403,7 @@ class TestChapterStreaming:
         queued.clear()
         records = [SimpleNamespace(chapter_id=f"ch{i % 4}", duration_s=i) for i in range(12)]
         with CountingPool(max_workers=2) as pool:
-            out, _ = pipeline_mod._by_chapter(records, lambda c: [c], lambda r, c: c[0], pool, 2)
+            out, _ = pipeline_mod._by_chapter(records, lambda c: [c], lambda r, c: c[0], pool)
         assert out == [f"ch{i % 4}" for i in range(12)]
         # Chapter by chapter, each chapter's longest records first.
         assert [rec.duration_s for rec in queued] == [8, 4, 0, 9, 5, 1, 10, 6, 2, 11, 7, 3]
@@ -402,7 +428,7 @@ class TestChapterStreaming:
                    for c in range(4) for i in range(3)]
         with ThreadPoolExecutor(max_workers=2) as pool:
             with pytest.raises(RuntimeError, match="worker failed"):
-                pipeline_mod._by_chapter(records, load, work, pool, 2)
+                pipeline_mod._by_chapter(records, load, work, pool)
         gc.collect()  # the traceback's frames and the failed future form cycles
         assert len(inputs) >= 2 and all(ref() is None for ref in inputs)
 
@@ -708,7 +734,7 @@ class TestOnePassPerChapter:
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             results, estimates = pipeline_mod._by_chapter(
-                records, load, work, pool, 2,
+                records, load, work, pool,
                 lambda chapter: None if isinstance(chapter, str) else chapter[0].upper())
         assert estimates == {"ch0": "CH0", "ch1": None, "ch2": "CH2"}
         assert results[:2] == ["ch0_0", "ch0_1"] and results[4:] == ["ch2_0", "ch2_1"]
@@ -736,7 +762,7 @@ class TestOnePassPerChapter:
         with ThreadPoolExecutor(max_workers=2) as pool:
             with pytest.raises(RuntimeError, match="chapter task failed"):
                 pipeline_mod._by_chapter(records, load, lambda rec, chapter: rec.uid,
-                                         pool, 2, chapter_task)
+                                         pool, chapter_task)
         gc.collect()  # the traceback's frames and the failed future form cycles
         assert len(inputs) >= 2 and all(ref() is None for ref in inputs)
 
@@ -1400,6 +1426,26 @@ class TestInputErrors:
         assert result.exit_code == 1, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"config error: {bad}:1:" in result.output
+
+    @pytest.mark.parametrize("stage,key,what", [
+        ("segment", "alignments_path", "alignments"),
+        ("validate", "asr_hypotheses_path", "ASR hypotheses"),
+        ("speakers", "speaker_counts_path", "speaker counts"),
+    ])
+    def test_missing_side_input_fails_before_any_stage(self, corpus, tmp_path, stage, key, what):
+        # Found before the chapter pass, not once text and audio have written.
+        out = tmp_path / "out"
+        config = make_config(corpus, out)
+        config.stages = ["text", "audio", stage]
+        setattr(config, key, str(tmp_path / "absent.jsonl"))
+        config_path = tmp_path / "config.yaml"
+        config.to_yaml(config_path)
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert (f"stage {stage!r}: {what} file not found: {tmp_path / 'absent.jsonl'}"
+                in result.output)
+        assert not (out / "manifest.00_text.jsonl").exists()
+        assert not list(out.rglob("*.wav"))
 
     def test_missing_chapters_manifest_is_stage_failure(self, corpus, tmp_path):
         config = make_config(corpus, tmp_path / "out")
@@ -2254,13 +2300,14 @@ def test_killed_audio_write_leaves_no_file(tmp_path, monkeypatch, encoder):
 def test_killed_run_leaves_no_truncated_output(tmp_path, workers, hook):
     root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
     _decoded_copies(root, {"ch0", "ch1", "ch2", "ch3"})
-    # A decoder or encoder whose second call (mkdir is atomic, so exactly one
+    # A decoder or encoder whose third call (mkdir is atomic, so exactly one
     # call of any run is that call) kills the run that called it, as SIGKILL
     # does, the encoder once it has written part of its output; any other call
     # passes its input through.
     script = tmp_path / "killer.sh"
     script.write_text(
-        f"if mkdir {tmp_path}/called 2>/dev/null || ! mkdir {tmp_path}/killed 2>/dev/null; then\n"
+        f"if mkdir {tmp_path}/called1 2>/dev/null || mkdir {tmp_path}/called2 2>/dev/null"
+        f" || ! mkdir {tmp_path}/killed 2>/dev/null; then\n"
         '  if [ $# = 1 ]; then exec cat "$1"; else exec cp "$1" "$2"; fi\n'
         "fi\n"
         'head -c 44 "$1" > "${2:-/dev/null}"; kill -9 $PPID; exit 1\n')
@@ -2282,8 +2329,8 @@ def test_killed_run_leaves_no_truncated_output(tmp_path, workers, hook):
     assert not [p for p in left if p.name.startswith(("manifest.", "rejects.", "report."))]
     assert all(".partial" in p.name for p in left if p.name.startswith("."))
     finals = [p for p in left if not p.name.startswith(".")]
-    # With one worker the first chapter is done before the second is decoded.
-    assert finals or not (workers == 1 and hook == "decoder")
+    # The first chapter is done before the third is decoded, at any worker count.
+    assert finals
     for path in finals:  # each a whole WAV: it holds the data its header declares
         pcm = audiolib.open_pcm(path)
         (size,) = struct.unpack("<I", path.read_bytes()[pcm.data_offset - 4:pcm.data_offset])
@@ -2294,6 +2341,31 @@ def test_killed_run_leaves_no_truncated_output(tmp_path, workers, hook):
     assert run(out) == run(tmp_path / "fresh") == 0
     assert _tree(out) == _tree(tmp_path / "fresh")
     assert not [name for name in _tree(out) if ".partial" in name]
+
+
+# The audio step's longest name is replacing's temporary one: `.<id>.partial.wav`
+# is 13 bytes longer than the id, `.<id>.partial.flac` 14.
+@pytest.mark.parametrize("encoder,longer,refused", [
+    (None, 13, False), (None, 12, True),
+    ("cp {input} {output}", 14, False), ("cp {input} {output}", 13, True),
+], ids=["wav-fits", "wav-too-long", "encoder-fits", "encoder-too-long"])
+def test_utterance_id_too_long_for_its_audio_name(tmp_path, encoder, longer, refused):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+    out = tmp_path / "out"
+    out.mkdir()
+    long_id = "x" * (os.pathconf(out, "PC_NAME_MAX") - longer)
+    path = _rewrite_line("utterances.jsonl", 3, lambda obj: obj.update(utterance_id=long_id))(
+        root, None)
+    config = make_config(root, out)
+    config.stages = ["audio"]
+    config.encoder_cmd = encoder
+    if not refused:
+        assert run_pipeline(config).reports[0].records_out == 4
+        assert (out / "audio" / f"{long_id}{'.flac' if encoder else '.wav'}").is_file()
+        return
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {long_id!r}: utterance_id: ")):
+        run_pipeline(config)
+    assert not (out / "audio").exists()  # refused before any stage runs
 
 
 def test_encoder_output_replaces_into_place(tmp_path):
@@ -2388,11 +2460,15 @@ def _tree(out):
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+_GLIBC_ONLY = pytest.mark.skipif(platform.system() != "Linux"
+                                 or platform.libc_ver()[0] != "glibc",
+                                 reason="glibc's mallopt only")
+
+
 class TestFreedHeap:
     """The pipeline asks glibc to keep freed memory for the next record."""
 
-    @pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
-                        reason="glibc's mallopt only")
+    @_GLIBC_ONLY
     def test_audio_stage_reuses_freed_pages(self, tmp_path):
         import resource  # Unix only
 
@@ -2411,6 +2487,24 @@ class TestFreedHeap:
         # later passes is the steady state. Trimmed, each pass faults its
         # working set in again: 7k to 9k pages here.
         assert min(faults[1:]) < 1000, faults
+
+    @_GLIBC_ONLY
+    def test_large_blocks_stay_on_the_heap(self):
+        # A fresh process, where no large block has been freed yet. Setting
+        # M_TOP_PAD alone froze glibc's mmap threshold at 128 KiB there: each
+        # 2 MiB array was mmapped and its 512 pages faulted in, 10k faults.
+        script = ("import resource\n"
+                  "import numpy as np\n"
+                  "from speechcurate import pipeline\n"
+                  "pipeline._keep_freed_heap()\n"
+                  "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                  "for _ in range(20):\n"
+                  "    np.ones(2 << 17)\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline_mod.__file__).parents[1])}
+        faults = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, check=True).stdout
+        assert int(faults) < 5 * 512, faults  # the first array's pages, then reuse
 
     @pytest.mark.parametrize("error", [AttributeError, OSError])
     def test_without_mallopt_same_bytes(self, tmp_path, monkeypatch, error):
