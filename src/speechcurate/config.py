@@ -9,18 +9,20 @@ from pathlib import Path
 import yaml
 
 from .manifest import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_MOST_0, FINITE, IN_FLOAT_RANGE,
-                       INPUT_FAULTS, ConfigError, field_problems, input_error, must, read_text,
-                       schema_of, type_problems)
+                       INPUT_FAULTS, NO_NUL, ConfigError, check_encodable, field_problems,
+                       input_error, must, read_text, schema_of, type_problems)
 
 # Canonical stage execution order; enabled stages always run in this order.
 STAGE_ORDER = ("text", "audio", "bandwidth", "segment", "validate", "speakers")
 
 
 def _command(*placeholders: str) -> tuple:
-    """The condition that a value is a command its stage can run: shlex splits
-    it into at least one word, and each word formats, as the stage formats
-    it, with no placeholder but these."""
+    """The condition that a value is a command its stage can run: it holds no
+    NUL, shlex splits it into at least one word, and each word formats, as
+    the stage formats it, with no placeholder but these."""
     def runnable(cmd: str) -> bool:
+        if "\0" in cmd:  # no argument of a process can hold one
+            return False
         try:
             words = shlex.split(cmd)
             for word in words:
@@ -37,15 +39,16 @@ def _command(*placeholders: str) -> tuple:
 @dataclass
 class PipelineConfig:
     # inputs
-    utterances_manifest: str = "utterances.jsonl"
-    chapters_manifest: str = "chapters.jsonl"
-    alignments_path: str | None = None       # JSONL keyed by utterance_id
-    asr_hypotheses_path: str | None = None   # JSONL {utterance_id, hyp_text}
-    speaker_counts_path: str | None = None   # JSONL {utterance_id, num_speakers}
-    predicted_pc_path: str | None = None     # JSONL {utterance_id, text}
-    audio_root: str = "."
+    utterances_manifest: str = must(NO_NUL, default="utterances.jsonl")
+    chapters_manifest: str = must(NO_NUL, default="chapters.jsonl")
+    # side inputs, JSONL keyed by utterance_id
+    alignments_path: str | None = must(NO_NUL, default=None)
+    asr_hypotheses_path: str | None = must(NO_NUL, default=None)  # {utterance_id, hyp_text}
+    speaker_counts_path: str | None = must(NO_NUL, default=None)  # {utterance_id, num_speakers}
+    predicted_pc_path: str | None = must(NO_NUL, default=None)    # {utterance_id, text}
+    audio_root: str = must(NO_NUL, default=".")
     # outputs
-    out_dir: str = "out"
+    out_dir: str = must(NO_NUL, default="out")
     # stages (subset of STAGE_ORDER)
     stages: list[str] = field(default_factory=lambda: list(STAGE_ORDER))
     # thresholds, defaults per the published pipeline; the two windows that
@@ -65,8 +68,8 @@ class PipelineConfig:
     decoder_cmd: str | None = must(_command("input"), default=None)
     # e.g. "flac -s -f -o {output} {input}"
     encoder_cmd: str | None = must(_command("input", "output"), default=None)
-    abbreviations_path: str | None = None
-    rules_path: str | None = None
+    abbreviations_path: str | None = must(NO_NUL, default=None)
+    rules_path: str | None = must(NO_NUL, default=None)
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "PipelineConfig":
@@ -75,9 +78,10 @@ class PipelineConfig:
         text = read_text(path)
         try:
             data = yaml.safe_load(text) or {}
+            check_encodable(data)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
-        except INPUT_FAULTS as exc:  # a number too long to convert, nesting too deep
+        except INPUT_FAULTS as exc:  # a number too long to convert, deep nesting, a surrogate
             raise input_error(exc, path) from exc
         if not isinstance(data, dict):
             raise ConfigError(

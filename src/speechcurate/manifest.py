@@ -63,6 +63,8 @@ NON_EMPTY = (bool, "must be non-empty")
 # there; no leading "." also rules out ".." and replacing's temporary names.
 FILE_NAME = (lambda value: "/" not in value and "\0" not in value and not value.startswith("."),
              "must be a file name: no '/', no NUL and no leading '.', got {!r}")
+# A NUL ends a name in every system call, so no path holds one.
+NO_NUL = (lambda value: "\0" not in value, "must be a path: no NUL, got {!r}")
 
 
 def one_of(values: tuple) -> tuple:
@@ -195,6 +197,23 @@ def _all_finite(value) -> bool:
     return True
 
 
+def check_encodable(value) -> None:
+    """ManifestError at the first string in value, a JSON or YAML value as
+    parsed (keys included, at any depth), that UTF-8 cannot encode: one with
+    a lone surrogate, which only an escape such as "\\ud800" can give. No
+    output could hold it, and no file be named by it."""
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, list):
+        for item in value:
+            check_encodable(item)
+    elif isinstance(value, str):
+        try:
+            value.encode()
+        except UnicodeEncodeError:
+            raise ManifestError(f"not UTF-8 text: {value!r} holds a lone surrogate") from None
+
+
 def _round_pct(x: float) -> float:
     return round(float(x), 4)
 
@@ -283,9 +302,9 @@ class ChapterRecord:
     chapter_id: str
     book_id: str
     speaker_id: str
-    audio_path: str
+    audio_path: str = must(NO_NUL)
     sample_rate_hz: int = must(ABOVE_0)
-    book_text_path: str | None = None
+    book_text_path: str | None = must(NO_NUL, default=None)
 
     validate = check
 
@@ -380,6 +399,8 @@ def read_jsonl(
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ManifestError("not a JSON object")
+            if "\\u" in line:  # only a \u escape gives a string UTF-8 cannot encode
+                check_encodable(obj)
             out.append(parse(obj))
             if unique is not None:
                 if obj[unique] in seen:

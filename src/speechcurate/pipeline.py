@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import shlex
+import stat
 import subprocess
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +41,7 @@ from .manifest import (
     ChapterRecord,
     ConfigError,
     InvariantError,
+    ManifestError,
     UtteranceRecord,
     _round_seconds,
     as_written,
@@ -159,13 +161,21 @@ def _unreadable(exc: Exception) -> str:
 
 
 def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
-    """The stage's required side-input file, named by config key `key`."""
+    """The stage's required side-input file, named by config key `key`: a
+    StageError when it is missing, a ManifestError when it cannot be looked
+    up or is not a regular file."""
     value = getattr(ctx.config, key)
     if not value:
         raise StageError(f"stage {stage!r}: {key} is required")
     path = Path(value)
-    if not path.exists():
-        raise StageError(f"stage {stage!r}: {what} file not found: {path}")
+    try:
+        mode = path.stat().st_mode
+    except (FileNotFoundError, NotADirectoryError):
+        raise StageError(f"stage {stage!r}: {what} file not found: {path}") from None
+    except OSError as exc:  # a name too long, say
+        raise input_error(exc, path) from exc
+    if not stat.S_ISREG(mode):  # a directory, or a device such as /dev/full that reads forever
+        raise ManifestError(f"{path}: unreadable: not a regular file")
     return path
 
 

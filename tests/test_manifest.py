@@ -305,6 +305,17 @@ CONDITIONS = [
      [None, "flac -s -f -o {output} {input}", "cp {input} x"], "cp {input} {out}",
      "encoder_cmd: must be a command using no placeholder but {input} and {output}, "
      "got 'cp {input} {out}'"),
+    # A NUL ends a name in every system call.
+    *((cls, name, ["raw/a b.wav"] + [None] * nullable, "a\0b",
+       f"{name}: must be a path: no NUL, got 'a\\x00b'")
+      for cls, nullable, names in (
+          (ChapterRecord, False, ["audio_path"]), (ChapterRecord, True, ["book_text_path"]),
+          (config.PipelineConfig, False, ["utterances_manifest", "chapters_manifest",
+                                          "audio_root", "out_dir"]),
+          (config.PipelineConfig, True, ["alignments_path", "asr_hypotheses_path",
+                                         "speaker_counts_path", "predicted_pc_path",
+                                         "abbreviations_path", "rules_path"]))
+      for name in names),
 ]
 
 
@@ -384,6 +395,14 @@ def test_chapter_legacy_bandwidth_key_accepted(tmp_path):
                  id="long-number"),
     # Too deep for the JSON parser, or, where it parses, for int().
     pytest.param('{"a": ' + "[" * 5000 + "]" * 5000 + "}\n", ":1: ", id="deep"),
+    # A lone surrogate escape gives a string UTF-8 cannot encode: in a value,
+    # a key, or deep inside a value.
+    pytest.param('{"a": 1}\n{"a": "x\\ud800"}\n',
+                 ":2: not UTF-8 text: 'x\\\\ud800' holds a lone surrogate", id="surrogate"),
+    pytest.param('{"a": 1, "\\udc80": 1}\n', ":1: not UTF-8 text: '\\\\udc80'",
+                 id="surrogate-key"),
+    pytest.param('{"a": 1, "b": [{"c": "\\uDFFF"}]}\n', ":1: not UTF-8 text: '\\\\udfff'",
+                 id="surrogate-nested"),
 ])
 def test_read_jsonl_errors_name_file_and_line(tmp_path, content, message):
     path = tmp_path / "x.jsonl"
@@ -421,6 +440,13 @@ def test_read_jsonl_parses_in_order(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text('{"a": 3}\n\n{"a": 1}\n')
     assert read_jsonl(path, lambda obj: obj["a"]) == [3, 1]
+
+
+def test_read_jsonl_joins_escaped_surrogate_pairs(tmp_path):
+    # Two escapes of a pair are one character beyond the first 65,536.
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"a": "\\ud83d\\ude00 \\u00e9"}\n')
+    assert read_jsonl(path, lambda obj: obj["a"]) == ["\U0001f600 \u00e9"]
 
 
 def test_replacing_moves_on_clean_exit_only(tmp_path):

@@ -239,6 +239,18 @@ def _decoded_copies(root, chapter_ids):
     write_chapters(chapters, root / "chapters.jsonl")
 
 
+def _rewrite_as_16bit(root, chapter_id, rate):
+    """Make chapter_id's audio 16-bit mono noise at `rate`, as long as before."""
+    path = root / "raw" / f"{chapter_id}.wav"
+    old_rate, samples = wavfile.read(path)
+    noise = lowpassed_noise(rate / 2.5, len(samples) / old_rate, rate, seed=9) * 0.3
+    save_pcm(AudioBuffer(noise, rate), path, bit_depth=16)
+    chapters = [ChapterRecord(**{**c.to_json_dict(), "sample_rate_hz": rate})
+                if c.chapter_id == chapter_id else c
+                for c in read_chapters(root / "chapters.jsonl")]
+    write_chapters(chapters, root / "chapters.jsonl")
+
+
 class TestChapterStreaming:
     def test_interleaved_chapters_reject_in_input_order(self, tmp_path):
         root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
@@ -634,25 +646,39 @@ class TestOnePassPerChapter:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_decoder_runs_once_per_chapter(self, tmp_path, monkeypatch, workers):
+        # ch3 is 16-bit mono at the target rate, so its records' frames are
+        # copied from the decoder's output; the 48 kHz chapters' records, ch0's
+        # mixed down from stereo, are resampled and written by save_pcm.
         root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+        mono = load_pcm(root / "raw" / "ch0.wav")
+        save_pcm(AudioBuffer(np.stack([mono.samples, -0.5 * mono.samples], axis=1), 48000),
+                 root / "raw" / "ch0.wav")
+        _rewrite_as_16bit(root, "ch3", 44100)
         config = make_config(root, tmp_path / "wav", workers=workers)
         config.stages = ["audio", "bandwidth"]
         run_pipeline(config)
         chapter_ids = [c.chapter_id for c in read_chapters(root / "chapters.jsonl")]
         _decoded_copies(root, chapter_ids)
         decoded: list[str] = []
-        run_ = audiolib.subprocess.run
+        saved: list[str] = []
+        run_, save_pcm_ = audiolib.subprocess.run, audiolib.save_pcm
 
         def counting_run(cmd, *args, **kwargs):
             decoded.append(Path(cmd[-1]).stem)
             return run_(cmd, *args, **kwargs)
 
+        def noting_save(buf, path, *args, **kwargs):
+            saved.append(Path(path).name)
+            return save_pcm_(buf, path, *args, **kwargs)
+
         monkeypatch.setattr(audiolib.subprocess, "run", counting_run)
+        monkeypatch.setattr(audiolib, "save_pcm", noting_save)
         config = make_config(root, tmp_path / "raw", workers=workers)
         config.stages = ["audio", "bandwidth"]
         config.decoder_cmd = "cat {input}"
         run_pipeline(config)
         assert sorted(decoded) == chapter_ids
+        assert sorted(saved) == [f".ch{c}_000{i}.partial.wav" for c in range(3) for i in range(2)]
         assert _tree(tmp_path / "raw") == _tree(tmp_path / "wav")
 
     def test_estimate_runs_beside_its_chapters_records(self, tmp_path, monkeypatch):
@@ -1120,7 +1146,15 @@ class TestConfig:
               ("decoder_cmd", "{input}", "open-brace", "cat {input"),
               ("decoder_cmd", "{input}", "empty", ""),
               ("encoder_cmd", "{input} and {output}", "unknown", "cp {input} {out}"),
-              ("encoder_cmd", "{input} and {output}", "blank", "  "))),
+              ("encoder_cmd", "{input} and {output}", "blank", "  "),
+              ("decoder_cmd", "{input}", "nul", "cat\0 {input}"),
+              ("encoder_cmd", "{input} and {output}", "nul", "cp {input} {output}\0"))),
+        # A NUL ends a name in every system call.
+        *(pytest.param({key: "a\0b"}, f"{key}: must be a path: no NUL, got 'a\\x00b'",
+                       id=f"{key}-nul")
+          for key in ("utterances_manifest", "chapters_manifest", "alignments_path",
+                      "asr_hypotheses_path", "speaker_counts_path", "predicted_pc_path",
+                      "audio_root", "out_dir", "abbreviations_path", "rules_path")),
     ])
     def test_wrong_type_is_config_error(self, corpus, tmp_path, override, message):
         config_path = tmp_path / "config.yaml"
@@ -1181,6 +1215,37 @@ class TestConfig:
         config.stages = ["segment"]
         with pytest.raises(StageError, match="segment"):
             run_pipeline(config)
+
+
+def _first_changed(tmp_path, manifest, values):
+    """tmp_path/m.jsonl: a copy of the manifest with values set on its first line."""
+    (tmp_path / "m.jsonl").write_bytes(Path(manifest).read_bytes())
+    return _rewrite_line("m.jsonl", 0, lambda obj: obj.update(values))(tmp_path, None)
+
+
+def _cli_run(first=None, **config):
+    """The arguments of `run` over the corpus, with config's values set on its
+    config and first's on its first utterance."""
+    def args(tmp_path, corpus, final):
+        cfg = make_config(corpus, tmp_path / "out")
+        for key, value in config.items():
+            setattr(cfg, key, value)
+        if first:
+            manifest = _first_changed(tmp_path, corpus / "utterances.jsonl", first)
+            cfg.utterances_manifest = str(manifest)
+        cfg.to_yaml(tmp_path / "config.yaml")
+        return ["run", "--config", "config.yaml"]
+    return args
+
+
+def _cli_subset(first=None):
+    """The arguments of `subset` keeping every record of the final manifest,
+    with first's values set on its first record."""
+    def args(tmp_path, corpus, final):
+        manifest = _first_changed(tmp_path, final, first) if first else final
+        (tmp_path / "spec.json").write_text("{}")
+        return ["subset", "--manifest", str(manifest), "--spec", "spec.json", "--out", "s.jsonl"]
+    return args
 
 
 class TestCli:
@@ -1253,6 +1318,44 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.yaml", "m.jsonl", "spec.json"]
 
+    # What a real process adds to the in-process tests: `python -m
+    # speechcurate.cli` as the entry point, the exit code as sys.exit sets it,
+    # and stderr as the process writes it, where an escaped exception shows as
+    # a Traceback. One row per exit code and command; the in-process tests
+    # hold the other cases.
+    @pytest.mark.parametrize("args,exit_code,expected", [
+        pytest.param(_cli_run(), 3, "final manifest: ", id="run-partial"),
+        pytest.param(_cli_run(first={"utterance_id": "../escape"}), 1,
+                     "config error: {manifest}:1: utterance_id: must be a file name",
+                     id="run-config-error"),
+        pytest.param(_cli_run(first={"utterance_id": "a\ud800b"}), 1,
+                     "config error: {manifest}:1: not UTF-8 text: ", id="run-surrogate"),
+        pytest.param(_cli_run(alignments_path="absent.jsonl"), 2,
+                     "stage failure: stage 'segment': alignments file not found",
+                     id="run-stage-failure"),
+        pytest.param(lambda tmp_path, corpus, final: ["run", "--config", "absent.yaml"], 1,
+                     "Error: Invalid value for '--config'", id="usage-error"),
+        pytest.param(lambda tmp_path, corpus, final: ["stats", "--manifest", str(final),
+                                                      "--csv", "stats.csv"], 0, "utterances ",
+                     id="stats"),
+        pytest.param(_cli_subset(), 0, "kept ", id="subset"),
+        pytest.param(_cli_subset(first={"utterance_id": "a\ud800b"}), 1,
+                     "config error: {manifest}:1: not UTF-8 text: ", id="subset-surrogate"),
+    ])
+    def test_real_process_exit_code(self, tmp_path, corpus, pipeline_out, args, exit_code,
+                                    expected):
+        _, presult = pipeline_out
+        src = Path(pipeline_mod.__file__).parents[1]  # the tree under test
+        proc = subprocess.run([sys.executable, "-m", "speechcurate.cli",
+                               *args(tmp_path, corpus, presult.final_manifest)],
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == exit_code, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        lines = (proc.stderr if exit_code in (1, 2) else proc.stdout).splitlines()
+        expected = expected.format(manifest=tmp_path / "m.jsonl")
+        assert any(line.startswith(expected) for line in lines), (proc.stdout, proc.stderr)
+
     @pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
     def test_help_exit_code(self, args):
         assert CliRunner().invoke(main, args).exit_code == 0
@@ -1305,10 +1408,19 @@ class TestCli:
         assert f"config error: {spec_path}: not UTF-8 text: " in result.output
         assert not (tmp_path / "out.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["stats", "subset", "splits", "run"])
-    def test_malformed_manifest_is_config_error(self, corpus, tmp_path, command):
+    @pytest.mark.parametrize("command,line,message", [
+        *(pytest.param(command, '{"utterance_id": "u1"', "malformed JSON", id=command)
+          for command in ("stats", "subset", "splits", "run")),
+        # A lone surrogate, which a JSON escape can give, is no text an output can hold.
+        *(pytest.param(command, json.dumps(UtteranceRecord("u\ud800", "b", "c", "s", "a.wav",
+                                                           0.0, 1.0).to_json_dict()),
+                       "not UTF-8 text: 'u\\ud800' holds a lone surrogate",
+                       id=f"{command}-surrogate")
+          for command in ("stats", "subset", "splits", "run")),
+    ])
+    def test_malformed_manifest_is_config_error(self, corpus, tmp_path, command, line, message):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"utterance_id": "u1"\n', encoding="utf-8")
+        bad.write_text(line + "\n", encoding="utf-8")
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{}")
         config_path = tmp_path / "config.yaml"
@@ -1325,7 +1437,7 @@ class TestCli:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 1, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert f"config error: {bad}:1: malformed JSON" in result.output
+        assert f"config error: {bad}:1: {message}" in result.output
 
     # JSON has no NaN or infinity, though Python's json reads both.
     @pytest.mark.parametrize("key,token,message", [
@@ -1356,8 +1468,10 @@ class TestCli:
         ("run", "config.yaml", lambda _: "seed: 2020-13-45", False),
         ("subset", "spec.json", lambda _: '{"max_cer_pct": 1' + "0" * 5000 + "}", False),
         ("subset", "spec.json", lambda _: "[" * 5000 + "]" * 5000, False),
+        # A lone surrogate, which a YAML escape can give, names no file.
+        ("run", "config.yaml", lambda _: 'audio_root: "a\\ud800b"', False),
     ], ids=["manifest-long-number", "manifest-deep", "config-long-number", "config-deep",
-            "config-bad-date", "spec-long-number", "spec-deep"])
+            "config-bad-date", "spec-long-number", "spec-deep", "config-surrogate"])
     def test_unreadable_value_is_config_error(self, tmp_path, command, name, content, located):
         line = json.dumps(UtteranceRecord("u1", "b", "c", "s", "a.wav", 0.0, 1.0).to_json_dict())
         manifest_path = tmp_path / "m.jsonl"
@@ -1367,7 +1481,8 @@ class TestCli:
         if name == "config.yaml":
             text = f"out_dir: {tmp_path / 'out'}\n" + text
         bad.write_text(text)
-        args = {"stats": ["stats", "--manifest", str(manifest_path)],
+        args = {"stats": ["stats", "--manifest", str(manifest_path),
+                          "--csv", str(tmp_path / "out")],
                 "run": ["run", "--config", str(bad)],
                 "subset": ["subset", "--manifest", str(manifest_path), "--spec", str(bad),
                            "--out", str(tmp_path / "out")]}[command]
@@ -1506,6 +1621,16 @@ def _side_dir(key, name):
     def plant(root, config):
         path = root / name
         path.mkdir()
+        setattr(config, key, str(path))
+        return path
+    return plant
+
+
+def _side_link(key, name, target):
+    """Make root/name a symlink to target and point config.key at it."""
+    def plant(root, config):
+        path = root / name
+        path.symlink_to(target)
         setattr(config, key, str(path))
         return path
     return plant
@@ -1793,6 +1918,35 @@ FAULTS = [
                                              lambda obj: obj.update(raw_text="")),
                  3, {"empty_reference": 1, "missing_hypothesis": 4},
                  id="validate-empty-reference"),
+    # A lone surrogate, which a JSON escape can give, is no text an output can
+    # hold or a file name: refused as its line is read, wherever it is.
+    pytest.param(["text"], _utterance_1(**{"note\ud800": 1}),
+                 1, "config error: {path}:1: not UTF-8 text: 'note\\ud800' holds a lone surrogate",
+                 id="utterance-unknown-key-surrogate"),
+    pytest.param(["text"], _utterance_1(tags={"take": ["a\udcff"]}),
+                 1, "config error: {path}:1: not UTF-8 text: 'a\\udcff' holds a lone surrogate",
+                 id="utterance-extra-surrogate"),
+    pytest.param(["audio"], _chapter_ch1(audio_path="raw/ch1\ud800.wav"),
+                 1, "config error: {path}:2: not UTF-8 text: 'raw/ch1\\ud800.wav' holds a lone "
+                 "surrogate", id="chapter-audio-path-surrogate"),
+    # A NUL ends a name in every system call.
+    pytest.param(["audio"], _chapter_ch1(audio_path="raw/ch1\0.wav"),
+                 1, "config error: {path}:2: audio_path: must be a path: no NUL, got "
+                 "'raw/ch1\\x00.wav'", id="chapter-audio-path-nul"),
+    pytest.param(["text"], _chapter_ch1(book_text_path="text/ch1\0.txt"),
+                 1, "config error: {path}:2: book_text_path: must be a path: no NUL, got "
+                 "'text/ch1\\x00.txt'", id="chapter-book-text-path-nul"),
+    # A side input that cannot be looked up, or that is no regular file: a
+    # device such as /dev/full reads without end.
+    pytest.param(["text"], _side_file("predicted_pc_path", "p" * 300, None),
+                 1, "config error: {path}: unreadable: ", id="predicted-pc-name-too-long"),
+    pytest.param(["segment"], _side_file("alignments_path", "a" * 300, None),
+                 1, "config error: {path}: unreadable: ", id="alignments-name-too-long"),
+    pytest.param(["text"], _side_link("predicted_pc_path", "pc.jsonl", "/dev/null"),
+                 1, "config error: {path}: unreadable: not a regular file",
+                 id="predicted-pc-device"),
+    pytest.param(["validate"], _side_link("asr_hypotheses_path", "h.jsonl", "/dev/null"),
+                 1, "config error: {path}: unreadable: not a regular file", id="hyps-device"),
 ]
 
 
@@ -2075,24 +2229,27 @@ def test_record_below_manifest_precision_is_empty_after_trim(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_run_cuts_as_a_chain_of_one_stage_runs(tmp_path, workers):
-    # An offset with more than 4 decimals is cut where the text manifest puts
-    # it, whether the audio stage runs after text in one run or over its manifest.
-    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=3)
-    lines = (root / "utterances.jsonl").read_text().splitlines(keepends=True)
-    first = {**json.loads(lines[0]), "offset_s": 4e-05}
-    (root / "utterances.jsonl").write_text(json.dumps(first) + "\n" + "".join(lines[1:]))
-    config = make_config(root, tmp_path / "one", workers=workers)
-    config.stages = ["text", "audio"]
-    run_pipeline(config)
-    chain = tmp_path / "chain"
-    for stage, manifest in (("text", root / "utterances.jsonl"),
-                            ("audio", chain / "manifest.00_text.jsonl")):
+    # Offsets with more than 4 decimals: each stage sees a value as its input
+    # manifest holds it, whether it runs after the others in one run or over
+    # the last one-stage run's manifest. So every manifest, rejects file,
+    # report and WAV is the same bytes either way.
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=4)  # ch3_0003 fails validate
+    path = root / "utterances.jsonl"
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**obj, "offset_s": obj["offset_s"] + 4e-05}) + "\n"
+                            for obj in objs))
+    run_pipeline(make_config(root, tmp_path / "one", workers=workers))
+    chain, manifest = tmp_path / "chain", path
+    for stage in pipeline_mod.STAGE_ORDER:
         config = make_config(root, chain, workers=workers)
         config.stages, config.utterances_manifest = [stage], str(manifest)
         run_pipeline(config)
+        manifest = chain / f"manifest.00_{stage}.jsonl"
     one, chained = _tree(tmp_path / "one"), _tree(chain)
-    assert chained.pop("manifest.00_audio.jsonl") == one.pop("manifest.01_audio.jsonl")
-    assert "audio/ch0_0000.wav" in one
+    for index, stage in enumerate(pipeline_mod.STAGE_ORDER):
+        assert chained.pop(f"manifest.00_{stage}.jsonl") == one.pop(
+            f"manifest.{index:02d}_{stage}.jsonl"), stage
+    assert {"audio/ch0_0000.wav", "rejects.validate.jsonl", "report.speakers.json"} <= set(one)
     assert chained == one
 
 
