@@ -78,10 +78,9 @@ class PipelineConfig:
         text = read_text(path)
         try:
             data = yaml.safe_load(text) or {}
-            check_encodable(data)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
-        except INPUT_FAULTS as exc:  # a number too long to convert, deep nesting, a surrogate
+        except INPUT_FAULTS as exc:  # a number too long to convert, nesting too deep
             raise input_error(exc, path) from exc
         if not isinstance(data, dict):
             raise ConfigError(
@@ -89,6 +88,12 @@ class PipelineConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:  # YAML keys need not be strings
             raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
+        # Walked after the key check, so only known keys are: with YAML
+        # aliases a few lines can hold a value too large, or cyclic, to walk.
+        try:
+            check_encodable(data)
+        except INPUT_FAULTS as exc:  # a surrogate, nesting too deep
+            raise input_error(exc, path) from exc
         return cls(**data)
 
     def to_yaml(self, path: str | Path) -> None:

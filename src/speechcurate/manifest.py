@@ -399,8 +399,7 @@ def read_jsonl(
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ManifestError("not a JSON object")
-            if "\\u" in line:  # only a \u escape gives a string UTF-8 cannot encode
-                check_encodable(obj)
+            check_encodable(obj)
             out.append(parse(obj))
             if unique is not None:
                 if obj[unique] in seen:

@@ -1202,7 +1202,14 @@ class TestConfig:
         (b"- a\n- b\n", "must be a mapping of config keys, got list"),
         (b"bogus: 1\n", "unknown config keys: ['bogus']"),
         (b"seed: \xff\n", "not UTF-8 text"),
-    ], ids=["malformed", "not-mapping", "unknown-key", "not-utf8"])
+        # A YAML alias repeats a value without copying it: 2**39 leaves, or a
+        # value that holds itself, named as an unknown key before any walk.
+        (b"bogus: [&a0 [x], " + b", ".join(b"&a%d [*a%d, *a%d]" % (i, i - 1, i - 1)
+                                           for i in range(1, 40)) + b"]\n",
+         "unknown config keys: ['bogus']"),
+        (b"bogus: &x [*x]\n", "unknown config keys: ['bogus']"),
+    ], ids=["malformed", "not-mapping", "unknown-key", "not-utf8", "unknown-key-alias-doubling",
+            "unknown-key-alias-cycle"])
     def test_from_yaml_raises_config_error(self, tmp_path, content, message):
         path = tmp_path / "config.yaml"
         path.write_bytes(content)
@@ -1355,6 +1362,9 @@ class TestCli:
         lines = (proc.stderr if exit_code in (1, 2) else proc.stdout).splitlines()
         expected = expected.format(manifest=tmp_path / "m.jsonl")
         assert any(line.startswith(expected) for line in lines), (proc.stdout, proc.stderr)
+        if exit_code in (1, 2):  # refused before any stage: no WAV, `../escape` names none
+            assert proc.stdout == ""
+            assert not list(tmp_path.rglob("*.wav"))
 
     @pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
     def test_help_exit_code(self, args):
@@ -1490,6 +1500,7 @@ class TestCli:
         assert result.exit_code == 1, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"config error: {bad}{':1' if located else ''}: " in result.output
+        assert result.stdout == ""
         assert not (tmp_path / "out").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"m.jsonl", name})
 
@@ -1969,6 +1980,9 @@ def test_malformed_input_is_named(tmp_path, stages, plant, exit_code, expected):
         assert {r: reasons.count(r) for r in reasons} == expected
     else:
         assert expected.format(path=path) in result.output
+        # Refused before any stage: no audio written, and `../../escape` named no file.
+        assert not (tmp_path / "out" / "audio").exists()
+        assert not list(tmp_path.rglob("escape.wav"))
 
 
 # A side input written by another tool may carry keys the stage does not read.
