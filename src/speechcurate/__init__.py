@@ -35,7 +35,6 @@ from .manifest import (
     UtteranceRecord,
     read_chapters,
     read_manifest,
-    write_chapters,
     write_manifest,
 )
 from .segmentation import (

@@ -498,26 +498,29 @@ def _frame_rms(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
     return np.sqrt(windows.mean(axis=1))
 
 
+# trim_silence's analysis frames: 25 ms windows, 12.5 ms apart.
+TRIM_FRAME_S = 0.025
+TRIM_HOP_S = 0.0125
+
+
 def trim_silence(
     buf: AudioBuffer,
     threshold_db: float = 50.0,
     max_edge_silence_s: float = 0.5,
-    frame_s: float = 0.025,
-    hop_s: float = 0.0125,
 ) -> TrimResult:
     """Cut leading/trailing silence, keeping at most max_edge_silence_s per edge.
 
-    A frame is silent when its RMS is more than threshold_db below the peak
-    frame RMS of the buffer itself; the boundary is then refined to the first
-    and last samples above the threshold, which makes trimming idempotent.
-    Interior audio is never touched.
+    A frame (TRIM_FRAME_S long, every TRIM_HOP_S) is silent when its RMS is
+    more than threshold_db below the peak frame RMS of the buffer itself; the
+    boundary is then refined to the first and last samples above the
+    threshold, which makes trimming idempotent. Interior audio is never touched.
     """
     if buf.channels != 1:
         raise AudioError("trim_silence expects a mono buffer")
     sr = buf.sample_rate_hz
     x = buf.samples
-    frame = max(1, int(round(frame_s * sr)))
-    hop = max(1, int(round(hop_s * sr)))
+    frame = max(1, int(round(TRIM_FRAME_S * sr)))
+    hop = max(1, int(round(TRIM_HOP_S * sr)))
     rms = _frame_rms(x, frame, hop)
     peak = rms.max() if len(rms) else 0.0
     thresh = peak * 10.0 ** (-threshold_db / 20.0)

@@ -17,9 +17,10 @@ from .audio import AudioBuffer
 
 DEFAULT_THRESHOLD_DB = -50.0
 DEFAULT_ANALYSIS_S = 30.0
-# 2048-point frames at 44.1 kHz: ~21.5 Hz bins, fine enough for the
-# 11/13 kHz subset gates. Blackman window keeps spectral leakage past a
-# band edge under 3 bins at the -50 dB criterion.
+# mean_power_spectrum's frames, the same for every caller (bench/tracer.py
+# reads these names). 2048-point frames at 44.1 kHz: ~21.5 Hz bins, fine
+# enough for the 11/13 kHz subset gates. Blackman window keeps spectral
+# leakage past a band edge under 3 bins at the -50 dB criterion.
 DEFAULT_WINDOW_S = 2048 / 44100
 DEFAULT_HOP_S = 1024 / 44100
 # Frames per FFT batch in mean_power_spectrum: bounds its working set to
@@ -44,21 +45,18 @@ class BandwidthEstimate:
     degenerate: bool = False
 
 
-def mean_power_spectrum(
-    buf: AudioBuffer,
-    window_s: float = DEFAULT_WINDOW_S,
-    hop_s: float = DEFAULT_HOP_S,
-) -> PowerSpectrum:
+def mean_power_spectrum(buf: AudioBuffer) -> PowerSpectrum:
     """Magnitude-squared FFT per frame, averaged over frames. DC bin included.
 
-    Frames are transformed SPECTRUM_BLOCK_FRAMES at a time and summed in frame
-    order, which gives the same bits as one transform of all frames.
+    Frames are DEFAULT_WINDOW_S long and DEFAULT_HOP_S apart. They are
+    transformed SPECTRUM_BLOCK_FRAMES at a time and summed in frame order,
+    which gives the same bits as one transform of all frames.
     """
     if buf.channels != 1:
         raise BandwidthError("mean_power_spectrum expects a mono buffer")
     sr = buf.sample_rate_hz
-    n_fft = max(2, int(round(window_s * sr)))
-    hop = max(1, int(round(hop_s * sr)))
+    n_fft = max(2, int(round(DEFAULT_WINDOW_S * sr)))
+    hop = max(1, int(round(DEFAULT_HOP_S * sr)))
     x = buf.samples
     if len(x) < n_fft:
         raise BandwidthError(

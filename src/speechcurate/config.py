@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -12,8 +12,10 @@ from .manifest import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_MOST_0, FINITE, IN_FL
                        INPUT_FAULTS, NO_NUL, ConfigError, check_encodable, field_problems,
                        input_error, must, read_text, schema_of, type_problems)
 
+# The stages that run as one pass over each chapter (pipeline._chapter_stages).
+CHAPTER_STAGES = ("text", "audio", "bandwidth")
 # Canonical stage execution order; enabled stages always run in this order.
-STAGE_ORDER = ("text", "audio", "bandwidth", "segment", "validate", "speakers")
+STAGE_ORDER = (*CHAPTER_STAGES, "segment", "validate", "speakers")
 
 
 def _command(*placeholders: str) -> tuple:
@@ -88,18 +90,14 @@ class PipelineConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:  # YAML keys need not be strings
             raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
-        # Walked after the key check, so only known keys are: with YAML
-        # aliases a few lines can hold a value too large, or cyclic, to walk.
+        # Walked after the key check, so an unknown key is named first; the
+        # walk refuses a value a YAML alias repeats, which no later check
+        # could walk.
         try:
             check_encodable(data)
-        except INPUT_FAULTS as exc:  # a surrogate, nesting too deep
+        except INPUT_FAULTS as exc:  # a repeated value, a surrogate, nesting too deep
             raise input_error(exc, path) from exc
         return cls(**data)
-
-    def to_yaml(self, path: str | Path) -> None:
-        Path(path).write_text(
-            yaml.safe_dump(asdict(self), sort_keys=False), encoding="utf-8"
-        )
 
 
 _SCHEMA = schema_of(PipelineConfig)

@@ -92,7 +92,8 @@ def build_triplets(
     """(context, transcript, target) triplets for voice-cloning training.
 
     Context is a distinct same-speaker utterance close to 5 s (longer ones
-    are cropped). Pairs with target CER above max_cer_pct or similarity
+    are cropped); its duration is the record's, as a manifest holds it.
+    Pairs with target CER above max_cer_pct or similarity
     below min_speaker_sim are dropped; pairs with no similarity score are
     skipped and counted.
     """
@@ -126,7 +127,7 @@ def build_triplets(
                     context_utterance_id=context.utterance_id,
                     transcript=target.transcript,
                     target_utterance_id=target.utterance_id,
-                    context_duration_s=(round(context.duration_s, 4)
+                    context_duration_s=(context.duration_s
                                         if context.duration_s <= 5.5 else 5.0),
                 )
             )

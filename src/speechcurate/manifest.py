@@ -12,10 +12,11 @@ import json
 import math
 import operator
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 T = TypeVar("T")
 
@@ -35,9 +36,10 @@ class InvariantError(ManifestError):
     """A value breaks a condition its field declares."""
 
 
-def _round_seconds(x: float) -> float:
-    # External interface: decimal seconds, at most 4 fractional digits.
-    return float(f"{x:.4f}")
+def four_decimals(x: float) -> float:
+    """x as a manifest writes a float field: to 4 decimals (seconds and
+    percentages alike). A stage that decides on a written value asks this."""
+    return round(float(x), 4)
 
 
 def _finite(value) -> bool:
@@ -197,31 +199,32 @@ def _all_finite(value) -> bool:
     return True
 
 
-def check_encodable(value) -> None:
+def check_encodable(value, seen: set | None = None) -> None:
     """ManifestError at the first string in value, a JSON or YAML value as
     parsed (keys included, at any depth), that UTF-8 cannot encode: one with
     a lone surrogate, which only an escape such as "\\ud800" can give. No
-    output could hold it, and no file be named by it."""
-    if isinstance(value, dict):
-        value = [*value, *value.values()]
-    if isinstance(value, list):
-        for item in value:
-            check_encodable(item)
-    elif isinstance(value, str):
+    output could hold it, and no file be named by it. Each list or mapping
+    is walked once, and one that value holds twice is an error too: only a
+    YAML alias can make one, and a few lines of aliases can hold 2**39
+    leaves, or a list that holds itself, which no check or message could walk."""
+    if isinstance(value, str):
         try:
             value.encode()
         except UnicodeEncodeError:
             raise ManifestError(f"not UTF-8 text: {value!r} holds a lone surrogate") from None
-
-
-def _round_pct(x: float) -> float:
-    return round(float(x), 4)
+    elif isinstance(value, (dict, list)):
+        seen = set() if seen is None else seen
+        if id(value) in seen:
+            raise ManifestError("a YAML alias repeats a list or mapping; write each value out")
+        seen.add(id(value))
+        for item in [*value, *value.values()] if isinstance(value, dict) else value:
+            check_encodable(item, seen)
 
 
 # How UtteranceRecord.to_json_dict writes a field's value, where not as it is.
-_WRITTEN_AS = {"offset_s": _round_seconds, "duration_s": _round_seconds,
-               "trim_lead_s": _round_seconds, "bandwidth_hz": lambda hz: int(round(hz)),
-               "wer_pct": _round_pct, "cer_pct": _round_pct}
+_WRITTEN_AS = {"offset_s": four_decimals, "duration_s": four_decimals,
+               "trim_lead_s": four_decimals, "bandwidth_hz": lambda hz: int(round(hz)),
+               "wer_pct": four_decimals, "cer_pct": four_decimals}
 
 
 @dataclass(frozen=True)
@@ -361,10 +364,25 @@ def input_error(exc: Exception, where: str | Path) -> ManifestError:
     return cls(f"{where}: {word}{exc}")
 
 
+def open_input(path: str | Path) -> TextIO:
+    """path opened as UTF-8 text, once it is found to be a regular file; else
+    an OSError, which input_error words `<path>: unreadable: not a regular
+    file`. The one check every input passes before it is read: a directory
+    cannot be read, and a device such as /dev/full reads without end. The
+    file is opened non-blocking, so a FIFO is refused without waiting for
+    a writer; a regular file reads as it would without that flag."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise OSError("not a regular file")
+    return open(fd, encoding="utf-8")
+
+
 def read_text(path: str | Path) -> str:
     """The whole of a UTF-8 text file; a fault is a ManifestError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open_input(path) as fh:
+            return fh.read()
     except INPUT_FAULTS as exc:
         raise input_error(exc, path) from exc
 
@@ -373,7 +391,7 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each non-blank line of a UTF-8 file; a
     fault of the file is a ManifestError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:
@@ -430,9 +448,14 @@ def writing(path: str | Path) -> Iterator[None]:
         raise ConfigError(f"{path}: cannot write: {exc.strerror}") from exc
 
 
+def partial_path(path: Path) -> Path:
+    """The temporary file replacing(path) writes: `.{stem}.partial{suffix}` beside path."""
+    return path.with_name(f".{path.stem}.partial{path.suffix}")
+
+
 @contextmanager
 def replacing(path: str | Path) -> Iterator[Path]:
-    """Yield `.{stem}.partial{suffix}` beside `path`; move it onto `path` on a clean exit.
+    """Yield partial_path(path); move it onto `path` on a clean exit.
 
     A failed or interrupted write leaves `path` as it was and removes the
     temporary file. The body, the move and the removal run under
@@ -443,8 +466,7 @@ def replacing(path: str | Path) -> Iterator[Path]:
     other than an OSError. The temporary file keeps the suffix, from which
     encoders such as ffmpeg pick the format.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.stem}.partial{path.suffix}")
+    tmp = partial_path(Path(path))
     with writing(path):
         try:
             yield tmp
@@ -466,5 +488,3 @@ def write_manifest(
             fh.write(_dump_line(rec.to_json_dict()))
             fh.write("\n")
 
-
-write_chapters = write_manifest

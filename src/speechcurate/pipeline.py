@@ -6,9 +6,10 @@ quarantined into a rejects manifest, each line naming its `reject_reason`.
 The segment stage shifts alignment times by the `trim_lead_s` the audio stage
 stamps. Worker results are re-sorted by utterance_id before writing, so the
 worker count never affects output bytes.
-Each record read is first given its values as a stage manifest would hold
-them (manifest.as_written), so a run and a chain of one-stage runs over each
-other's manifests write the same bytes.
+Each record read, and each record a stage keeps, is given its values as a
+stage manifest holds them (manifest.as_written) before the next stage or the
+writer sees it, so a run and a chain of one-stage runs over each other's
+manifests write the same bytes; no stage rounds on its own.
 The text, audio and bandwidth stages run as one chapter pass on one pool of
 `workers` threads (_chapter_stages), before the first stage's outputs are
 written. Each stage's version of a record is kept until its manifest is
@@ -25,7 +26,6 @@ import json
 import logging
 import os
 import shlex
-import stat
 import subprocess
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -36,17 +36,18 @@ from typing import NamedTuple
 from . import audio as audiolib
 from . import bandwidth as bwlib
 from . import curation, segmentation, textproc
-from .config import STAGE_ORDER, PipelineConfig, validate_config
+from .config import CHAPTER_STAGES, STAGE_ORDER, PipelineConfig, validate_config
 from .manifest import (
     ChapterRecord,
     ConfigError,
     InvariantError,
-    ManifestError,
     UtteranceRecord,
-    _round_seconds,
     as_written,
+    four_decimals,
     from_typed,
     input_error,
+    open_input,
+    partial_path,
     read_chapters,
     read_jsonl,
     read_manifest,
@@ -108,7 +109,8 @@ class _Context:
         if chapter.book_text_path is None:
             return "missing_book_text"
         try:
-            raw = Path(chapter.book_text_path).read_text(encoding="utf-8")
+            with open_input(chapter.book_text_path) as fh:
+                raw = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             return f"book_text_unreadable:{exc.__class__.__name__}"
         text = textproc.clean_formatting(raw, self.rules)
@@ -160,22 +162,26 @@ def _unreadable(exc: Exception) -> str:
     return f"chapter_audio_unreadable:{exc.__class__.__name__}"
 
 
+def _audio_path(out_dir: Path, utterance_id: str, encoder_cmd: str | None) -> Path:
+    """The audio file the audio step writes for an utterance:
+    out_dir/audio/<utterance_id>.wav, or .flac where encoder_cmd makes it."""
+    return out_dir / "audio" / f"{utterance_id}{'.flac' if encoder_cmd else '.wav'}"
+
+
 def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
     """The stage's required side-input file, named by config key `key`: a
-    StageError when it is missing, a ManifestError when it cannot be looked
-    up or is not a regular file."""
+    StageError when it is missing, a ManifestError when it cannot be opened
+    or is not a regular file (manifest.open_input)."""
     value = getattr(ctx.config, key)
     if not value:
         raise StageError(f"stage {stage!r}: {key} is required")
     path = Path(value)
     try:
-        mode = path.stat().st_mode
+        open_input(path).close()
     except (FileNotFoundError, NotADirectoryError):
         raise StageError(f"stage {stage!r}: {what} file not found: {path}") from None
-    except OSError as exc:  # a name too long, say
+    except OSError as exc:  # a name too long, say, or a device
         raise input_error(exc, path) from exc
-    if not stat.S_ISREG(mode):  # a directory, or a device such as /dev/full that reads forever
-        raise ManifestError(f"{path}: unreadable: not a regular file")
     return path
 
 
@@ -295,17 +301,18 @@ def _audio_step(rec: UtteranceRecord, pcm: audiolib.PcmFile, ctx: _Context):
         threshold_db=cfg.trim_threshold_db,
         max_edge_silence_s=cfg.max_edge_silence_s,
     )
-    duration_s = round(trim.trimmed.duration_s, 4)
-    if duration_s == 0:  # nothing kept, or less than the manifest's 0.1 ms
+    if four_decimals(trim.trimmed.duration_s) == 0:  # nothing kept, or less than 0.1 ms
         return _Reject(rec, "empty_after_trim")
     # The source frame of the first kept sample; write_kept reads it only
     # where resampling kept the source's rate.
     first = start + round(trim.leading_removed_s * piece.sample_rate_hz)
-    path = ctx.out_dir / "audio" / f"{rec.utterance_id}{'.flac' if cfg.encoder_cmd else '.wav'}"
+    path = _audio_path(ctx.out_dir, rec.utterance_id, cfg.encoder_cmd)
     try:
         with replacing(path) as tmp:
             if cfg.encoder_cmd:
-                _encode(pcm, first, trim.trimmed, tmp, cfg.encoder_cmd)
+                # The encoder reads the WAV written where the WAV route writes its own.
+                wav_path = partial_path(_audio_path(ctx.out_dir, rec.utterance_id, None))
+                _encode(pcm, first, trim.trimmed, wav_path, tmp, cfg.encoder_cmd)
             else:
                 audiolib.write_kept(pcm, first, trim.trimmed, tmp)
     except audiolib.AudioError as exc:  # the copy could not read the chapter again
@@ -315,8 +322,9 @@ def _audio_step(rec: UtteranceRecord, pcm: audiolib.PcmFile, ctx: _Context):
     return rec.with_fields(
         audio_path=str(path.relative_to(ctx.out_dir)),
         offset_s=0.0,
-        duration_s=duration_s,
-        trim_lead_s=round(trim.leading_removed_s, 4) or None,
+        duration_s=trim.trimmed.duration_s,
+        # a lead that is 0.0 s as written is no lead: the key is left out
+        trim_lead_s=trim.leading_removed_s if four_decimals(trim.leading_removed_s) else None,
     )
 
 
@@ -324,14 +332,13 @@ class _EncoderFailed(Exception):
     """encoder_cmd could not start or exited non-zero; the message is that fault's class."""
 
 
-def _encode(pcm: audiolib.PcmFile, first: int, buf: audiolib.AudioBuffer, out_path: Path,
-            encoder_cmd: str) -> None:
-    """Write buf (see audio.write_kept) as a WAV beside out_path and run
-    encoder_cmd on it into out_path. A fault of writing the WAV, or an
-    encoder that leaves no regular file at out_path (a directory there, say,
-    which replacing would move into place), is an OSError; a fault of the
-    encoder's own is an _EncoderFailed."""
-    wav_path = out_path.with_suffix(".wav")
+def _encode(pcm: audiolib.PcmFile, first: int, buf: audiolib.AudioBuffer, wav_path: Path,
+            out_path: Path, encoder_cmd: str) -> None:
+    """Write buf (see audio.write_kept) as the WAV wav_path and run
+    encoder_cmd on it into out_path; the WAV is removed either way. A fault
+    of writing the WAV, or an encoder that leaves no regular file at
+    out_path (a directory there, say, which replacing would move into
+    place), is an OSError; a fault of the encoder's own is an _EncoderFailed."""
     try:
         audiolib.write_kept(pcm, first, buf, wav_path)
         cmd = [part.format(input=str(wav_path), output=str(out_path))
@@ -419,7 +426,7 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
         # Not the executor's __exit__: that would run every queued task first.
         pool.shutdown(wait=True, cancel_futures=True)
     # {stage: (kept, rejects, extras)}: a _Reject goes to index 1 (True).
-    out = {s: ([], [], {}) for s in ("text", "audio", "bandwidth") if s in cfg.stages}
+    out = {s: ([], [], {}) for s in CHAPTER_STAGES if s in cfg.stages}
     for i, chain in enumerate(results):
         results[i] = None  # each record's chain goes once its versions are sorted out
         for (stage, _, _), item in zip(steps, chain or ()):  # None without steps
@@ -455,8 +462,8 @@ def _stage_segment(records, ctx: _Context):
                 track, rec.transcript, cfg.min_pause_s, ctx.abbreviations
             )
             # a cut must leave both children more than 0.0 s as a manifest writes them
-            pauses = [p for p in pauses if _round_seconds(p.midpoint_s) > 0
-                      and _round_seconds(rec.duration_s - p.midpoint_s) > 0]
+            pauses = [p for p in pauses if four_decimals(p.midpoint_s) > 0
+                      and four_decimals(rec.duration_s - p.midpoint_s) > 0]
             pause = segmentation.choose_split(
                 pauses, segmentation.utterance_seed(rec.utterance_id, cfg.seed)
             )
@@ -484,9 +491,7 @@ def _stage_validate(records, ctx: _Context):
             stats = textproc.edit_stats(rec.transcript, hyp)
         except textproc.TextError:
             return _Reject(rec, "empty_reference")
-        rec = rec.with_fields(
-            wer_pct=round(stats.wer_pct, 4), cer_pct=round(stats.cer_pct, 4)
-        )
+        rec = rec.with_fields(wer_pct=stats.wer_pct, cer_pct=stats.cer_pct)
         if not textproc.passes_cer_gate(stats, cfg.max_cer_pct):
             return _Reject(rec, "cer_gate")
         return [rec]
@@ -563,13 +568,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # Each stage sees a value as a stage manifest would hold it, so a run
     # and a chain of one-stage runs over its manifests agree.
     records = read_manifest(config.utterances_manifest)
-    # The longest name the audio step writes: replacing's temporary name.
-    audio_name = ".{}.partial" + (".flac" if config.encoder_cmd else ".wav")
+    # The longest name the audio step writes, replacing's temporary name of a
+    # record's audio file, as a template for its utterance_id.
+    tmp_name = partial_path(_audio_path(ctx.out_dir, "{}", config.encoder_cmd)).name
     name_max = os.pathconf(ctx.out_dir, "PC_NAME_MAX") if "audio" in enabled else 0
     for i, rec in enumerate(records):
         try:
             records[i] = as_written(rec)
-            if 0 < name_max < (n := len(os.fsencode(audio_name.format(rec.utterance_id)))):
+            if 0 < name_max < (n := len(os.fsencode(tmp_name.format(rec.utterance_id)))):
                 raise InvariantError(f"utterance_id: too long: its audio's temporary name is"
                                      f" {n} bytes, over {ctx.out_dir}'s limit of {name_max}")
         except InvariantError as exc:  # a value that is invalid as written
@@ -578,14 +584,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         if stage in _SIDE_INPUTS:
             _side_input(ctx, stage, *_SIDE_INPUTS[stage])
     chapter_stages = (_chapter_stages(records, ctx)
-                      if not {"text", "audio", "bandwidth"}.isdisjoint(enabled) else {})
+                      if not set(CHAPTER_STAGES).isdisjoint(enabled) else {})
     reports: list[StageReport] = []
     final_path: Path | None = None
     any_rejects = False
     for index, stage in enumerate(enabled):
         n_in = len(records)
         kept, rejects, extras = chapter_stages.pop(stage, None) or _STAGE_FNS[stage](records, ctx)
-        kept.sort(key=lambda r: r.utterance_id)
+        # What the next stage sees is what this stage's manifest holds.
+        kept = sorted(map(as_written, kept), key=lambda r: r.utterance_id)
         final_path = ctx.out_dir / f"manifest.{index:02d}_{stage}.jsonl"
         write_manifest(kept, final_path)
         rejects_path = ctx.out_dir / f"rejects.{stage}.jsonl"

@@ -12,7 +12,7 @@ import numpy as np
 
 from speechcurate.audio import AudioBuffer, save_pcm
 from speechcurate.config import PipelineConfig
-from speechcurate.manifest import ChapterRecord, UtteranceRecord, write_chapters, write_manifest
+from speechcurate.manifest import ChapterRecord, UtteranceRecord, write_manifest
 from speechcurate.textproc import strip_pc
 
 from conftest import lowpassed_noise
@@ -139,7 +139,7 @@ def build_corpus(root: Path, n_utts_per_chapter=5):
             book_text_path=str(text_path),
         ))
 
-    write_chapters(chapters, root / "chapters.jsonl")
+    write_manifest(chapters, root / "chapters.jsonl")
     write_manifest(utterances, root / "utterances.jsonl")
     with open(root / "alignments.jsonl", "w") as fh:
         for obj in alignments:

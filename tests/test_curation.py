@@ -228,7 +228,7 @@ class TestTriplets:
                         skipped["similarity"] += 1
                         continue
                     triplets.append(curation.Triplet(context_id, target.transcript,
-                                                     target.utterance_id, round(context_dur, 4)))
+                                                     target.utterance_id, context_dur))
             return triplets, skipped
 
         rng = random.Random(seed)

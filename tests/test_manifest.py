@@ -20,7 +20,6 @@ from speechcurate.manifest import (
     read_jsonl,
     read_manifest,
     replacing,
-    write_chapters,
     write_manifest,
 )
 
@@ -212,7 +211,7 @@ def test_chapter_round_trip(tmp_path):
         ChapterRecord("ch2", "b1", "spk1", "raw/ch2.wav", 48000),
     ]
     path = tmp_path / "chapters.jsonl"
-    write_chapters(chapters, path)
+    write_manifest(chapters, path)
     assert read_chapters(path) == chapters
 
 

@@ -36,9 +36,9 @@ from speechcurate.config import PipelineConfig, validate_config
 from speechcurate.manifest import (
     ChapterRecord,
     UtteranceRecord,
+    as_written,
     read_chapters,
     read_manifest,
-    write_chapters,
     write_manifest,
 )
 from speechcurate.pipeline import (
@@ -50,7 +50,7 @@ from speechcurate.pipeline import (
     run_pipeline,
 )
 
-from conftest import lowpassed_noise
+from conftest import lowpassed_noise, run_bounded, write_config
 from corpus_harness import build_corpus, make_config
 from test_curation import eval_fixture
 
@@ -199,7 +199,7 @@ class TestDeterminism:
         chapters.append(ChapterRecord(chapter_id="ch9", book_id="book0",
                                       speaker_id="spk9", audio_path="raw/ch9.wav",
                                       sample_rate_hz=48000))
-        write_chapters(chapters, root / "chapters.jsonl")
+        write_manifest(chapters, root / "chapters.jsonl")
         records = read_manifest(root / "utterances.jsonl")
         template = records[0]
         records += [template.with_fields(utterance_id=f"ch9_{i:04d}", chapter_id="ch9")
@@ -236,7 +236,7 @@ def _decoded_copies(root, chapter_ids):
             raw = str(Path(chapter.audio_path).with_suffix(".raw"))
             (root / raw).write_bytes((root / chapter.audio_path).read_bytes())
             chapters[i] = ChapterRecord(**{**chapter.to_json_dict(), "audio_path": raw})
-    write_chapters(chapters, root / "chapters.jsonl")
+    write_manifest(chapters, root / "chapters.jsonl")
 
 
 def _rewrite_as_16bit(root, chapter_id, rate):
@@ -248,7 +248,7 @@ def _rewrite_as_16bit(root, chapter_id, rate):
     chapters = [ChapterRecord(**{**c.to_json_dict(), "sample_rate_hz": rate})
                 if c.chapter_id == chapter_id else c
                 for c in read_chapters(root / "chapters.jsonl")]
-    write_chapters(chapters, root / "chapters.jsonl")
+    write_manifest(chapters, root / "chapters.jsonl")
 
 
 class TestChapterStreaming:
@@ -259,7 +259,7 @@ class TestChapterStreaming:
         chapters += [ChapterRecord(chapter_id=c, book_id="book0", speaker_id="spk9",
                                    audio_path="raw/ch0.wav", sample_rate_hz=48000)
                      for c in ("ch8", "ch9")]
-        write_chapters(chapters, root / "chapters.jsonl")
+        write_manifest(chapters, root / "chapters.jsonl")
         by_chapter: dict[str, list] = {}
         for rec in read_manifest(root / "utterances.jsonl"):
             by_chapter.setdefault(rec.chapter_id, []).append(rec)
@@ -492,7 +492,7 @@ class TestChapterStreaming:
         save_pcm(AudioBuffer(noise, 4000), root / "raw" / "ch8.wav")
         chapters = read_chapters(root / "chapters.jsonl")
         chapters.append(ChapterRecord("ch8", "book0", "spk8", "raw/ch8.wav", 4000))
-        write_chapters(chapters, root / "chapters.jsonl")
+        write_manifest(chapters, root / "chapters.jsonl")
         records = read_manifest(root / "utterances.jsonl")
         template = records[0].with_fields(chapter_id="ch8", audio_path="raw/ch8.wav")
         records += [
@@ -551,7 +551,7 @@ class TestChapterStreaming:
         chapters = read_chapters(root / "chapters.jsonl")
         chapters[3] = ChapterRecord(**{**chapters[3].to_json_dict(),
                                        "audio_path": "raw/ch3.flac"})
-        write_chapters(chapters, root / "chapters.jsonl")
+        write_manifest(chapters, root / "chapters.jsonl")
         config = make_config(root, tmp_path / "out", workers=2)
         config.stages = [stage]
         config.decoder_cmd = "false {input}"
@@ -724,7 +724,7 @@ class TestOnePassPerChapter:
         save_pcm(AudioBuffer(noise, 48000), root / "raw" / "ch8.wav")
         chapters = read_chapters(root / "chapters.jsonl")
         chapters.append(ChapterRecord("ch8", "book0", "spk8", "raw/ch8.wav", 48000))
-        write_chapters(chapters, root / "chapters.jsonl")
+        write_manifest(chapters, root / "chapters.jsonl")
         records = [r.with_fields(offset_s=1000.0) if r.chapter_id == "ch1" else r
                    for r in read_manifest(root / "utterances.jsonl")]
         records.append(records[0].with_fields(utterance_id="ch8_0000", chapter_id="ch8",
@@ -872,7 +872,7 @@ def planted_corpus(tmp_path_factory):
     chapters += [ChapterRecord("ch5", "book0", "spk5", "raw/ch5.wav", 48000),
                  ChapterRecord("ch6", "book0", "spk6", "raw/ch6.wav", 48000, books["ch3"]),
                  ChapterRecord("ch7", "book0", "spk7", "raw/ch7.wav", 48000, books["ch0"])]
-    write_chapters(chapters, root / "chapters.jsonl")
+    write_manifest(chapters, root / "chapters.jsonl")
     records = [r.with_fields(offset_s=1000.0) if r.chapter_id == "ch1" else r
                for r in read_manifest(root / "utterances.jsonl")]
     planted = [r.with_fields(utterance_id=r.utterance_id.replace(like, new), chapter_id=new,
@@ -924,7 +924,7 @@ def _bandwidth_only_config(root, samples, sr):
     """One chapter WAV with one utterance spanning it; runs the bandwidth stage only."""
     (root / "raw").mkdir(parents=True)
     save_pcm(AudioBuffer(samples, sr), root / "raw" / "c0.wav", bit_depth=32)
-    write_chapters([ChapterRecord("c0", "b0", "s0", "raw/c0.wav", sr)],
+    write_manifest([ChapterRecord("c0", "b0", "s0", "raw/c0.wav", sr)],
                    root / "chapters.jsonl")
     write_manifest([UtteranceRecord("c0_0000", "b0", "c0", "s0", "raw/c0.wav",
                                     0.0, len(samples) / sr, raw_text="x")],
@@ -980,7 +980,7 @@ def test_odd_source_rate_beside_48k(tmp_path):
         chapters.append(ChapterRecord(f"c{i}", "b0", f"s{i}", path, sr))
         records += [UtteranceRecord(f"c{i}_{k:04d}", "b0", f"c{i}", f"s{i}", path,
                                     2.0 * k, 2.0, raw_text="x") for k in range(2)]
-    write_chapters(chapters, tmp_path / "chapters.jsonl")
+    write_manifest(chapters, tmp_path / "chapters.jsonl")
     write_manifest(records, tmp_path / "utterances.jsonl")
     outs = []
     for workers in (1, 2):
@@ -1012,7 +1012,7 @@ def _lead_silence_config(root, tokens):
     samples[int(3.0 * sr):int(3.4 * sr)] = 0.0
     (root / "raw").mkdir(parents=True)
     save_pcm(AudioBuffer(samples, sr), root / "raw" / "c0.wav")
-    write_chapters([ChapterRecord("c0", "b0", "s0", "raw/c0.wav", sr)], root / "chapters.jsonl")
+    write_manifest([ChapterRecord("c0", "b0", "s0", "raw/c0.wav", sr)], root / "chapters.jsonl")
     write_manifest([UtteranceRecord("c0_0000", "b0", "c0", "s0", "raw/c0.wav", 0.0, 5.0,
                                     raw_text=" ".join(w for w, _, _ in tokens))],
                    root / "utterances.jsonl")
@@ -1098,7 +1098,7 @@ class TestConfig:
     def test_yaml_round_trip(self, tmp_path):
         config = PipelineConfig(seed=7, workers=3, max_cer_pct=42.0)
         path = tmp_path / "config.yaml"
-        config.to_yaml(path)
+        write_config(config, path)
         assert PipelineConfig.from_yaml(path) == config
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -1216,6 +1216,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             PipelineConfig.from_yaml(path)
 
+    # Under a known key an alias structure is walked by every check of the
+    # value and by its message: 2**39 leaves in a few lines, or a value that
+    # holds itself. Each runs bounded, so a walk without end fails its row.
+    @pytest.mark.parametrize("content", [
+        *(pytest.param(f"{key}: [&a0 [x], " + ", ".join(f"&a{i} [*a{i - 1}, *a{i - 1}]"
+                                                        for i in range(1, 40)) + "]\n",
+                       id=f"{key}-alias-doubling") for key in ("seed", "stages")),
+        pytest.param("stages: &x [*x]\n", id="stages-alias-cycle"),
+    ])
+    def test_shared_value_is_config_error(self, tmp_path, content):
+        (tmp_path / "config.yaml").write_text(content)
+        proc = run_bounded(tmp_path, ["run", "--config", "config.yaml"], timeout_s=5)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith(
+            "config error: config.yaml: a YAML alias repeats a list or mapping"), proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_missing_alignments_fails_fast(self, corpus, tmp_path):
         config = make_config(corpus, tmp_path / "out")
         config.alignments_path = None
@@ -1240,7 +1258,7 @@ def _cli_run(first=None, **config):
         if first:
             manifest = _first_changed(tmp_path, corpus / "utterances.jsonl", first)
             cfg.utterances_manifest = str(manifest)
-        cfg.to_yaml(tmp_path / "config.yaml")
+        write_config(cfg, tmp_path / "config.yaml")
         return ["run", "--config", "config.yaml"]
     return args
 
@@ -1261,7 +1279,7 @@ class TestCli:
         out = tmp_path / "cli_out"
         config = make_config(corpus, out)
         config_path = tmp_path / "config.yaml"
-        config.to_yaml(config_path)
+        write_config(config, config_path)
         result = runner.invoke(main, ["run", "--config", str(config_path)])
         assert result.exit_code == EXIT_PARTIAL, result.output
         final = sorted(out.glob("manifest.05_speakers.jsonl"))
@@ -1286,7 +1304,7 @@ class TestCli:
 
         monkeypatch.setattr(cli_mod, "run_pipeline", fake_run)
         config_path = tmp_path / "config.yaml"
-        make_config(corpus, tmp_path / "out").to_yaml(config_path)
+        write_config(make_config(corpus, tmp_path / "out"), config_path)
         result = CliRunner().invoke(main, ["run", "--config", str(config_path), *args])
         assert result.exit_code == 0, result.output
         (config,) = seen
@@ -1325,11 +1343,11 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.yaml", "m.jsonl", "spec.json"]
 
-    # What a real process adds to the in-process tests: `python -m
-    # speechcurate.cli` as the entry point, the exit code as sys.exit sets it,
-    # and stderr as the process writes it, where an escaped exception shows as
-    # a Traceback. One row per exit code and command; the in-process tests
-    # hold the other cases.
+    # What a real process adds to the in-process tests: the CLI module run as
+    # `__main__` (run_bounded), the exit code as sys.exit sets it, and stderr
+    # as the process writes it, where an escaped exception shows as a
+    # Traceback. One row per exit code and command; the in-process tests hold
+    # the other cases.
     @pytest.mark.parametrize("args,exit_code,expected", [
         pytest.param(_cli_run(), 3, "final manifest: ", id="run-partial"),
         pytest.param(_cli_run(first={"utterance_id": "../escape"}), 1,
@@ -1352,11 +1370,8 @@ class TestCli:
     def test_real_process_exit_code(self, tmp_path, corpus, pipeline_out, args, exit_code,
                                     expected):
         _, presult = pipeline_out
-        src = Path(pipeline_mod.__file__).parents[1]  # the tree under test
-        proc = subprocess.run([sys.executable, "-m", "speechcurate.cli",
-                               *args(tmp_path, corpus, presult.final_manifest)],
-                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
-                              capture_output=True, text=True, timeout=120)
+        proc = run_bounded(tmp_path, args(tmp_path, corpus, presult.final_manifest),
+                           timeout_s=120)
         assert proc.returncode == exit_code, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
         lines = (proc.stderr if exit_code in (1, 2) else proc.stdout).splitlines()
@@ -1436,7 +1451,7 @@ class TestCli:
         config_path = tmp_path / "config.yaml"
         config = make_config(corpus, tmp_path / "out")
         config.utterances_manifest = str(bad)
-        config.to_yaml(config_path)
+        write_config(config, config_path)
         args = {
             "stats": ["stats", "--manifest", str(bad)],
             "subset": ["subset", "--manifest", str(bad), "--spec", str(spec_path),
@@ -1533,7 +1548,7 @@ class TestInputErrors:
         config.stages = ["audio"]
         config.encoder_cmd = encoder
         config_path = tmp_path / "config.yaml"
-        config.to_yaml(config_path)
+        write_config(config, config_path)
         result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
         assert result.exit_code == EXIT_PARTIAL, result.output
         report = json.loads((tmp_path / "out" / "report.audio.json").read_text())
@@ -1547,7 +1562,7 @@ class TestInputErrors:
         config = make_config(corpus, tmp_path / "out")
         config.chapters_manifest = str(bad)
         config_path = tmp_path / "config.yaml"
-        config.to_yaml(config_path)
+        write_config(config, config_path)
         result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
         assert result.exit_code == 1, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -1565,7 +1580,7 @@ class TestInputErrors:
         config.stages = ["text", "audio", stage]
         setattr(config, key, str(tmp_path / "absent.jsonl"))
         config_path = tmp_path / "config.yaml"
-        config.to_yaml(config_path)
+        write_config(config, config_path)
         result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
         assert result.exit_code == 2, result.output
         assert (f"stage {stage!r}: {what} file not found: {tmp_path / 'absent.jsonl'}"
@@ -1577,7 +1592,7 @@ class TestInputErrors:
         config = make_config(corpus, tmp_path / "out")
         config.chapters_manifest = str(tmp_path / "absent.jsonl")
         config_path = tmp_path / "config.yaml"
-        config.to_yaml(config_path)
+        write_config(config, config_path)
         result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
         assert result.exit_code == 2, result.output
         assert "chapters manifest not found" in result.output
@@ -1593,7 +1608,7 @@ class TestInputErrors:
         config.utterances_manifest = str(empty)
         config.chapters_manifest = str(tmp_path / "absent.jsonl")
         config_path = tmp_path / "config.yaml"
-        config.to_yaml(config_path)
+        write_config(config, config_path)
         result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
         assert result.exit_code == 2, result.output
         assert "chapters manifest not found" in result.output
@@ -1968,7 +1983,7 @@ def test_malformed_input_is_named(tmp_path, stages, plant, exit_code, expected):
     config.stages = stages
     path = plant(root, config)
     config_path = tmp_path / "config.yaml"
-    config.to_yaml(config_path)
+    write_config(config, config_path)
     result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
     assert result.exception is None or isinstance(result.exception, SystemExit), result.output
     assert result.exit_code == exit_code, result.output
@@ -2074,7 +2089,7 @@ def test_output_directory_that_is_a_file_is_config_error(tmp_path, plant):
     config = make_config(root, out)
     config.stages = ["text", "audio"]
     config_path = tmp_path / "config.yaml"
-    config.to_yaml(config_path)
+    write_config(config, config_path)
     result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -2096,7 +2111,7 @@ def test_directory_at_output_name_is_config_error(tmp_path, stage, name):
     config = make_config(root, out)
     config.stages = [stage]
     config_path = tmp_path / "config.yaml"
-    config.to_yaml(config_path)
+    write_config(config, config_path)
     result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -2124,7 +2139,7 @@ def test_directory_at_encoder_temporary_name_is_config_error(tmp_path):
     config = make_config(root, tmp_path / "out")
     config.stages = ["audio"]
     config.encoder_cmd = "cp {input} {output}"
-    config.to_yaml(tmp_path / "config.yaml")
+    write_config(config, tmp_path / "config.yaml")
     audio = tmp_path / "out" / "audio"
     (audio / ".ch0_0000.partial.flac").mkdir(parents=True)
     result = CliRunner().invoke(main, ["run", "--config", str(tmp_path / "config.yaml")])
@@ -2142,7 +2157,7 @@ def _running(stages, encoder=None):
                              workers=2)
         config.stages = stages
         config.encoder_cmd = encoder
-        config.to_yaml(tmp_path / "config.yaml")
+        write_config(config, tmp_path / "config.yaml")
         return ["run", "--config", str(tmp_path / "config.yaml")]
     return args
 
@@ -2219,11 +2234,69 @@ def test_full_disk_at_encoder_output_is_the_encoders_fault(tmp_path):
                                                       "ch3_0000.flac"]
 
 
+def _run_reading(key, stages):
+    """The config of a `run` of stages over a small corpus that reads its
+    config key's file from `device`."""
+    def case(tmp_path, device):
+        config = make_config(build_corpus(tmp_path / "corpus", n_utts_per_chapter=1),
+                             tmp_path / "out")
+        config.stages = stages
+        setattr(config, key, device)
+        return config
+    return case
+
+
+def _fifo(tmp_path):
+    os.mkfifo(tmp_path / "fifo")
+    return str(tmp_path / "fifo")
+
+
+# An input that is no regular file is refused before it is read: a device
+# such as /dev/full reads without end, and a FIFO waits for a writer. Each
+# case runs bounded, so one that reads on fails its row instead of the run.
+@pytest.mark.skipif(not _HAS_DEV_FULL, reason="no /dev/full")
+@pytest.mark.parametrize("case,device", [
+    pytest.param(_run_reading("utterances_manifest", ["text"]), "/dev/full", id="utterances"),
+    pytest.param(_run_reading("chapters_manifest", ["audio"]), "/dev/full", id="chapters"),
+    pytest.param(_run_reading("rules_path", ["text"]), "/dev/full", id="rules"),
+    pytest.param(_run_reading("abbreviations_path", ["segment"]), "/dev/full",
+                 id="abbreviations"),
+    pytest.param(lambda tmp_path, device: ["stats", "--manifest", device], "/dev/full",
+                 id="stats-manifest"),
+    pytest.param(lambda tmp_path, device: ["run", "--config", device], "/dev/full", id="config"),
+    pytest.param(lambda tmp_path, device: ["subset", "--manifest", device, "--spec", device,
+                                           "--out", "s.jsonl"], "/dev/full", id="subset-spec"),
+    pytest.param(_run_reading("utterances_manifest", ["text"]), _fifo, id="utterances-fifo"),
+    pytest.param(lambda tmp_path, device: ["stats", "--manifest", device], _fifo,
+                 id="stats-manifest-fifo"),
+])
+def test_input_that_is_no_regular_file_is_config_error(tmp_path, case, device):
+    device = device(tmp_path) if callable(device) else device
+    proc = run_bounded(tmp_path, case(tmp_path, device))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert f"config error: {device}: unreadable: not a regular file" in proc.stderr.splitlines()
+    assert proc.stdout == ""
+    assert not list(tmp_path.glob("out/**/*.wav")) and not (tmp_path / "s.jsonl").exists()
+
+
+@pytest.mark.skipif(not _HAS_DEV_FULL, reason="no /dev/full")
+def test_book_text_that_is_no_regular_file_rejects_its_chapter(tmp_path):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=2)
+    config = make_config(root, tmp_path / "out")
+    config.stages = ["text"]
+    _chapter_ch1(book_text_path="/dev/full")(root, config)
+    proc = run_bounded(tmp_path, config)
+    assert proc.returncode == EXIT_PARTIAL, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.text.json").read_text())
+    assert report["drop_reasons"] == {"book_text_unreadable:OSError": 2}
+
+
 def test_record_below_manifest_precision_is_empty_after_trim(tmp_path):
     # One loud sample at 44.1 kHz lasts 0.023 ms: 0.0 s at the manifest's 4 decimals.
     (tmp_path / "raw").mkdir()
     save_pcm(AudioBuffer(np.array([0.5]), 44100), tmp_path / "raw" / "c1.wav")
-    write_chapters([ChapterRecord("c1", "b1", "s1", "raw/c1.wav", 44100)],
+    write_manifest([ChapterRecord("c1", "b1", "s1", "raw/c1.wav", 44100)],
                    tmp_path / "chapters.jsonl")
     write_manifest([UtteranceRecord("u1", "b1", "c1", "s1", "raw/c1.wav", 0.0, 1.0)],
                    tmp_path / "utts.jsonl")
@@ -2233,12 +2306,42 @@ def test_record_below_manifest_precision_is_empty_after_trim(tmp_path):
                             audio_root=str(tmp_path), out_dir=str(out), stages=["audio"],
                             max_edge_silence_s=0)
     config_path = tmp_path / "config.yaml"
-    config.to_yaml(config_path)
+    write_config(config, config_path)
     result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
     assert result.exit_code == EXIT_PARTIAL, result.output
     report = json.loads((out / "report.audio.json").read_text())
     assert report["drop_reasons"] == {"empty_after_trim": 1}
     assert list((out / "audio").iterdir()) == []
+
+
+def _offsets_past_precision(root):
+    """Add 4e-05 s to every offset of the corpus's utterances manifest: more
+    decimals than a manifest writes."""
+    path = root / "utterances.jsonl"
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**obj, "offset_s": obj["offset_s"] + 4e-05}) + "\n"
+                            for obj in objs))
+    return path
+
+
+def test_trim_lead_is_written_by_the_manifest_rule(tmp_path):
+    # 12 silent samples at 48 kHz are 0.00025 s, a tie at 4 decimals. The
+    # audio stage writes the lead as the manifest's rule writes that number,
+    # 0.0003; a rounding of its own, such as numpy's (0.0002), would disagree.
+    (tmp_path / "raw").mkdir()
+    samples = np.concatenate([np.zeros(12), np.full(4800, 0.5)])
+    save_pcm(AudioBuffer(samples, 48000), tmp_path / "raw" / "c1.wav")
+    write_manifest([ChapterRecord("c1", "b1", "s1", "raw/c1.wav", 48000)],
+                   tmp_path / "chapters.jsonl")
+    write_manifest([UtteranceRecord("u1", "b1", "c1", "s1", "raw/c1.wav", 0.0, 0.10025)],
+                   tmp_path / "utts.jsonl")
+    config = PipelineConfig(utterances_manifest=str(tmp_path / "utts.jsonl"),
+                            chapters_manifest=str(tmp_path / "chapters.jsonl"),
+                            audio_root=str(tmp_path), out_dir=str(tmp_path / "out"),
+                            stages=["audio"], target_sample_rate_hz=48000, max_edge_silence_s=0)
+    (rec,) = read_manifest(run_pipeline(config).final_manifest)
+    assert rec.trim_lead_s == as_written(rec.with_fields(trim_lead_s=12 / 48000)).trim_lead_s
+    assert rec.trim_lead_s == 0.0003
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -2248,10 +2351,7 @@ def test_one_run_cuts_as_a_chain_of_one_stage_runs(tmp_path, workers):
     # the last one-stage run's manifest. So every manifest, rejects file,
     # report and WAV is the same bytes either way.
     root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=4)  # ch3_0003 fails validate
-    path = root / "utterances.jsonl"
-    objs = [json.loads(line) for line in path.read_text().splitlines()]
-    path.write_text("".join(json.dumps({**obj, "offset_s": obj["offset_s"] + 4e-05}) + "\n"
-                            for obj in objs))
+    path = _offsets_past_precision(root)
     run_pipeline(make_config(root, tmp_path / "one", workers=workers))
     chain, manifest = tmp_path / "chain", path
     for stage in pipeline_mod.STAGE_ORDER:
@@ -2265,6 +2365,29 @@ def test_one_run_cuts_as_a_chain_of_one_stage_runs(tmp_path, workers):
             f"manifest.{index:02d}_{stage}.jsonl"), stage
     assert {"audio/ch0_0000.wav", "rejects.validate.jsonl", "report.speakers.json"} <= set(one)
     assert chained == one
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_stage_receives_records_as_written(tmp_path, monkeypatch, workers):
+    # The value a stage hands on is the value its manifest line holds: split
+    # children's durations, validate's rates and the audio step's times alike.
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=4)
+    _offsets_past_precision(root)
+    seen = []
+
+    def receiving_as_written(stage, fn):
+        def stage_fn(records, ctx):
+            seen.append(stage)
+            for rec in records:
+                assert rec == as_written(rec), (stage, rec)
+            return fn(records, ctx)
+        return stage_fn
+
+    for stage, fn in list(pipeline_mod._STAGE_FNS.items()):
+        monkeypatch.setitem(pipeline_mod._STAGE_FNS, stage, receiving_as_written(stage, fn))
+    result = run_pipeline(make_config(root, tmp_path / "out", workers=workers))
+    assert seen == ["segment", "validate", "speakers"]
+    assert result.reports[3].extras == {"split_parents": 8}
 
 
 def test_config_error_is_defined_once():
@@ -2482,17 +2605,13 @@ def test_killed_run_leaves_no_truncated_output(tmp_path, workers, hook):
         '  if [ $# = 1 ]; then exec cat "$1"; else exec cp "$1" "$2"; fi\n'
         "fi\n"
         'head -c 44 "$1" > "${2:-/dev/null}"; kill -9 $PPID; exit 1\n')
-    env = {**os.environ, "PYTHONPATH": str(Path(pipeline_mod.__file__).parents[1])}
 
     def run(out):
         config = make_config(root, out, workers=workers)
         config.decoder_cmd = f"sh {script} {{input}}" if hook == "decoder" else "cat {input}"
         if hook == "encoder":
             config.encoder_cmd = f"sh {script} {{input}} {{output}}"
-        config.to_yaml(tmp_path / "config.yaml")
-        return subprocess.run([sys.executable, "-m", "speechcurate.cli", "run", "--config",
-                               str(tmp_path / "config.yaml")], env=env,
-                              capture_output=True).returncode
+        return run_bounded(tmp_path, config, timeout_s=120).returncode
 
     out = tmp_path / "out"
     assert run(out) == -signal.SIGKILL
@@ -2606,7 +2725,7 @@ def test_stage_summary_logged_on_cli_stderr_only(corpus, tmp_path, capfd):
     assert capfd.readouterr().err == ""
     config.out_dir = str(tmp_path / "cli")
     config_path = tmp_path / "config.yaml"
-    config.to_yaml(config_path)
+    write_config(config, config_path)
     result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
     assert result.exit_code == 0, result.output
     assert re.fullmatch(r"\[text\] in=(\d+) out=\1 dropped=0\n", result.stderr)
