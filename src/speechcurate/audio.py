@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .manifest import open_input
+
 
 class AudioError(Exception):
     pass
@@ -190,18 +192,31 @@ def _read_header(fid) -> tuple:
     return rate, channels, width, encoding, here, frames
 
 
+def command(template: str, **values: str) -> list[str]:
+    """The argv a `decoder_cmd` or `encoder_cmd` template runs: its shlex
+    words, each formatted with values (`input`, and `output` for an encoder)."""
+    return [word.format(**values) for word in shlex.split(template)]
+
+
 def open_pcm(path: str | Path, decoder_cmd: str | None = None) -> PcmFile:
     """Parse the header of a PCM WAV file, or of `decoder_cmd`'s output for it.
 
     No frames are read from a WAV file. A path that is not `.wav` is decoded
     by `decoder_cmd` when one is given (see load_pcm), once, into an
     anonymous temporary file (under TMPDIR) that every later read uses.
+    Either way path must be a regular file (manifest.open_input), else an
+    OSError is raised before anything is read or any decoder starts: a
+    directory, device or FIFO is refused whatever the decoder would do.
     """
+    fid = open_input(path, "rb")
     decode = decoder_cmd is not None and Path(path).suffix.lower() != ".wav"
-    with tempfile.TemporaryFile() if decode else open(path, "rb") as fid:
+    if decode:
+        fid.close()
+        fid = tempfile.TemporaryFile()
+    with fid:
         if decode:
-            cmd = [part.format(input=str(path)) for part in shlex.split(decoder_cmd)]
-            subprocess.run(cmd, stdout=fid, stderr=subprocess.PIPE, check=True)
+            subprocess.run(command(decoder_cmd, input=str(path)), stdout=fid,
+                           stderr=subprocess.PIPE, check=True)
             fid.seek(0)  # the decoder wrote through this file's position
         try:
             header = _read_header(fid)
@@ -490,10 +505,11 @@ def resample(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
 
 
 def _frame_rms(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    """RMS of each `frame`-sample window, `hop` apart, zero-padded to one frame."""
-    squares = np.square(x)
-    if len(squares) < frame:
-        squares = np.concatenate([squares, np.zeros(frame - len(squares))])
+    """RMS of each `frame`-sample window, `hop` apart, over x zero-padded to
+    the fewest windows (at least one) whose last one reaches x's last sample."""
+    n = 1 + -(-max(0, len(x) - frame) // hop)
+    squares = np.zeros((n - 1) * hop + frame)
+    np.square(x, out=squares[:len(x)])
     windows = np.lib.stride_tricks.sliding_window_view(squares, frame)[::hop]
     return np.sqrt(windows.mean(axis=1))
 
@@ -510,7 +526,8 @@ def trim_silence(
 ) -> TrimResult:
     """Cut leading/trailing silence, keeping at most max_edge_silence_s per edge.
 
-    A frame (TRIM_FRAME_S long, every TRIM_HOP_S) is silent when its RMS is
+    A frame (TRIM_FRAME_S long, every TRIM_HOP_S, the last zero-padded so
+    that every sample is analysed) is silent when its RMS is
     more than threshold_db below the peak frame RMS of the buffer itself; the
     boundary is then refined to the first and last samples above the
     threshold, which makes trimming idempotent. Interior audio is never touched.
@@ -519,8 +536,8 @@ def trim_silence(
         raise AudioError("trim_silence expects a mono buffer")
     sr = buf.sample_rate_hz
     x = buf.samples
-    frame = max(1, int(round(TRIM_FRAME_S * sr)))
-    hop = max(1, int(round(TRIM_HOP_S * sr)))
+    frame = max(1, round(TRIM_FRAME_S * sr))
+    hop = max(1, round(TRIM_HOP_S * sr))
     rms = _frame_rms(x, frame, hop)
     peak = rms.max() if len(rms) else 0.0
     thresh = peak * 10.0 ** (-threshold_db / 20.0)

@@ -55,8 +55,8 @@ def mean_power_spectrum(buf: AudioBuffer) -> PowerSpectrum:
     if buf.channels != 1:
         raise BandwidthError("mean_power_spectrum expects a mono buffer")
     sr = buf.sample_rate_hz
-    n_fft = max(2, int(round(DEFAULT_WINDOW_S * sr)))
-    hop = max(1, int(round(DEFAULT_HOP_S * sr)))
+    n_fft = max(2, round(DEFAULT_WINDOW_S * sr))
+    hop = max(1, round(DEFAULT_HOP_S * sr))
     x = buf.samples
     if len(x) < n_fft:
         raise BandwidthError(

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
+from .audio import command
 from .manifest import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_MOST_0, FINITE, IN_FLOAT_RANGE,
                        INPUT_FAULTS, NO_NUL, ConfigError, check_encodable, field_problems,
                        input_error, must, read_text, schema_of, type_problems)
@@ -20,18 +20,15 @@ STAGE_ORDER = (*CHAPTER_STAGES, "segment", "validate", "speakers")
 
 def _command(*placeholders: str) -> tuple:
     """The condition that a value is a command its stage can run: it holds no
-    NUL, shlex splits it into at least one word, and each word formats, as
-    the stage formats it, with no placeholder but these."""
+    NUL, and audio.command, which makes the argv the stage runs, makes one
+    of at least one word from it with no placeholder but these."""
     def runnable(cmd: str) -> bool:
         if "\0" in cmd:  # no argument of a process can hold one
             return False
-        try:
-            words = shlex.split(cmd)
-            for word in words:
-                word.format(**dict.fromkeys(placeholders, "x"))
+        try:  # the argv the stage would run, with each placeholder's value "x"
+            return bool(command(cmd, **dict.fromkeys(placeholders, "x")))
         except (ValueError, LookupError, AttributeError, TypeError):
             return False
-        return bool(words)
 
     # "{{input}}": the message is formatted with the value, which gives "{input}".
     names = " and ".join(f"{{{{{name}}}}}" for name in placeholders)

@@ -16,7 +16,7 @@ import stat
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -287,11 +287,13 @@ _UTT_SCHEMA = schema_of(UtteranceRecord)
 
 def as_written(rec: UtteranceRecord) -> UtteranceRecord:
     """rec with each value as its manifest line holds it (_WRITTEN_AS, the
-    rule to_json_dict writes with); rec itself when that changes nothing.
+    rule to_json_dict writes with), type included: a bandwidth estimate of
+    8000.0 Hz becomes the integer 8000. rec itself when that changes nothing.
     A changed record is validated again: a `duration_s` of 0.00004 is 0.0 as
     written, which no manifest can hold (an InvariantError)."""
-    changes = {name: rule(value) for name, rule in _WRITTEN_AS.items()
-               if (value := getattr(rec, name)) is not None and rule(value) != value}
+    changes = {name: new for name, rule in _WRITTEN_AS.items()
+               if (value := getattr(rec, name)) is not None
+               and ((new := rule(value)) != value or type(new) is not type(value))}
     if changes:
         rec = rec.with_fields(**changes)
         rec.validate()
@@ -364,18 +366,19 @@ def input_error(exc: Exception, where: str | Path) -> ManifestError:
     return cls(f"{where}: {word}{exc}")
 
 
-def open_input(path: str | Path) -> TextIO:
-    """path opened as UTF-8 text, once it is found to be a regular file; else
-    an OSError, which input_error words `<path>: unreadable: not a regular
-    file`. The one check every input passes before it is read: a directory
-    cannot be read, and a device such as /dev/full reads without end. The
-    file is opened non-blocking, so a FIFO is refused without waiting for
-    a writer; a regular file reads as it would without that flag."""
+def open_input(path: str | Path, mode: str = "r") -> IO:
+    """path opened for reading, as UTF-8 text or, with mode "rb", as bytes,
+    once it is found to be a regular file; else an OSError, which
+    input_error words `<path>: unreadable: not a regular file`. The one
+    check every input passes before it is read, chapter audio included: a
+    directory cannot be read, and a device such as /dev/full reads without
+    end. The file is opened non-blocking, so a FIFO is refused without
+    waiting for a writer; a regular file reads as it would without that flag."""
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     if not stat.S_ISREG(os.fstat(fd).st_mode):
         os.close(fd)
         raise OSError("not a regular file")
-    return open(fd, encoding="utf-8")
+    return open(fd, mode, encoding=None if "b" in mode else "utf-8")
 
 
 def read_text(path: str | Path) -> str:
@@ -388,8 +391,9 @@ def read_text(path: str | Path) -> str:
 
 
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) for each non-blank line of a UTF-8 file; a
-    fault of the file is a ManifestError naming it."""
+    """(line number, stripped line) for each non-blank line of a UTF-8 file,
+    a line ending at \\n, \\r\\n or \\r; a fault of the file is a ManifestError
+    naming it."""
     try:
         with open_input(path) as fh:
             for lineno, line in enumerate(fh, start=1):

@@ -25,7 +25,6 @@ import errno
 import json
 import logging
 import os
-import shlex
 import subprocess
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -101,6 +100,8 @@ class _Context:
         self.abbreviations = (segmentation.load_abbreviations(config.abbreviations_path)
                               if config.abbreviations_path
                               else segmentation.load_default_abbreviations())
+        # {config key: path} of each side input, looked up before any stage (_SIDE_INPUTS)
+        self.inputs: dict[str, Path] = {}
         # {utterance_id: predicted text}, read when the chapter pass starts
         self.predicted: dict[str, str] = {}
 
@@ -168,30 +169,34 @@ def _audio_path(out_dir: Path, utterance_id: str, encoder_cmd: str | None) -> Pa
     return out_dir / "audio" / f"{utterance_id}{'.flac' if encoder_cmd else '.wav'}"
 
 
-def _side_input(ctx: _Context, stage: str, key: str, what: str) -> Path:
-    """The stage's required side-input file, named by config key `key`: a
-    StageError when it is missing, a ManifestError when it cannot be opened
-    or is not a regular file (manifest.open_input)."""
-    value = getattr(ctx.config, key)
+def _side_input(config: PipelineConfig, stage: str, key: str, what: str) -> Path:
+    """The input file a stage needs, named by config key `key`: a StageError
+    when it is missing, a ManifestError when it cannot be opened or is not a
+    regular file (manifest.open_input)."""
+    value = getattr(config, key)
     if not value:
         raise StageError(f"stage {stage!r}: {key} is required")
     path = Path(value)
     try:
         open_input(path).close()
     except (FileNotFoundError, NotADirectoryError):
-        raise StageError(f"stage {stage!r}: {what} file not found: {path}") from None
-    except OSError as exc:  # a name too long, say, or a device
+        raise StageError(f"stage {stage!r}: {what} not found: {path}") from None
+    except OSError as exc:  # a name too long, a symlink loop, a device
         raise input_error(exc, path) from exc
     return path
 
 
-# The required side input of each stage after the chapter stages: its config
-# key and what it holds.
-_SIDE_INPUTS = {
-    "segment": ("alignments_path", "alignments"),
-    "validate": ("asr_hypotheses_path", "ASR hypotheses"),
-    "speakers": ("speaker_counts_path", "speaker counts"),
-}
+# The input files the stages read besides the utterances manifest, in the
+# order they are looked up: (stage, config key, what it holds). "setup" is
+# the chapter pass's set-up, which runs when text, audio or bandwidth is
+# enabled; the text stage reads a predicted-PC file only where one is set.
+_SIDE_INPUTS = (
+    ("setup", "chapters_manifest", "chapters manifest"),
+    ("text", "predicted_pc_path", "predicted PC file"),
+    ("segment", "alignments_path", "alignments file"),
+    ("validate", "asr_hypotheses_path", "ASR hypotheses file"),
+    ("speakers", "speaker_counts_path", "speaker counts file"),
+)
 
 
 @dataclass(frozen=True)
@@ -341,8 +346,7 @@ def _encode(pcm: audiolib.PcmFile, first: int, buf: audiolib.AudioBuffer, wav_pa
     place), is an OSError; a fault of the encoder's own is an _EncoderFailed."""
     try:
         audiolib.write_kept(pcm, first, buf, wav_path)
-        cmd = [part.format(input=str(wav_path), output=str(out_path))
-               for part in shlex.split(encoder_cmd)]
+        cmd = audiolib.command(encoder_cmd, input=str(wav_path), output=str(out_path))
         try:
             subprocess.run(cmd, capture_output=True, check=True)
         except (OSError, subprocess.CalledProcessError) as exc:
@@ -358,7 +362,8 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
     """{stage: (kept, rejects, extras)} of the enabled text, audio and bandwidth stages.
 
     They run as one _by_chapter pass. The set-up block comes first: it reads
-    the chapters manifest, then the text step's predicted-PC map, then makes
+    the chapters manifest, then the text step's predicted-PC map (both found
+    by run_pipeline's lookup, ctx.inputs), then makes
     the audio step's `audio` directory, and starts the pool. For each chapter
     the loader opens, in stage order, what each enabled per-record step reads
     (the cleaned book text for text, the PcmFile for audio), stopping at the
@@ -371,13 +376,9 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
     enabled stage, utterance_id order after it.
     """
     cfg = ctx.config
-    path = Path(cfg.chapters_manifest)
-    if not path.exists():
-        raise StageError(f"stage 'setup': chapters manifest not found: {path}")
-    chapters = {c.chapter_id: c for c in read_chapters(path)}
-    if "text" in cfg.stages and cfg.predicted_pc_path:
-        path = _side_input(ctx, "text", "predicted_pc_path", "predicted PC")
-        ctx.predicted = _load_jsonl_map(path, _PredictedText, "text")
+    chapters = {c.chapter_id: c for c in read_chapters(ctx.inputs["chapters_manifest"])}
+    if "predicted_pc_path" in ctx.inputs:
+        ctx.predicted = _load_jsonl_map(ctx.inputs["predicted_pc_path"], _PredictedText, "text")
     if "audio" in cfg.stages:
         with writing(ctx.out_dir / "audio"):
             (ctx.out_dir / "audio").mkdir(parents=True, exist_ok=True)
@@ -404,7 +405,7 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
                 break
         return chain
 
-    def estimate(inputs: list) -> int | str:
+    def estimate(inputs: list) -> float | str:
         """The chapter's bandwidth in Hz, or the reason its records are rejected."""
         pcm = inputs[-1]  # the audio step's PcmFile, or a reject reason
         if not isinstance(pcm, (str, audiolib.PcmFile)):  # without audio
@@ -417,7 +418,7 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
             return _unreadable(exc)
         est = bwlib.chapter_bandwidth(head, cfg.target_sample_rate_hz,
                                       cfg.bandwidth_analysis_s, cfg.bandwidth_threshold_db)
-        return "degenerate_spectrum" if est.degenerate else int(round(est.f_max_hz))
+        return "degenerate_spectrum" if est.degenerate else est.f_max_hz
 
     try:
         results, estimates = _by_chapter(records, load, work if steps else None, pool,
@@ -443,7 +444,7 @@ def _chapter_stages(records, ctx: _Context) -> dict[str, tuple]:
 
 def _stage_segment(records, ctx: _Context):
     cfg = ctx.config
-    path = _side_input(ctx, "segment", *_SIDE_INPUTS["segment"])
+    path = ctx.inputs["alignments_path"]
     if path.suffix == ".ctm":
         tracks = segmentation.load_ctm(path)
     else:
@@ -480,8 +481,7 @@ def _stage_segment(records, ctx: _Context):
 
 def _stage_validate(records, ctx: _Context):
     cfg = ctx.config
-    path = _side_input(ctx, "validate", *_SIDE_INPUTS["validate"])
-    hyps = _load_jsonl_map(path, _Hypothesis, "hyp_text")
+    hyps = _load_jsonl_map(ctx.inputs["asr_hypotheses_path"], _Hypothesis, "hyp_text")
 
     def work(rec: UtteranceRecord):
         hyp = hyps.get(rec.utterance_id)
@@ -500,8 +500,8 @@ def _stage_validate(records, ctx: _Context):
 
 
 def _stage_speakers(records, ctx: _Context):
-    path = _side_input(ctx, "speakers", *_SIDE_INPUTS["speakers"])
-    counts = _load_jsonl_map(path, curation.SpeakerCountRecord, "num_speakers")
+    counts = _load_jsonl_map(ctx.inputs["speaker_counts_path"], curation.SpeakerCountRecord,
+                             "num_speakers")
     missing = sum(rec.utterance_id not in counts for rec in records)
     if missing:
         logger.warning("no speaker count for %d of %d utterances", missing, len(records))
@@ -542,16 +542,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     Raises ConfigError, a ValueError, for every fault of the config, an input
     or an output location: an invalid config, a bad utterances or chapters
     manifest, an utterance_id too long for its audio file's name when audio
-    runs, or an out_dir that cannot be made, before any stage runs; a bad
-    side input, when its stage starts (text, audio and bandwidth start
-    together, before any stage's outputs are written); any fault while an
+    runs, an out_dir that cannot be made, or an input file of an enabled
+    stage that cannot be looked up or is not a regular file, before any
+    stage runs; a bad side input, when its stage starts (text, audio and
+    bandwidth start together, before any stage's outputs are written); any fault while an
     output is written (manifest.replacing), such as a full disk or a name a
     directory holds; a value of an utterance that is invalid as a manifest
     writes it, naming the file and the record; and a stage's output record
     that fails its validate(). Raises StageError when an enabled stage lacks
-    its chapters manifest or side input; a side input of segment, validate or
-    speakers is looked for before any stage runs. The worker pool is shut
-    down before this returns or raises.
+    its chapters manifest or side input. Every input file of the enabled
+    stages is looked up once (_side_input), in stage order, before any stage
+    runs. The worker pool is shut down before this returns or raises.
     Before the first stage, glibc's allocator is told to keep up to 64 MiB of
     freed memory per arena and to mmap only blocks over 32 MiB, so each
     record reuses the pages the last one freed; the settings stay for the
@@ -580,11 +581,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                                      f" {n} bytes, over {ctx.out_dir}'s limit of {name_max}")
         except InvariantError as exc:  # a value that is invalid as written
             raise input_error(exc, f"{config.utterances_manifest}: {rec.utterance_id!r}") from exc
-    for stage in enabled:  # looked for now, read when its stage starts
-        if stage in _SIDE_INPUTS:
-            _side_input(ctx, stage, *_SIDE_INPUTS[stage])
-    chapter_stages = (_chapter_stages(records, ctx)
-                      if not set(CHAPTER_STAGES).isdisjoint(enabled) else {})
+    readers = {*enabled, "setup"} if not set(CHAPTER_STAGES).isdisjoint(enabled) else {*enabled}
+    ctx.inputs = {key: _side_input(config, stage, key, what)  # read when its stage starts
+                  for stage, key, what in _SIDE_INPUTS
+                  if stage in readers and (stage != "text" or config.predicted_pc_path)}
+    chapter_stages = _chapter_stages(records, ctx) if "setup" in readers else {}
     reports: list[StageReport] = []
     final_path: Path | None = None
     any_rejects = False

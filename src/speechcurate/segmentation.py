@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .manifest import (FINITE, INPUT_FAULTS, ManifestError, UtteranceRecord, _lines, check,
-                       from_typed, input_error, must, read_jsonl, read_text)
+                       from_typed, input_error, must, read_jsonl)
 
 DEFAULT_MIN_PAUSE_S = 0.08
 
@@ -74,14 +74,11 @@ def load_default_abbreviations() -> frozenset[str]:
 
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:
-    """One abbreviation per line; a file that cannot be read, or is not UTF-8, is a
+    """One abbreviation per line (as manifest._lines gives them), `#` lines
+    being comments; a file that cannot be read, or is not UTF-8, is a
     ConfigError naming it."""
-    entries = set()
-    for raw in read_text(path).splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            entries.add(line.rstrip(".").casefold())
-    return frozenset(entries)
+    return frozenset(line.rstrip(".").casefold() for _, line in _lines(path)
+                     if not line.startswith("#"))
 
 
 def _strip_word(word: str) -> str:

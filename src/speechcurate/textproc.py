@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import read_text
+from .manifest import _lines
 
 
 class TextError(Exception):
@@ -103,7 +103,8 @@ def match_transcript(
 
 @dataclass(frozen=True)
 class NormalizationRules:
-    """Token expansions plus literal formatting artifacts to delete/replace."""
+    """Token expansions plus literal formatting artifacts to delete/replace;
+    clean_formatting deletes DEFAULT_ARTIFACTS where there are none."""
 
     abbreviation_expansions: dict[str, str] = field(default_factory=dict)
     artifact_patterns: tuple[tuple[str, str], ...] = ()
@@ -119,15 +120,15 @@ _WS_RE = re.compile(r"[ \t\f\v]+")
 
 
 def load_rules(path: str | Path) -> NormalizationRules:
-    """Read `token<TAB>expansion` lines; lines starting `! ` define artifacts.
+    """Read `token<TAB>expansion` lines; lines starting `! ` define artifacts,
+    and lines starting `#` are comments (lines as manifest._lines gives them).
 
     A file that cannot be read, or is not UTF-8, is a ConfigError naming it.
     """
     expansions: dict[str, str] = {}
     artifacts: list[tuple[str, str]] = []
-    for raw in read_text(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for _, line in _lines(path):
+        if line.startswith("#"):
             continue
         if line.startswith("! "):
             parts = line[2:].split("\t")
@@ -136,10 +137,8 @@ def load_rules(path: str | Path) -> NormalizationRules:
         token, _, expansion = line.partition("\t")
         if token:
             expansions[token.strip().lower()] = expansion.strip()
-    return NormalizationRules(
-        abbreviation_expansions=expansions,
-        artifact_patterns=tuple(artifacts) if artifacts else DEFAULT_ARTIFACTS,
-    )
+    return NormalizationRules(abbreviation_expansions=expansions,
+                              artifact_patterns=tuple(artifacts))
 
 
 def default_rules() -> NormalizationRules:
@@ -147,10 +146,10 @@ def default_rules() -> NormalizationRules:
 
 
 def clean_formatting(text: str, rules: NormalizationRules | None = None) -> str:
-    """Remove HTML tags and literal layout artifacts; re-collapse whitespace."""
-    rules = rules or NormalizationRules(artifact_patterns=DEFAULT_ARTIFACTS)
+    """Remove HTML tags and literal layout artifacts (rules', else
+    DEFAULT_ARTIFACTS); re-collapse whitespace."""
     out = _TAG_RE.sub(" ", text)
-    for literal, replacement in rules.artifact_patterns or DEFAULT_ARTIFACTS:
+    for literal, replacement in (rules and rules.artifact_patterns) or DEFAULT_ARTIFACTS:
         pattern = re.compile(
             r"(?<!\S)" + re.escape(literal) + r"(?!\S)")
         out = pattern.sub(replacement, out)

@@ -217,7 +217,11 @@ class TestKernelOracle:
         rng = np.random.default_rng(frame + hop)
         for n in (0, 1, frame - 1, frame, frame + 1, frame + hop, 3 * frame + 2 * hop + 1):
             x = rng.uniform(-1, 1, n)
-            padded = np.concatenate([x, np.zeros(max(0, frame - n))])
+            # The grid's windows go on until one reaches the last sample.
+            length = frame
+            while length < n:
+                length += hop
+            padded = np.concatenate([x, np.zeros(length - n)])
             frames = np.lib.stride_tricks.sliding_window_view(padded, frame)[::hop]
             _same_bits(audiolib._frame_rms(x, frame, hop), np.sqrt((frames**2).mean(axis=1)))
 
@@ -510,6 +514,15 @@ class TestTrimSilence:
         twice = trim_silence(once)
         removed = twice.leading_removed_s + twice.trailing_removed_s
         assert removed <= self.HOP + 1e-9
+
+    def test_analyses_every_sample(self):
+        # 5999 samples at 48 kHz hold 8 whole frames of the 25 ms grid, 12.5 ms
+        # apart; the last 599 samples, all tone, lie past the last of them.
+        buf = AudioBuffer(np.concatenate([np.zeros(600), np.full(5399, 0.5)]), 48000)
+        result = trim_silence(buf, max_edge_silence_s=0)
+        assert result.trimmed.num_frames == 5399
+        assert result.leading_removed_s == 600 / 48000
+        assert result.trailing_removed_s == 0.0
 
     def test_never_removes_active_audio(self):
         sr = 16000

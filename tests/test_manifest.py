@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -489,3 +491,53 @@ def test_interrupted_write_keeps_previous_file(tmp_path, records, error):
         write_manifest(records(), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]
+
+
+def _reads_past_the_gate(source: str) -> list[str]:
+    """`line: call` for each call in Python source that opens a path for
+    reading or asks whether one exists: the builtin open with a read mode
+    (no mode, or one without w, a or x), os.open, or any .exists()."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and set(mode.value) & set("wax")):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(func, ast.Attribute) and (
+                func.attr == "exists" or ast.unparse(func) == "os.open"):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_gate_finder_sees_each_way_past_the_gate():
+    source = """
+open(p)
+open(p, "rb")
+open(p, mode=m)
+os.open(p, os.O_RDONLY)
+Path(p).exists()
+open(p, "w")
+open(p, "wb")
+open(p, mode="x")
+Path(p).is_file()
+"""
+    assert [line.split(":")[0] for line in _reads_past_the_gate(source)] == ["2", "3", "4", "5",
+                                                                            "6"]
+
+
+_SOURCES = sorted(Path(manifest.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", [p for p in _SOURCES if p.name != "manifest.py"],
+                         ids=lambda p: p.name)
+def test_inputs_are_opened_only_by_manifest(path):
+    # manifest.open_input is the one check an input passes before it is
+    # read, and the one place that opens one: a read or a look-up of a path
+    # elsewhere would skip it (a FIFO would hang there, a name too long end
+    # in a traceback). An output's own check, such as is_file(), is no read.
+    assert _reads_past_the_gate(path.read_text(encoding="utf-8")) == []

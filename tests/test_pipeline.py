@@ -14,7 +14,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -2266,7 +2266,6 @@ def _fifo(tmp_path):
     pytest.param(lambda tmp_path, device: ["run", "--config", device], "/dev/full", id="config"),
     pytest.param(lambda tmp_path, device: ["subset", "--manifest", device, "--spec", device,
                                            "--out", "s.jsonl"], "/dev/full", id="subset-spec"),
-    pytest.param(_run_reading("utterances_manifest", ["text"]), _fifo, id="utterances-fifo"),
     pytest.param(lambda tmp_path, device: ["stats", "--manifest", device], _fifo,
                  id="stats-manifest-fifo"),
 ])
@@ -2278,6 +2277,100 @@ def test_input_that_is_no_regular_file_is_config_error(tmp_path, case, device):
     assert f"config error: {device}: unreadable: not a regular file" in proc.stderr.splitlines()
     assert proc.stdout == ""
     assert not list(tmp_path.glob("out/**/*.wav")) and not (tmp_path / "s.jsonl").exists()
+
+
+# The kinds of path no input may hang, crash or be misread on.
+_HOSTILE_KINDS = ("missing", "directory", "fifo", "device", "long-name", "symlink-loop")
+# A run that meets one ends within this, in a bounded child for a FIFO.
+_HOSTILE_TIMEOUT_S = 10
+
+
+def _hostile_path(tmp_path: Path, kind: str, suffix: str) -> str:
+    """A path of the given kind in tmp_path, its name ending in suffix."""
+    if kind == "device":
+        return "/dev/zero"
+    path = tmp_path / (("x" * 300 if kind == "long-name" else "hostile") + suffix)
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "symlink-loop":
+        path.symlink_to(path.name)
+    return str(path)
+
+
+# Each input a run reads, by its config key: (the stages run, and what a
+# missing one is: the exit-2 message up to "not found", or None where it is a
+# config error).
+_CONFIG_INPUTS = {
+    "utterances_manifest": (["text"], None),
+    "chapters_manifest": (["audio"], "stage 'setup': chapters manifest"),
+    "alignments_path": (["segment"], "stage 'segment': alignments file"),
+    "asr_hypotheses_path": (["validate"], "stage 'validate': ASR hypotheses file"),
+    "speaker_counts_path": (["speakers"], "stage 'speakers': speaker counts file"),
+    "predicted_pc_path": (["text"], "stage 'text': predicted PC file"),
+    "rules_path": (["text"], None),
+    "abbreviations_path": (["segment"], None),
+}
+# Each input a chapter names, set on ch1: (its field, the stage run, the
+# file's suffix, decoder_cmd, the prefix of the reason that rejects the
+# chapter). The decoder reads a bounded number of bytes, so whatever it is
+# given cannot fill the disk.
+_CHAPTER_INPUTS = {
+    "audio_path-wav": ("audio_path", "audio", ".wav", None, "chapter_audio_unreadable"),
+    "audio_path-decoder": ("audio_path", "audio", ".mp3", "head -c 65536 {input}",
+                           "chapter_audio_unreadable"),
+    "book_text_path": ("book_text_path", "text", ".txt", None, "book_text_unreadable"),
+}
+
+
+@pytest.mark.parametrize("kind", _HOSTILE_KINDS)
+@pytest.mark.parametrize("name", [*_CONFIG_INPUTS, *_CHAPTER_INPUTS])
+def test_hostile_input_path(corpus, tmp_path, name, kind):
+    # Every input goes through the one check (manifest.open_input): a run
+    # that meets a hostile path ends at once, with the exit code and the one
+    # line the README gives for it, and no traceback.
+    if kind == "device" and not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+    config = make_config(corpus, tmp_path / "out", workers=2)
+    if name in _CONFIG_INPUTS:
+        config.stages, missing = _CONFIG_INPUTS[name]
+        path = _hostile_path(tmp_path, kind, ".jsonl")
+        setattr(config, name, path)
+    else:
+        field, stage, suffix, config.decoder_cmd, prefix = _CHAPTER_INPUTS[name]
+        config.stages = [stage]
+        path = _hostile_path(tmp_path, kind, suffix)
+        chapters = [replace(c, **{field: path}) if c.chapter_id == "ch1" else c
+                    for c in read_chapters(corpus / "chapters.jsonl")]
+        config.chapters_manifest = str(tmp_path / "chapters.jsonl")
+        write_manifest(chapters, config.chapters_manifest)
+    if kind == "fifo":  # at worst it waits for a writer: run where it can be stopped
+        proc = run_bounded(tmp_path, config, timeout_s=_HOSTILE_TIMEOUT_S)
+        code, output = proc.returncode, proc.stderr
+        assert "Traceback" not in output, output
+    else:
+        write_config(config, tmp_path / "config.yaml")
+        start = time.monotonic()
+        result = CliRunner().invoke(main, ["run", "--config", str(tmp_path / "config.yaml")])
+        assert time.monotonic() - start < _HOSTILE_TIMEOUT_S
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            result.exception
+        code, output = result.exit_code, result.output
+    if name in _CHAPTER_INPUTS:
+        fault = "FileNotFoundError" if kind == "missing" else "OSError"
+        assert code == EXIT_PARTIAL, output
+        report = json.loads((tmp_path / "out" / f"report.{stage}.json").read_text())
+        assert report["drop_reasons"] == {f"{prefix}:{fault}": 5}
+    elif kind == "missing" and missing:
+        assert code == 2, output
+        assert f"stage failure: {missing} not found: {path}" in output.splitlines()
+    else:
+        fault = {"missing": errno.ENOENT, "long-name": errno.ENAMETOOLONG,
+                 "symlink-loop": errno.ELOOP}.get(kind)
+        why = f"[Errno {fault}] {os.strerror(fault)}: {path!r}" if fault else "not a regular file"
+        assert code == 1, output
+        assert f"config error: {path}: unreadable: {why}" in output.splitlines()
 
 
 @pytest.mark.skipif(not _HAS_DEV_FULL, reason="no /dev/full")
