@@ -307,39 +307,25 @@ def to_frames(seconds: float, rate: int, limit: int) -> int:
     return round(min(max(0.0, seconds * rate), limit))
 
 
-def save_pcm(buf: AudioBuffer, path: str | Path, bit_depth: int = 16) -> None:
-    """Write an AudioBuffer as PCM WAV (16-bit int or 32-bit float).
+def save_pcm(buf: AudioBuffer, path: str | Path) -> None:
+    """Write an AudioBuffer as 16-bit PCM WAV.
 
-    The bytes equal those scipy.io.wavfile.write gives for the same array.
+    The bytes equal those scipy.io.wavfile.write gives for the samples as int16.
     """
-    if bit_depth == 16:
-        scaled = buf.samples * 32768.0
-        np.round(scaled, out=scaled)
-        np.clip(scaled, -32768, 32767, out=scaled)
-        data, tag = scaled.astype("<i2"), _WAVE_FORMAT_PCM
-    elif bit_depth == 32:
-        data, tag = buf.samples.astype("<f4"), _WAVE_FORMAT_IEEE_FLOAT
-    else:
-        raise AudioError(f"unsupported bit depth {bit_depth}")
-    data = np.ascontiguousarray(data)
-    channels = 1 if data.ndim == 1 else data.shape[1]
-    _write_wav(path, data.data, tag, channels, buf.sample_rate_hz, data.itemsize)
+    scaled = buf.samples * 32768.0
+    np.round(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    data = np.ascontiguousarray(scaled.astype("<i2"))
+    _write_wav(path, data.data, 1 if data.ndim == 1 else data.shape[1], buf.sample_rate_hz)
 
 
-def _write_wav(path: str | Path, data, tag: int, channels: int, rate: int,
-               width: int) -> None:
-    """Write `data`, a bytes-like of frames of `channels` samples of `width`
-    bytes each, as a WAV file with format tag `tag`."""
+def _write_wav(path: str | Path, data, channels: int, rate: int) -> None:
+    """Write `data`, a bytes-like of frames of `channels` 16-bit samples
+    each, as a PCM WAV file."""
     size = memoryview(data).nbytes
-    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * channels * width,
-                      channels * width, 8 * width)
-    fact = b""
-    if tag == _WAVE_FORMAT_IEEE_FLOAT:
-        # A non-PCM fmt chunk carries cbSize and is followed by the frame count.
-        fmt += b"\x00\x00"
-        fact = b"fact" + struct.pack("<II", 4, size // (channels * width))
-    chunks = (b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
-              + b"data" + struct.pack("<I", size))
+    fmt = struct.pack("<HHIIHH", _WAVE_FORMAT_PCM, channels, rate, rate * channels * 2,
+                      channels * 2, 16)
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", size)
     riff = b"RIFF" + struct.pack("<I", 4 + len(chunks) + size) + b"WAVE"
     with open(path, "wb") as fh:
         fh.write(riff + chunks)
@@ -369,7 +355,7 @@ def write_kept(pcm: PcmFile, first: int, buf: AudioBuffer, path: str | Path) -> 
     if len(raw) != 2 * buf.num_frames:
         raise AudioError(f"{pcm.path}: {len(raw) // 2} of {buf.num_frames} frames "
                          f"left from frame {first}")
-    _write_wav(path, raw, _WAVE_FORMAT_PCM, 1, pcm.sample_rate_hz, 2)
+    _write_wav(path, raw, 1, pcm.sample_rate_hz)
 
 
 def mixdown(buf: AudioBuffer) -> AudioBuffer:

@@ -9,8 +9,8 @@ import yaml
 
 from .audio import command
 from .manifest import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, AT_MOST_0, FINITE, IN_FLOAT_RANGE,
-                       INPUT_FAULTS, NO_NUL, ConfigError, check_encodable, field_problems,
-                       input_error, must, read_text, schema_of, type_problems)
+                       INPUT_FAULTS, NO_NUL, SAMPLE_RATE, ConfigError, check_encodable,
+                       field_problems, input_error, must, read_text, schema_of, type_problems)
 
 # The stages that run as one pass over each chapter (pipeline._chapter_stages).
 CHAPTER_STAGES = ("text", "audio", "bandwidth")
@@ -53,7 +53,7 @@ class PipelineConfig:
     # thresholds, defaults per the published pipeline; the two windows that
     # become sample counts must be finite, and a value a stage turns into a
     # float must fit in one
-    target_sample_rate_hz: int = must(ABOVE_0, IN_FLOAT_RANGE, default=44100)
+    target_sample_rate_hz: int = must(ABOVE_0, IN_FLOAT_RANGE, SAMPLE_RATE, default=44100)
     trim_threshold_db: float = must(AT_LEAST_0, IN_FLOAT_RANGE, default=50.0)
     max_edge_silence_s: float = must(AT_LEAST_0, FINITE, default=0.5)
     bandwidth_threshold_db: float = must(AT_MOST_0, IN_FLOAT_RANGE, default=-50.0)

@@ -61,6 +61,11 @@ ABOVE_0 = (functools.partial(operator.lt, 0), "must be > 0, got {}")
 AT_MOST_0 = (functools.partial(operator.ge, 0), "must be <= 0, got {}")
 AT_LEAST_1 = (functools.partial(operator.le, 1), "must be >= 1, got {}")
 NON_EMPTY = (bool, "must be non-empty")
+# The rates a chapter may hold and a run may resample to: the published 22.05
+# and 44.1 kHz sets and LibriVox MP3 (at most 48 kHz) are within it, and any
+# two rates in it keep audio._design_filter's design within ~41 MB. A field
+# checks it after ABOVE_0, which names a value that is no rate at all.
+SAMPLE_RATE = (lambda value: 1000 <= value <= 48000, "must be from 1000 to 48000 Hz, got {}")
 # An utterance id names out_dir/audio/<id>.wav, so it must be one file name
 # there; no leading "." also rules out ".." and replacing's temporary names.
 FILE_NAME = (lambda value: "/" not in value and "\0" not in value and not value.startswith("."),
@@ -221,7 +226,7 @@ def check_encodable(value, seen: set | None = None) -> None:
             check_encodable(item, seen)
 
 
-# How UtteranceRecord.to_json_dict writes a field's value, where not as it is.
+# How a manifest line holds a field's value, where not as it is (as_written).
 _WRITTEN_AS = {"offset_s": four_decimals, "duration_s": four_decimals,
                "trim_lead_s": four_decimals, "bandwidth_hz": lambda hz: int(round(hz)),
                "wer_pct": four_decimals, "cer_pct": four_decimals}
@@ -262,11 +267,9 @@ class UtteranceRecord:
                 raise InvariantError(f"{name}: must be finite, got {value}")
 
     def to_json_dict(self) -> dict:
-        out: dict = {}
-        for name in _UTT_SCHEMA:
-            value = getattr(self, name)
-            if value is not None:  # absent metrics are omitted keys, not null
-                out[name] = _WRITTEN_AS[name](value) if name in _WRITTEN_AS else value
+        """The record's manifest line: as_written(self), absent metrics left out."""
+        rec = as_written(self)
+        out = {name: value for name in _UTT_SCHEMA if (value := getattr(rec, name)) is not None}
         for key in sorted(self.extra):
             out[key] = self.extra[key]
         return out
@@ -286,9 +289,10 @@ _UTT_SCHEMA = schema_of(UtteranceRecord)
 
 
 def as_written(rec: UtteranceRecord) -> UtteranceRecord:
-    """rec with each value as its manifest line holds it (_WRITTEN_AS, the
-    rule to_json_dict writes with), type included: a bandwidth estimate of
-    8000.0 Hz becomes the integer 8000. rec itself when that changes nothing.
+    """rec with each value as its manifest line holds it, type included: a
+    bandwidth estimate of 8000.0 Hz becomes the integer 8000. The one reader
+    of _WRITTEN_AS: read_manifest returns its records through it, and
+    to_json_dict writes them through it. rec itself when that changes nothing.
     A changed record is validated again: a `duration_s` of 0.00004 is 0.0 as
     written, which no manifest can hold (an InvariantError)."""
     changes = {name: new for name, rule in _WRITTEN_AS.items()
@@ -308,7 +312,7 @@ class ChapterRecord:
     book_id: str
     speaker_id: str
     audio_path: str = must(NO_NUL)
-    sample_rate_hz: int = must(ABOVE_0)
+    sample_rate_hz: int = must(ABOVE_0, SAMPLE_RATE)
     book_text_path: str | None = must(NO_NUL, default=None)
 
     validate = check
@@ -433,8 +437,11 @@ def read_jsonl(
 
 
 def read_manifest(path: str | Path) -> list[UtteranceRecord]:
-    """Read a JSONL utterance manifest, preserving record order."""
-    return read_jsonl(path, UtteranceRecord.from_json_dict, unique="utterance_id")
+    """Read a JSONL utterance manifest, preserving record order. Each record
+    is as_written gives it, so every reader sees the values its line would be
+    written with; one invalid as written is an error naming its line."""
+    return read_jsonl(path, lambda obj: as_written(UtteranceRecord.from_json_dict(obj)),
+                      unique="utterance_id")
 
 
 def read_chapters(path: str | Path) -> list[ChapterRecord]:
@@ -484,11 +491,15 @@ def write_manifest(
 ) -> None:
     """Write records as JSONL. Deterministic byte-for-byte for equal inputs.
 
-    The file is replaced only once every record is valid and written.
+    The file is replaced only once every record is valid, as it is and as
+    written, and written: an invalid one is an InvariantError naming the
+    file and the line it would be on, as read_manifest would name it.
     """
     with replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            rec.validate()
-            fh.write(_dump_line(rec.to_json_dict()))
-            fh.write("\n")
+        for lineno, rec in enumerate(records, start=1):
+            try:
+                rec.validate()
+                fh.write(_dump_line(rec.to_json_dict()) + "\n")
+            except InvariantError as exc:
+                raise InvariantError(f"{path}:{lineno}: {exc}") from exc
 

@@ -6,10 +6,10 @@ quarantined into a rejects manifest, each line naming its `reject_reason`.
 The segment stage shifts alignment times by the `trim_lead_s` the audio stage
 stamps. Worker results are re-sorted by utterance_id before writing, so the
 worker count never affects output bytes.
-Each record read, and each record a stage keeps, is given its values as a
-stage manifest holds them (manifest.as_written) before the next stage or the
-writer sees it, so a run and a chain of one-stage runs over each other's
-manifests write the same bytes; no stage rounds on its own.
+Each record read (manifest.read_manifest), and each record a stage keeps,
+holds its values as a stage manifest holds them (manifest.as_written) before
+the next stage or the writer sees it, so a run and a chain of one-stage runs
+over each other's manifests write the same bytes; no stage rounds on its own.
 The text, audio and bandwidth stages run as one chapter pass on one pool of
 `workers` threads (_chapter_stages), before the first stage's outputs are
 written. Each stage's version of a record is kept until its manifest is
@@ -341,15 +341,19 @@ def _encode(pcm: audiolib.PcmFile, first: int, buf: audiolib.AudioBuffer, wav_pa
             out_path: Path, encoder_cmd: str) -> None:
     """Write buf (see audio.write_kept) as the WAV wav_path and run
     encoder_cmd on it into out_path; the WAV is removed either way. A fault
-    of writing the WAV, or an encoder that leaves no regular file at
-    out_path (a directory there, say, which replacing would move into
-    place), is an OSError; a fault of the encoder's own is an _EncoderFailed."""
+    of writing the WAV, an encoder that fails on a disk with no room left
+    (checked before the WAV is removed), or an encoder that leaves no
+    regular file at out_path (a directory there, say, which replacing would
+    move into place), is an OSError; any other fault of the encoder's is an
+    _EncoderFailed."""
     try:
         audiolib.write_kept(pcm, first, buf, wav_path)
         cmd = audiolib.command(encoder_cmd, input=str(wav_path), output=str(out_path))
         try:
             subprocess.run(cmd, capture_output=True, check=True)
         except (OSError, subprocess.CalledProcessError) as exc:
+            if os.statvfs(out_path.parent).f_bavail == 0:  # the run's fault, not the record's
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)) from exc
             raise _EncoderFailed(exc.__class__.__name__) from exc
         if not out_path.is_file():
             code = errno.EISDIR if out_path.is_dir() else errno.ENOENT
@@ -547,9 +551,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     stage runs; a bad side input, when its stage starts (text, audio and
     bandwidth start together, before any stage's outputs are written); any fault while an
     output is written (manifest.replacing), such as a full disk or a name a
-    directory holds; a value of an utterance that is invalid as a manifest
-    writes it, naming the file and the record; and a stage's output record
-    that fails its validate(). Raises StageError when an enabled stage lacks
+    directory holds; and a stage's output record that fails its validate(),
+    as it is or as written. Raises StageError when an enabled stage lacks
     its chapters manifest or side input. Every input file of the enabled
     stages is looked up once (_side_input), in stage order, before any stage
     runs. The worker pool is shut down before this returns or raises.
@@ -566,21 +569,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     with writing(ctx.out_dir):
         ctx.out_dir.mkdir(parents=True, exist_ok=True)
     enabled = [s for s in STAGE_ORDER if s in config.stages]
-    # Each stage sees a value as a stage manifest would hold it, so a run
-    # and a chain of one-stage runs over its manifests agree.
     records = read_manifest(config.utterances_manifest)
     # The longest name the audio step writes, replacing's temporary name of a
     # record's audio file, as a template for its utterance_id.
     tmp_name = partial_path(_audio_path(ctx.out_dir, "{}", config.encoder_cmd)).name
     name_max = os.pathconf(ctx.out_dir, "PC_NAME_MAX") if "audio" in enabled else 0
-    for i, rec in enumerate(records):
-        try:
-            records[i] = as_written(rec)
-            if 0 < name_max < (n := len(os.fsencode(tmp_name.format(rec.utterance_id)))):
-                raise InvariantError(f"utterance_id: too long: its audio's temporary name is"
-                                     f" {n} bytes, over {ctx.out_dir}'s limit of {name_max}")
-        except InvariantError as exc:  # a value that is invalid as written
-            raise input_error(exc, f"{config.utterances_manifest}: {rec.utterance_id!r}") from exc
+    for rec in records:
+        if 0 < name_max < (n := len(os.fsencode(tmp_name.format(rec.utterance_id)))):
+            raise InvariantError(f"{config.utterances_manifest}: {rec.utterance_id!r}:"
+                                 f" utterance_id: too long: its audio's temporary name is"
+                                 f" {n} bytes, over {ctx.out_dir}'s limit of {name_max}")
     readers = {*enabled, "setup"} if not set(CHAPTER_STAGES).isdisjoint(enabled) else {*enabled}
     ctx.inputs = {key: _side_input(config, stage, key, what)  # read when its stage starts
                   for stage, key, what in _SIDE_INPUTS

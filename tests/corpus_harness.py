@@ -9,8 +9,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+from scipy.io import wavfile
 
-from speechcurate.audio import AudioBuffer, save_pcm
 from speechcurate.config import PipelineConfig
 from speechcurate.manifest import ChapterRecord, UtteranceRecord, write_manifest
 from speechcurate.textproc import strip_pc
@@ -127,8 +127,8 @@ def build_corpus(root: Path, n_utts_per_chapter=5):
         # Continuous band-limited noise: no silence/noise steps whose clicks
         # would raise the broadband floor above the -50 dB bandwidth threshold.
         chapter_audio = lowpassed_noise(cutoff, offset, SR, seed=ci) * 0.3
-        save_pcm(AudioBuffer(chapter_audio, SR),
-                 root / "raw" / f"{chapter_id}.wav", bit_depth=32)
+        wavfile.write(str(root / "raw" / f"{chapter_id}.wav"), SR,
+                      chapter_audio.astype(np.float32))
         text_path = root / "text" / f"{chapter_id}.txt"
         body = " ".join(chapter_sentences)
         # formatting artifacts the text stage must strip

@@ -332,6 +332,52 @@ def test_spec_integer_beyond_float_is_config_error(tmp_path, monkeypatch, name):
     assert not (tmp_path / "s.jsonl").exists()
 
 
+
+def _lines(path, *objs):
+    """path holding one manifest line per object, each value as given."""
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    return path
+
+
+def test_subset_refuses_a_value_invalid_as_written(tmp_path):
+    manifest = _lines(tmp_path / "m.jsonl",
+                      {**make_record("u1").to_json_dict(), "duration_s": 4e-05})
+    (tmp_path / "spec.json").write_text("{}")
+    out = tmp_path / "s.jsonl"
+    result = CliRunner().invoke(main, ["subset", "--manifest", str(manifest), "--spec",
+                                       str(tmp_path / "spec.json"), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.output == f"config error: {manifest}:1: duration_s: must be > 0, got 0.0\n"
+    assert not out.exists()
+
+
+def test_subset_of_its_own_output_is_itself(tmp_path):
+    # 2.99996 % is 3.0 as written, which a 3.0 % gate drops; 2.99994 % is 2.9999.
+    manifest = _lines(tmp_path / "m.jsonl",
+                      {**make_record("u1").to_json_dict(), "cer_pct": 2.99996},
+                      {**make_record("u2").to_json_dict(), "cer_pct": 2.99994})
+    (tmp_path / "spec.json").write_text('{"max_cer_pct": 3.0}')
+    outputs = []
+    for out in (tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"):
+        result = CliRunner().invoke(main, ["subset", "--manifest", str(manifest), "--spec",
+                                           str(tmp_path / "spec.json"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append((result.output, out.read_bytes()))
+        manifest = out
+    assert [output for output, _ in outputs] == ["kept 1 of 2 records\n", "kept 1 of 1 records\n"]
+    assert outputs[0][1] == outputs[1][1]
+    assert [json.loads(line)["cer_pct"] for line in outputs[0][1].splitlines()] == [2.9999]
+
+
+def test_stats_bins_a_value_as_written(tmp_path):
+    manifest = _lines(tmp_path / "m.jsonl",
+                      {**make_record("u1").to_json_dict(), "duration_s": 0.49996})
+    result = CliRunner().invoke(main, ["stats", "--manifest", str(manifest), "--json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["duration_hist"] == {"0.5": 1}
+
+
 def _seen_draw_by_equality(records, rng_seed):
     """The seen-speaker draw as the sampler first wrote it: after the dev draw,
     the records left for the test draw are found by dataclass equality."""

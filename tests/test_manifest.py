@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -207,6 +208,29 @@ def test_as_written_holds_what_a_manifest_line_holds(tmp_path):
         as_written(make_record(duration_s=4e-05))
 
 
+def test_read_manifest_gives_records_as_written(tmp_path):
+    path = tmp_path / "m.jsonl"
+    obj = {**make_record().to_json_dict(), "offset_s": 0, "cer_pct": 2.99996}
+    path.write_text(json.dumps(obj) + "\n")
+    (rec,) = read_manifest(path)
+    assert (rec.offset_s, type(rec.offset_s), rec.cer_pct) == (0.0, float, 3.0)
+
+
+def test_read_manifest_refuses_a_value_invalid_as_written(tmp_path):
+    path = tmp_path / "m.jsonl"
+    lines = [make_record(0).to_json_dict(), {**make_record(1).to_json_dict(), "duration_s": 4e-05}]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    with pytest.raises(InvariantError, match=f"^{re.escape(str(path))}:2: duration_s: must be > 0, got 0.0$"):
+        read_manifest(path)
+
+
+def test_write_manifest_refuses_a_value_invalid_as_written(tmp_path):
+    path = tmp_path / "m.jsonl"
+    with pytest.raises(InvariantError, match=f"^{re.escape(str(path))}:2: duration_s: must be > 0, got 0.0$"):
+        write_manifest([make_record(0), make_record(1, duration_s=4e-05)], path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_chapter_round_trip(tmp_path):
     chapters = [
         ChapterRecord("ch1", "b1", "spk1", "raw/ch1.wav", 48000, "text/ch1.txt"),
@@ -260,7 +284,9 @@ CONDITIONS = [
     (UtteranceRecord, "num_speakers", [0, None], -1, "num_speakers: must be >= 0, got -1"),
     (UtteranceRecord, "gender", ["m", "f", "unknown"], "x",
      "gender: must be one of ('m', 'f', 'unknown'), got 'x'"),
-    (ChapterRecord, "sample_rate_hz", [1], 0, "sample_rate_hz: must be > 0, got 0"),
+    (ChapterRecord, "sample_rate_hz", [1000], 0, "sample_rate_hz: must be > 0, got 0"),
+    (ChapterRecord, "sample_rate_hz", [1000, 48000], 1_000_003,
+     "sample_rate_hz: must be from 1000 to 48000 Hz, got 1000003"),
     (SubsetSpec, "min_bandwidth_hz", [0], -0.0001, "min_bandwidth_hz: must be >= 0, got -0.0001"),
     (SubsetSpec, "max_cer_pct", [0, INF], -0.0001, "max_cer_pct: must be >= 0, got -0.0001"),
     (SubsetSpec, "max_cer_pct", [PAST_FLOAT - 1, INF], PAST_FLOAT,
@@ -271,10 +297,12 @@ CONDITIONS = [
     (curation.SpeakerCountRecord, "num_speakers", [0], -1, "num_speakers: must be >= 0, got -1"),
     (segmentation._Token, "start", [BIG], INF, "start: must be finite, got inf"),
     (segmentation._Token, "end", [BIG], INF, "end: must be finite, got inf"),
-    (config.PipelineConfig, "target_sample_rate_hz", [1], 0,
+    (config.PipelineConfig, "target_sample_rate_hz", [1000], 0,
      "target_sample_rate_hz: must be > 0, got 0"),
-    (config.PipelineConfig, "target_sample_rate_hz", [PAST_FLOAT - 1], PAST_FLOAT,
+    (config.PipelineConfig, "target_sample_rate_hz", [48000], PAST_FLOAT,
      f"target_sample_rate_hz: must be within the float range, got {PAST_FLOAT}"),
+    (config.PipelineConfig, "target_sample_rate_hz", [1000, 22050, 44100, 48000], 999,
+     "target_sample_rate_hz: must be from 1000 to 48000 Hz, got 999"),
     (config.PipelineConfig, "trim_threshold_db", [0, INF], -0.0001,
      "trim_threshold_db: must be >= 0, got -0.0001"),
     (config.PipelineConfig, "trim_threshold_db", [PAST_FLOAT - 1, INF], PAST_FLOAT,

@@ -244,7 +244,7 @@ def _rewrite_as_16bit(root, chapter_id, rate):
     path = root / "raw" / f"{chapter_id}.wav"
     old_rate, samples = wavfile.read(path)
     noise = lowpassed_noise(rate / 2.5, len(samples) / old_rate, rate, seed=9) * 0.3
-    save_pcm(AudioBuffer(noise, rate), path, bit_depth=16)
+    save_pcm(AudioBuffer(noise, rate), path)
     chapters = [ChapterRecord(**{**c.to_json_dict(), "sample_rate_hz": rate})
                 if c.chapter_id == chapter_id else c
                 for c in read_chapters(root / "chapters.jsonl")]
@@ -923,7 +923,7 @@ def test_chapter_stages_as_each_stage_alone(planted_corpus, tmp_path, stages, wo
 def _bandwidth_only_config(root, samples, sr):
     """One chapter WAV with one utterance spanning it; runs the bandwidth stage only."""
     (root / "raw").mkdir(parents=True)
-    save_pcm(AudioBuffer(samples, sr), root / "raw" / "c0.wav", bit_depth=32)
+    wavfile.write(str(root / "raw" / "c0.wav"), sr, samples.astype(np.float32))
     write_manifest([ChapterRecord("c0", "b0", "s0", "raw/c0.wav", sr)],
                    root / "chapters.jsonl")
     write_manifest([UtteranceRecord("c0_0000", "b0", "c0", "s0", "raw/c0.wav",
@@ -1905,7 +1905,7 @@ FAULTS = [
                  id="utterance-duration-infinite"),
     # 0.00004 s is 0.0 at a manifest's 4 decimals, which no stage may run on.
     pytest.param(["audio"], _utterance_1(duration_s=4e-05),
-                 1, "config error: {path}: 'ch0_0000': duration_s: must be > 0, got 0.0",
+                 1, "config error: {path}:1: duration_s: must be > 0, got 0.0",
                  id="utterance-duration-below-precision"),
     # An id names the record's file under out_dir/audio.
     pytest.param(["audio"], _utterance_1(utterance_id="../../escape"),
@@ -2234,6 +2234,30 @@ def test_full_disk_at_encoder_output_is_the_encoders_fault(tmp_path):
                                                       "ch3_0000.flac"]
 
 
+@pytest.mark.skipif(not _HAS_DEV_FULL, reason="no /dev/full")
+def test_full_disk_at_encoder_output_stops_the_run(tmp_path, monkeypatch):
+    # The same failing encoder on a disk with no room left is the run's fault:
+    # every record after it would fail too.
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+    config = make_config(root, tmp_path / "out")
+    config.stages = ["audio"]
+    config.encoder_cmd = "cp {input} {output}"
+    write_config(config, tmp_path / "config.yaml")
+    audio = tmp_path / "out" / "audio"
+    audio.mkdir(parents=True)
+    (audio / ".ch0_0000.partial.flac").symlink_to("/dev/full")
+    statvfs = os.statvfs
+    monkeypatch.setattr(os, "statvfs", lambda path: SimpleNamespace(f_bavail=0)
+                        if Path(path) == audio else statvfs(path))
+    result = CliRunner().invoke(main, ["run", "--config", str(tmp_path / "config.yaml")])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert (f"config error: {audio / 'ch0_0000.flac'}: cannot write: No space left on device"
+            in result.output)
+    assert not [p for p in tmp_path.rglob("*") if ".partial" in p.name]
+    assert not list((tmp_path / "out").glob("manifest.*"))
+
+
 def _run_reading(key, stages):
     """The config of a `run` of stages over a small corpus that reads its
     config key's file from `device`."""
@@ -2383,6 +2407,42 @@ def test_book_text_that_is_no_regular_file_rejects_its_chapter(tmp_path):
     assert proc.returncode == EXIT_PARTIAL, proc.stderr
     report = json.loads((tmp_path / "out" / "report.text.json").read_text())
     assert report["drop_reasons"] == {"book_text_unreadable:OSError": 2}
+
+
+def _targeting(rate):
+    def plant(root, config):
+        config.target_sample_rate_hz = rate
+    return plant
+
+
+def _recorded_at(rate):
+    """Declare ch1 at `rate`, and rewrite its WAV at that rate, as long as before."""
+    def plant(root, config):
+        old_rate, samples = wavfile.read(root / "raw" / "ch1.wav")
+        wavfile.write(str(root / "raw" / "ch1.wav"), rate,
+                      np.zeros(round(len(samples) / old_rate * rate), np.int16))
+        return _chapter_ch1(sample_rate_hz=rate)(root, config)
+    return plant
+
+
+# Outside the range, a rate's filter design outgrows the address space
+# (1 Hz, 1000003 Hz) or its arrays cannot be made (2**63 Hz).
+@pytest.mark.parametrize("plant,expected", [
+    (_targeting(1), "target_sample_rate_hz: must be from 1000 to 48000 Hz, got 1"),
+    (_targeting(2**63), f"target_sample_rate_hz: must be from 1000 to 48000 Hz, got {2**63}"),
+    (_recorded_at(1_000_003),
+     "{path}:2: sample_rate_hz: must be from 1000 to 48000 Hz, got 1000003"),
+], ids=["target-1hz", "target-2**63hz", "chapter-1000003hz"])
+def test_sample_rate_outside_its_range_is_config_error(tmp_path, plant, expected):
+    root = build_corpus(tmp_path / "corpus", n_utts_per_chapter=1)
+    config = make_config(root, tmp_path / "out")
+    config.stages = ["audio"]
+    path = plant(root, config)
+    proc = run_bounded(tmp_path, config)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert f"config error: {expected.format(path=path)}" in proc.stderr.splitlines()
+    assert not (tmp_path / "out" / "audio").exists()
 
 
 def test_record_below_manifest_precision_is_empty_after_trim(tmp_path):
@@ -2560,9 +2620,9 @@ def test_full_run_leaves_no_partial_files(pipeline_out):
 
 
 def _quiet_edged(root, bit_depth):
-    """Rewrite each chapter WAV under root/raw at bit_depth (16 or 32): its
-    samples 80 dB down in the first and last 0.3 s of each record, then
-    rounded and clipped to 16 bits."""
+    """Rewrite each chapter WAV under root/raw at bit_depth (16-bit PCM or
+    32-bit float): its samples 80 dB down in the first and last 0.3 s of
+    each record, then rounded and clipped to 16 bits."""
     records = read_manifest(root / "utterances.jsonl")
     for path in (root / "raw").glob("*.wav"):
         samples = load_pcm(path).samples
@@ -2573,7 +2633,10 @@ def _quiet_edged(root, bit_depth):
                 samples[start:start + 14400] *= 1e-4
                 samples[end - 14400:end] *= 1e-4
         samples = np.clip(np.round(samples * 32768.0), -32768, 32767) / 32768.0
-        save_pcm(AudioBuffer(samples, 48000), path, bit_depth=bit_depth)
+        if bit_depth == 16:
+            save_pcm(AudioBuffer(samples, 48000), path)
+        else:
+            wavfile.write(str(path), 48000, samples.astype(np.float32))
     return root
 
 
